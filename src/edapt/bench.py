@@ -406,7 +406,8 @@ class _SeedContext:
         return self._sselm
 
     def multiview(self):
-        """Noise-augmented extra views plus their maps and test datasets."""
+        """Noise-augmented extra views plus their maps, ELM prelabels and
+        test datasets."""
         if self._mv is None:
             bundles = [self.bundle]
             maps = [self.hidden_map]
@@ -419,7 +420,9 @@ class _SeedContext:
                 maps.append(new_hidden_map(p.n_hidden, bv.target_dim, p.activation,
                                            derive_view_seed(self.seed, v)))
                 tests.append(bv.target_test)
-            self._mv = (bundles, maps, tests)
+            phis = [preclassify_elm(b, m, self.config.pre_ridge)
+                    for b, m in zip(bundles, maps)]
+            self._mv = (bundles, maps, phis, tests)
         return self._mv
 
 
@@ -486,9 +489,7 @@ def _run_method(method: str, ctx: _SeedContext):
     def run_mv_point(cs: float, ct: float) -> _GridResult:
         nonlocal elapsed, n_fits
         pp = replace(p, c_source=cs, c_target=ct)
-        bundles, maps, tests = ctx.multiview()
-        phis = [preclassify_elm(b, m_, config.pre_ridge)
-                for b, m_ in zip(bundles, maps)]
+        bundles, maps, phis, tests = ctx.multiview()
         t0 = time.perf_counter()
         model = fit_mveda(bundles, phis, pp, hidden_maps=maps)
         elapsed += time.perf_counter() - t0
@@ -768,21 +769,13 @@ def _render_table(report: BenchReport) -> str:
 def run_sweep(config: BenchConfig) -> list[tuple[float, float, float, float]]:
     """Mean/std test metric of the adaptation solver on the full weight grid.
 
-    Returns rows ``(c_source, c_target, mean, std)`` in grid order.
+    Returns rows ``(c_source, c_target, mean, std)`` in grid order: the
+    per-point aggregates of the benchmark's ``eda`` method.
     """
-    base = None if config.data == "synth" else load_bundle(config.data)
-    per_point: dict[tuple, list[float]] = {
-        (float(cs), float(ct)): [] for cs in config.grid for ct in config.grid
-    }
-    for seed in config.seeds:
-        ctx = _context(config, seed, base)
-        phi = ctx.prelabels("elm")
-        p = replace(config.params, seed=seed)
-        for cs, ct in per_point:
-            pp = replace(p, c_source=cs, c_target=ct)
-            model = fit_eda(ctx.bundle, phi, pp, hidden_map=ctx.hidden_map)
-            _, scores = predict_eda(model, ctx.bundle.target_test)
-            per_point[(cs, ct)].append(_score(config, scores, ctx.y_test))
+    report = run_benchmark(replace(config, methods=("eda",)))
+    per_point: dict[tuple, list[float]] = {}
+    for _, _, point, value in report.per_seed:
+        per_point.setdefault(point, []).append(value)
     return [
         (cs, ct, float(np.mean(vals)), float(np.std(vals)))
         for (cs, ct), vals in per_point.items()

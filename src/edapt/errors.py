@@ -2,7 +2,7 @@
 
 
 class ParseError(ValueError):
-    """A text input (CSV, manifest, config) could not be parsed."""
+    """A text input (CSV, manifest, config, model file) could not be parsed."""
 
 
 class ShapeError(ValueError):

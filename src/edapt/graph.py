@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ParameterError
 
-__all__ = ["LaplacianGraph", "build_knn_graph", "export_edges", "quadratic_energy"]
+__all__ = ["LaplacianGraph", "build_knn_graph", "quadratic_energy"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +103,3 @@ def quadratic_energy(graph: LaplacianGraph, f: np.ndarray) -> float:
     if f.ndim == 1:
         f = f[:, None]
     return float(np.sum(f * (graph.laplacian @ f)))
-
-
-def export_edges(graph: LaplacianGraph, path: str) -> None:
-    """Write the upper-triangle edge list as ``i j weight`` text lines."""
-    a = graph.adjacency
-    i_idx, j_idx = np.nonzero(np.triu(a, k=1))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, j in zip(i_idx, j_idx):
-            fh.write(f"{i} {j} {repr(float(a[i, j]))}\n")

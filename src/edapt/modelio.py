@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .single import EdaModel, EdaParams
 
 __all__ = ["load_model", "save_model"]
 
+_PARAM_NAMES = frozenset(f.name for f in fields(EdaParams))
+
 
 def _map_block(hm: HiddenMap) -> dict:
     return {
@@ -31,12 +33,6 @@ def _map_block(hm: HiddenMap) -> dict:
         "activation": hm.activation,
         "seed": hm.seed,
     }
-
-
-def _map_from_block(d: dict) -> HiddenMap:
-    return HiddenMap(
-        np.asarray(d["weights"]), np.asarray(d["biases"]), d["activation"], d["seed"]
-    )
 
 
 def _dump(obj: dict, path: str) -> None:
@@ -75,11 +71,8 @@ def save_model(model, path: str) -> str:
     if isinstance(model, EdaModel):
         _dump(
             {
+                **_view_block(model.hidden_map, model.beta, model.theta, model.u),
                 "kind": "eda",
-                "hidden_map": _map_block(model.hidden_map),
-                "beta": model.beta.tolist(),
-                "theta": model.theta.tolist(),
-                "u": model.u.tolist(),
                 "objective_history": model.objective_history.tolist(),
                 "params": asdict(model.params),
             },
@@ -113,47 +106,98 @@ def save_model(model, path: str) -> str:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
-def load_model(path: str):
-    """Load a model written by :func:`save_model` (file or directory)."""
-    if os.path.isdir(path):
-        with open(os.path.join(path, "mveda.json"), encoding="utf-8") as fh:
-            head = json.load(fh)
-        if head.get("kind") != "mveda":
-            raise ParseError(f"{path}: not a multi-view model directory")
-        params = EdaParams(**head["params"])
-        maps, betas, thetas, us = [], [], [], []
-        for v in range(head["n_views"]):
-            with open(os.path.join(path, f"view{v}.json"), encoding="utf-8") as fh:
-                blk = json.load(fh)
-            if blk.get("kind") != "eda_view":
-                raise ParseError(f"{path}/view{v}.json: wrong kind {blk.get('kind')!r}")
-            maps.append(_map_from_block(blk["hidden_map"]))
-            betas.append(np.asarray(blk["beta"]))
-            thetas.append(np.asarray(blk["theta"]))
-            us.append(np.asarray(blk["u"]))
-        alpha = []
-        with open(os.path.join(path, "alpha.txt"), encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    alpha.append(float(line))
-        return MvEdaModel(
-            maps, betas, thetas, us, np.asarray(alpha),
-            np.asarray(head["alpha_history"]),
-            np.asarray(head["objective_history"]), params,
-        )
+# ---------------------------------------------------------------------------
+# loading: every field is checked, and a bad one is named with its file
+# ---------------------------------------------------------------------------
+
+
+def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    kind = d.get("kind")
-    if kind == "elm":
-        return ElmModel(_map_from_block(d["hidden_map"]), np.asarray(d["beta"]),
-                        d["ridge"])
-    if kind == "eda":
-        return EdaModel(
-            _map_from_block(d["hidden_map"]),
-            np.asarray(d["beta"]),
-            np.asarray(d["theta"]),
-            np.asarray(d["u"]),
-            np.asarray(d["objective_history"]),
-            EdaParams(**d["params"]),
+        return json.load(fh)
+
+
+def _kind(d):
+    return d.get("kind") if isinstance(d, dict) else None
+
+
+def _field(d, key: str, where: str):
+    if not isinstance(d, dict) or key not in d:
+        raise ParseError(f"{where}: missing field {key!r}")
+    return d[key]
+
+
+def _array(d, key: str, where: str) -> np.ndarray:
+    a = np.asarray(_field(d, key, where), dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ParseError(f"{where}: field {key!r} has non-finite entries")
+    return a
+
+
+def _params(d, where: str) -> EdaParams:
+    raw = _field(d, "params", where)
+    unknown = sorted(set(raw) - _PARAM_NAMES)
+    if unknown:
+        raise ParseError(f"{where}: field 'params' has unknown keys {unknown}")
+    return EdaParams(**raw)
+
+
+def _map_from_block(d, where: str) -> HiddenMap:
+    blk = _field(d, "hidden_map", where)
+    where = f"{where}: hidden_map"
+    return HiddenMap(_array(blk, "weights", where), _array(blk, "biases", where),
+                     _field(blk, "activation", where), _field(blk, "seed", where))
+
+
+def _view_fields(d, where: str) -> tuple:
+    """Hidden map, beta, theta and u of an ``eda`` file or a view file."""
+    return (_map_from_block(d, where), _array(d, "beta", where),
+            _array(d, "theta", where), _array(d, "u", where))
+
+
+def load_model(path: str):
+    """Load a model written by :func:`save_model` (file or directory).
+
+    A missing, malformed or non-finite field, or an unknown parameter,
+    raises :class:`ParseError` naming the file (and the field).
+    """
+    try:
+        return _load(path)
+    except ParseError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{path}: {err}") from None
+
+
+def _load(path: str):
+    if os.path.isdir(path):
+        head_path = os.path.join(path, "mveda.json")
+        head = _read_json(head_path)
+        if _kind(head) != "mveda":
+            raise ParseError(f"{path}: not a multi-view model directory")
+        views = []
+        for v in range(_field(head, "n_views", head_path)):
+            where = os.path.join(path, f"view{v}.json")
+            blk = _read_json(where)
+            if _kind(blk) != "eda_view":
+                raise ParseError(f"{where}: wrong kind {_kind(blk)!r}")
+            views.append(_view_fields(blk, where))
+        where = os.path.join(path, "alpha.txt")
+        with open(where, encoding="utf-8") as fh:
+            alpha = np.array([float(line) for line in fh if line.strip()])
+        if not np.isfinite(alpha).all():
+            raise ParseError(f"{where}: non-finite view weights")
+        return MvEdaModel(
+            *(list(col) for col in zip(*views)), alpha,
+            _array(head, "alpha_history", head_path),
+            _array(head, "objective_history", head_path),
+            _params(head, head_path),
         )
+    d = _read_json(path)
+    kind = _kind(d)
+    if kind == "elm":
+        return ElmModel(_map_from_block(d, path), _array(d, "beta", path),
+                        _field(d, "ridge", path))
+    if kind == "eda":
+        return EdaModel(*_view_fields(d, path), _array(d, "objective_history", path),
+                        _params(d, path))
     raise ParseError(f"{path}: unknown model kind {kind!r}")

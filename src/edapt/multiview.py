@@ -12,16 +12,20 @@ together by a weight vector ``alpha`` on the probability simplex:
 The exponent ``r > 1`` applies to the graph-smoothness term only; under
 that placement the weight update has the closed form
 ``alpha_v ∝ (1 / q_v)**(1/(r-1))`` with ``q_v`` the per-view smoothness,
-which is exactly how it is implemented here.  All block updates reuse
-the single-view operations with per-view scale factors.
+which is exactly how it is implemented here.  That step minimizes the
+smoothness term alone, not all of ``J``, so with several views descent
+is not guaranteed: the objective falls at the stock sizes (acceptance
+criterion 2 checks it there), but it can rise on small, unevenly
+weighted problems (L=20, c_source=100, c_target=1).
 
-With one view the solver defers to the single-view path, so histories
-match it bit for bit.
+One alternating loop, ``single._alternate``, serves one or many views:
+it scales each view's normal-equation blocks by ``alpha_v`` and
+``alpha_v**r`` and skips the weight step when there is only one view,
+so a one-view fit matches :func:`~edapt.single.fit_eda` bit for bit.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,20 +33,18 @@ import numpy as np
 from .data import Dataset, DomainBundle, decode_labels
 from .errors import ParameterError, ShapeError
 from .features import HiddenMap, derive_view_seed, map_features, new_hidden_map
-from .graph import quadratic_energy
-from .linalg import solve_spd
 from .single import (
     EdaParams,
     EdaProblem,
-    REL_STOP,
-    beta_gradient,
+    _alternate,
     build_problem,
-    eda_objective,
-    fit_eda,
+    mv_objective,
+    update_alpha,
     update_beta,
     update_theta,
-    update_u,
+    view_trace,
 )
+from .single import beta_gradient  # noqa: F401  (still looked up here by callers)
 
 __all__ = [
     "MvEdaModel",
@@ -54,33 +56,6 @@ __all__ = [
     "update_theta_view",
     "view_trace",
 ]
-
-# traces at or below this are treated as exact zeros in the weight update
-TRACE_FLOOR = 1e-12
-
-
-def view_trace(beta: np.ndarray, prob: EdaProblem) -> float:
-    """Graph smoothness ``q_v = tr(beta' H' L H beta)`` of one view."""
-    return quadratic_energy(prob.graph, prob.h_target @ beta)
-
-
-def mv_objective(
-    betas: list[np.ndarray],
-    thetas: list[np.ndarray],
-    alpha: np.ndarray,
-    problems: list[EdaProblem],
-    params: EdaParams,
-) -> float:
-    """The joint objective over all views (exact row-sparse norms)."""
-    total = 0.0
-    for beta, theta, a, prob in zip(betas, thetas, alpha, problems, strict=True):
-        total += eda_objective(
-            beta, theta, prob, params,
-            loss_scale=float(a),
-            smooth_scale=float(a) ** params.view_exponent,
-        )
-    return total
-
 
 def update_beta_view(
     u: np.ndarray,
@@ -109,39 +84,6 @@ def update_theta_view(
     to make that explicit at call sites."""
     del view_weight
     return update_theta(beta, prob, params)
-
-
-def update_alpha(
-    traces, view_exponent: float, floor: float = TRACE_FLOOR
-) -> np.ndarray:
-    """Closed-form simplex weights from per-view smoothness values.
-
-    ``alpha_v ∝ (1 / q_v)**(1 / (r - 1))``, normalized to sum to one.
-    Views whose trace is at or below ``floor`` (numerically zero; the
-    traces are non-negative up to roundoff) take over the entire mass,
-    split evenly among themselves.  If every view is degenerate the
-    weights fall back to uniform with a warning.
-    """
-    q = np.asarray(traces, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] < 1:
-        raise ShapeError("traces must be a non-empty vector")
-    if view_exponent <= 1.0:
-        raise ParameterError(f"view_exponent must exceed 1, got {view_exponent}")
-    degenerate = q <= floor
-    if degenerate.all():
-        warnings.warn(
-            "all view smoothness traces are numerically zero; "
-            "falling back to uniform view weights",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return np.full(q.shape[0], 1.0 / q.shape[0])
-    alpha = np.zeros(q.shape[0])
-    if degenerate.any():
-        alpha[degenerate] = 1.0 / degenerate.sum()
-        return alpha
-    w = (1.0 / q) ** (1.0 / (view_exponent - 1.0))
-    return w / w.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +171,10 @@ def fit_mveda(
 
     Notes
     -----
-    With a single view this defers to :func:`~edapt.single.fit_eda`
-    (same seed, same updates), so the objective history is identical
-    bit for bit.  The weight vector starts uniform and every iterate
-    stays on the simplex.
+    With a single view the map comes from ``params.seed`` and the loop
+    skips the weight step, so the fit equals
+    :func:`~edapt.single.fit_eda` bit for bit.  The weight vector starts
+    uniform and every iterate stays on the simplex.
     """
     if not bundles:
         raise ParameterError("need at least one view")
@@ -244,93 +186,24 @@ def fit_mveda(
     if hidden_maps is not None and len(hidden_maps) != n_views:
         raise ShapeError(f"{len(hidden_maps)} hidden maps for {n_views} views")
 
-    if n_views == 1:
-        single = fit_eda(
-            bundles[0], prelabels[0], params,
-            None if hidden_maps is None else hidden_maps[0],
-        )
-        return MvEdaModel(
-            hidden_maps=[single.hidden_map],
-            betas=[single.beta],
-            thetas=[single.theta],
-            us=[single.u],
-            alpha=np.array([1.0]),
-            alpha_history=np.ones((len(single.objective_history), 1)),
-            objective_history=single.objective_history,
-            params=params,
-        )
-
+    if hidden_maps is None:
+        # one view draws its map from params.seed, exactly as fit_eda does
+        hidden_maps = [None] if n_views == 1 else [
+            new_hidden_map(params.n_hidden, bundle.target_dim, params.activation,
+                           derive_view_seed(params.seed, v))
+            for v, bundle in enumerate(bundles)
+        ]
     _check_aligned(bundles)
     problems: list[EdaProblem] = []
     maps: list[HiddenMap] = []
-    for v, bundle in enumerate(bundles):
-        hm = hidden_maps[v] if hidden_maps is not None else new_hidden_map(
-            params.n_hidden, bundle.target_dim, params.activation,
-            derive_view_seed(params.seed, v),
-        )
-        prob, hm = build_problem(bundle, prelabels[v], params, hm)
+    for bundle, phi, hm in zip(bundles, prelabels, hidden_maps):
+        prob, hm = build_problem(bundle, phi, params, hm)
         problems.append(prob)
         maps.append(hm)
 
-    betas, thetas, us, alpha, alphas, history = _alternate_views(problems, params)
+    betas, thetas, us, alpha, alphas, history = _alternate(problems, params)
     return MvEdaModel(maps, betas, thetas, us, alpha, np.asarray(alphas),
                       np.asarray(history), params)
-
-
-def _alternate_views(problems: list[EdaProblem], params: EdaParams):
-    n_views = len(problems)
-    r = params.view_exponent
-    # per-view constant blocks, assembled once; the loop only rescales
-    # them by the current view weight
-    g_loss, g_smooth, rhs_loss = [], [], []
-    for prob in problems:
-        m = params.c_source * (prob.h_source.T @ prob.h_source)
-        m += params.c_target * (prob.h_labeled.T @ prob.h_labeled)
-        m += params.fidelity_weight * (prob.h_unlabeled.T @ prob.h_unlabeled)
-        g_loss.append(m)
-        g_smooth.append(
-            params.manifold_weight
-            * (prob.h_target.T @ (prob.graph.laplacian @ prob.h_target))
-        )
-        rhs_loss.append(
-            params.c_source * (prob.h_source.T @ prob.t_source)
-            + params.fidelity_weight * (prob.h_unlabeled.T @ prob.prelabels)
-        )
-
-    us = [np.ones(p.n_hidden) for p in problems]
-    thetas = [np.eye(p.n_classes) for p in problems]
-    alpha = np.full(n_views, 1.0 / n_views)
-    betas: list[np.ndarray] = [None] * n_views  # type: ignore[list-item]
-    alphas: list[np.ndarray] = []
-    history: list[float] = []
-    for _ in range(params.max_iter):
-        for v, prob in enumerate(problems):
-            av = float(alpha[v])
-            a = av * g_loss[v] + av**r * g_smooth[v]
-            a[np.diag_indices_from(a)] += us[v]
-            rhs = av * (
-                rhs_loss[v]
-                + params.c_target * (prob.h_labeled.T @ (prob.t_labeled @ thetas[v]))
-            )
-
-            def residual(x, v=v, av=av, prob=prob):
-                return -0.5 * beta_gradient(x, us[v], thetas[v], prob, params,
-                                            av, av**r)
-
-            betas[v] = solve_spd(a, rhs, jitter=1e-10, residual_fn=residual)
-        thetas = [update_theta(b, p, params) for b, p in zip(betas, problems)]
-        alpha = update_alpha(
-            [view_trace(b, p) for b, p in zip(betas, problems)], r
-        )
-        us = [update_u(b, params.reweight_eps) for b in betas]
-        alphas.append(alpha.copy())
-        value = mv_objective(betas, thetas, alpha, problems, params)
-        history.append(value)
-        if len(history) > 1 and abs(history[-2] - value) <= REL_STOP * (
-            1.0 + abs(history[-2])
-        ):
-            break
-    return betas, thetas, us, alpha, alphas, history
 
 
 def predict_mveda(

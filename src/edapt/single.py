@@ -18,12 +18,16 @@ handled by iteratively reweighted least squares: with
 ``u_i = 1 / (2 (||beta_i|| + eps))`` fixed, both block updates are SPD
 solves, and alternating them descends J monotonically.
 
-Scale arguments on the low-level operations exist for the multi-view
-solver, which reuses these exact updates with per-view weights.
+The alternating loop here also runs the multi-view solver
+(:mod:`edapt.multiview`): it takes a list of per-view problems, scales
+each view's loss terms by ``alpha_v`` and its smoothness term by
+``alpha_v**r``, and adds the view-weight step when there are two or
+more views.  A single-view fit is the one-view case with ``alpha = [1]``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,28 +267,32 @@ def surrogate_objective(
     )
 
 
-def _beta_system(prob: EdaProblem, params: EdaParams,
-                 loss_scale: float, smooth_scale: float):
-    """Constant parts of the beta normal equations (everything but u, theta)."""
-    cs = loss_scale * params.c_source
-    ct = loss_scale * params.c_target
-    tau = loss_scale * params.fidelity_weight
-    lam = smooth_scale * params.manifold_weight
-    m = cs * (prob.h_source.T @ prob.h_source)
-    m += ct * (prob.h_labeled.T @ prob.h_labeled)
-    m += tau * (prob.h_unlabeled.T @ prob.h_unlabeled)
-    m += lam * (prob.h_target.T @ (prob.graph.laplacian @ prob.h_target))
-    rhs0 = cs * (prob.h_source.T @ prob.t_source)
-    rhs0 += tau * (prob.h_unlabeled.T @ prob.prelabels)
-    return m, rhs0
+def _beta_blocks(prob: EdaProblem, params: EdaParams):
+    """Constant parts of the beta normal equations at unit view weight.
+
+    Returns the loss Gram ``cs Hs'Hs + ct Ht'Ht + tau Hu'Hu``, the
+    smoothness Gram ``lam H'LH`` and the loss right-hand side
+    ``cs Hs'Ts + tau Hu'phi``; a solve only rescales and adds them.
+    """
+    g_loss = params.c_source * (prob.h_source.T @ prob.h_source)
+    g_loss += params.c_target * (prob.h_labeled.T @ prob.h_labeled)
+    g_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.h_unlabeled)
+    g_smooth = params.manifold_weight * (
+        prob.h_target.T @ (prob.graph.laplacian @ prob.h_target)
+    )
+    rhs_loss = params.c_source * (prob.h_source.T @ prob.t_source)
+    rhs_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.prelabels)
+    return g_loss, g_smooth, rhs_loss
 
 
-def _solve_beta(m, rhs0, u, theta, prob: EdaProblem, params: EdaParams,
-                loss_scale: float, smooth_scale: float = 1.0) -> np.ndarray:
-    a = m.copy()
+def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
+                loss_scale: float, smooth_scale: float) -> np.ndarray:
+    g_loss, g_smooth, rhs_loss = blocks
+    a = loss_scale * g_loss
+    a += smooth_scale * g_smooth
     a[np.diag_indices_from(a)] += u
-    rhs = rhs0 + loss_scale * params.c_target * (
-        prob.h_labeled.T @ (prob.t_labeled @ theta)
+    rhs = loss_scale * (
+        rhs_loss + params.c_target * (prob.h_labeled.T @ (prob.t_labeled @ theta))
     )
 
     def residual(x):
@@ -310,8 +318,8 @@ def update_beta(
     = cs Hs'Ts + ct Ht'(Tt theta) + tau Hu'phi`` with the penalty weights
     scaled as documented on the module.
     """
-    m, rhs0 = _beta_system(prob, params, loss_scale, smooth_scale)
-    return _solve_beta(m, rhs0, u, theta, prob, params, loss_scale, smooth_scale)
+    return _solve_beta(_beta_blocks(prob, params), u, theta, prob, params,
+                       loss_scale, smooth_scale)
 
 
 def update_theta(beta: np.ndarray, prob: EdaProblem, params: EdaParams) -> np.ndarray:
@@ -370,6 +378,110 @@ def theta_gradient(
 
 
 # ---------------------------------------------------------------------------
+# view weights and the alternating loop
+# ---------------------------------------------------------------------------
+
+# traces at or below this are treated as exact zeros in the weight update
+TRACE_FLOOR = 1e-12
+
+
+def view_trace(beta: np.ndarray, prob: EdaProblem) -> float:
+    """Graph smoothness ``q_v = tr(beta' H' L H beta)`` of one view."""
+    return quadratic_energy(prob.graph, prob.h_target @ beta)
+
+
+def mv_objective(
+    betas: list[np.ndarray],
+    thetas: list[np.ndarray],
+    alpha: np.ndarray,
+    problems: list[EdaProblem],
+    params: EdaParams,
+) -> float:
+    """The joint objective over all views (exact row-sparse norms)."""
+    total = 0.0
+    for beta, theta, a, prob in zip(betas, thetas, alpha, problems, strict=True):
+        total += eda_objective(
+            beta, theta, prob, params,
+            loss_scale=float(a),
+            smooth_scale=float(a) ** params.view_exponent,
+        )
+    return total
+
+
+def update_alpha(
+    traces, view_exponent: float, floor: float = TRACE_FLOOR
+) -> np.ndarray:
+    """Closed-form simplex weights from per-view smoothness values.
+
+    ``alpha_v ∝ (1 / q_v)**(1 / (r - 1))``, normalized to sum to one.
+    Views whose trace is at or below ``floor`` (numerically zero; the
+    traces are non-negative up to roundoff) take over the entire mass,
+    split evenly among themselves.  If every view is degenerate the
+    weights fall back to uniform with a warning.
+    """
+    q = np.asarray(traces, dtype=np.float64)
+    if q.ndim != 1 or q.shape[0] < 1:
+        raise ShapeError("traces must be a non-empty vector")
+    if view_exponent <= 1.0:
+        raise ParameterError(f"view_exponent must exceed 1, got {view_exponent}")
+    degenerate = q <= floor
+    if degenerate.all():
+        warnings.warn(
+            "all view smoothness traces are numerically zero; "
+            "falling back to uniform view weights",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return np.full(q.shape[0], 1.0 / q.shape[0])
+    alpha = np.zeros(q.shape[0])
+    if degenerate.any():
+        alpha[degenerate] = 1.0 / degenerate.sum()
+        return alpha
+    w = (1.0 / q) ** (1.0 / (view_exponent - 1.0))
+    return w / w.sum()
+
+
+def _alternate(problems: list[EdaProblem], params: EdaParams):
+    """The alternating loop over one or more views.
+
+    Starts from ``u = 1``, ``theta = I`` and uniform view weights, then
+    cycles beta -> theta -> alpha -> u, recording the joint objective
+    after each round.  One view keeps ``alpha = [1]`` and skips the
+    weight step, so its loop is the single-view solver exactly.
+    Returns ``(betas, thetas, us, alpha, alpha_history, history)``.
+    """
+    n_views = len(problems)
+    r = params.view_exponent
+    # per-view constant blocks, assembled once; each round only rescales
+    # them by the current view weight
+    blocks = [_beta_blocks(prob, params) for prob in problems]
+    us = [np.ones(prob.n_hidden) for prob in problems]
+    thetas = [np.eye(prob.n_classes) for prob in problems]
+    alpha = np.full(n_views, 1.0 / n_views)
+    alphas: list[np.ndarray] = []
+    history: list[float] = []
+    for _ in range(params.max_iter):
+        betas = [
+            _solve_beta(blk, u, theta, prob, params, float(a), float(a) ** r)
+            for blk, u, theta, prob, a in zip(blocks, us, thetas, problems, alpha)
+        ]
+        thetas = [update_theta(b, prob, params) for b, prob in zip(betas, problems)]
+        if n_views > 1:
+            alpha = update_alpha(
+                [view_trace(b, prob) for b, prob in zip(betas, problems)], r
+            )
+        us = [update_u(b, params.reweight_eps) for b in betas]
+        alphas.append(alpha.copy())
+        value = mv_objective(betas, thetas, alpha, problems, params)
+        history.append(value)
+        if len(history) > 1 and abs(history[-2] - value) <= REL_STOP * (
+            1.0 + abs(history[-2])
+        ):
+            break
+    return betas, thetas, us, alpha, alphas, history
+
+
+# ---------------------------------------------------------------------------
 # model fitting and prediction
 # ---------------------------------------------------------------------------
 
@@ -418,33 +530,8 @@ def fit_eda(
     callable producing one from the bundle.
     """
     prob, hidden_map = build_problem(bundle, prelabels, params, hidden_map)
-    beta, theta, u, history = _alternate(prob, params)
+    (beta,), (theta,), (u,), _, _, history = _alternate([prob], params)
     return EdaModel(hidden_map, beta, theta, u, np.asarray(history), params)
-
-
-def _alternate(
-    prob: EdaProblem,
-    params: EdaParams,
-    loss_scale: float = 1.0,
-    smooth_scale: float = 1.0,
-):
-    """The shared alternating loop (single view; one view of the multi-view
-    solver uses the update operations directly instead)."""
-    m, rhs0 = _beta_system(prob, params, loss_scale, smooth_scale)
-    u = np.ones(prob.n_hidden)
-    theta = np.eye(prob.n_classes)
-    history: list[float] = []
-    for _ in range(params.max_iter):
-        beta = _solve_beta(m, rhs0, u, theta, prob, params, loss_scale, smooth_scale)
-        theta = update_theta(beta, prob, params)
-        u = update_u(beta, params.reweight_eps)
-        value = eda_objective(beta, theta, prob, params, loss_scale, smooth_scale)
-        history.append(value)
-        if len(history) > 1 and abs(history[-2] - value) <= REL_STOP * (
-            1.0 + abs(history[-2])
-        ):
-            break
-    return beta, theta, u, history
 
 
 def predict_eda(

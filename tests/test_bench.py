@@ -1,5 +1,7 @@
 """Benchmark harness: config parsing, resplits, fairness token, reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from edapt import (
     generate_shift,
     new_hidden_map,
     parse_config,
+    preclassify_elm,
     run_benchmark,
     run_sweep,
     save_bundle,
@@ -30,7 +33,6 @@ def _fast(**over):
     over.setdefault("n_test", 12)
     over.setdefault("m", 2)
     cfg = default_config(**over)
-    from dataclasses import replace
     return replace(cfg, params=replace(cfg.params, n_hidden=20, max_iter=2))
 
 
@@ -223,6 +225,20 @@ def test_multiview_runs_record_view_weights():
         assert abs(sum(row) - 1.0) < 1e-12
 
 
+def test_multiview_prelabels_are_computed_once_per_seed(monkeypatch):
+    import edapt.bench
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return preclassify_elm(*args, **kwargs)
+
+    monkeypatch.setattr(edapt.bench, "preclassify_elm", counting)
+    cfg = _fast(methods=("mveda",))
+    run_benchmark(cfg)
+    assert len(calls) == cfg.views * len(cfg.seeds)
+
+
 def test_manifest_data_is_resplit_per_seed(tmp_path):
     manifest = save_bundle(_pool_bundle(), str(tmp_path / "b"))
     cfg = _fast(data=manifest, methods=("elm_s",), standardize=False)
@@ -253,11 +269,17 @@ def test_emit_report_names_files_by_config_hash(tmp_path):
 
 
 def test_sweep_covers_the_grid_in_order(tmp_path):
-    cfg = _fast(methods=("eda",), seeds=(0,))
+    cfg = _fast(methods=("elm_s",))
     rows = run_sweep(cfg)
     assert [(cs, ct) for cs, ct, _, _ in rows] == [
         (1.0, 1.0), (1.0, 10.0), (10.0, 1.0), (10.0, 10.0)]
     assert all(0.0 <= mean <= 1.0 and std >= 0.0 for _, _, mean, std in rows)
+    # the rows are the per-point aggregates of the benchmark's eda grid
+    report = run_benchmark(replace(cfg, methods=("eda",)))
+    for cs, ct, mean, std in rows:
+        vals = [v for _, _, pt, v in report.per_seed if pt == (cs, ct)]
+        assert len(vals) == len(cfg.seeds)
+        assert (mean, std) == (float(np.mean(vals)), float(np.std(vals)))
     path = emit_sweep(rows, cfg, str(tmp_path))
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]

@@ -163,3 +163,12 @@ def test_errors_exit_with_code_2(tmp_path, cfg_path, capsys):
     assert main(["bench", "--config", str(bad),
                  "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a model file without its drift matrix
+    model = tmp_path / "model.json"
+    model.write_text('{"kind": "eda", "beta": [[1.0]], "hidden_map": {'
+                     '"weights": [[1.0]], "biases": [0.0], "activation": "radbas",'
+                     ' "seed": 0}}')
+    assert main(["predict", str(model), str(tmp_path / "x.csv"),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and "'theta'" in err

@@ -10,7 +10,6 @@ from edapt import (
     build_knn_graph,
     quadratic_energy,
 )
-from edapt.graph import export_edges
 
 
 def test_collinear_hand_case():
@@ -91,10 +90,3 @@ def test_neighbor_count_validation():
         build_knn_graph(ds, 0)
     with pytest.raises(ParameterError):
         build_knn_graph(ds, 3)  # needs at least k+1 samples
-
-
-def test_export_edges(tmp_path):
-    g = build_knn_graph(Dataset(np.array([[0.0, 1.0, 3.0]])), 1)
-    p = str(tmp_path / "edges.txt")
-    export_edges(g, p)
-    assert open(p).read().splitlines() == ["0 1 1.0", "1 2 1.0"]

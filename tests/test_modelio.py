@@ -107,3 +107,22 @@ def test_unknown_kind_and_junk(tmp_path):
         load_model(str(d))
     with pytest.raises(TypeError):
         save_model(object(), str(tmp_path / "x.json"))
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (lambda d: d.pop("theta"), "'theta'"),
+    (lambda d: d["params"].update(mystery=1), "mystery"),
+    (lambda d: d["beta"][0].__setitem__(0, float("nan")), "'beta'"),
+])
+def test_malformed_eda_file_names_file_and_field(tmp_path, corrupt, field):
+    bundle = blob_bundle(seed=5)
+    model = fit_eda(bundle, random_prelabels(bundle, 5), small_params(),
+                    new_hidden_map(12, 2, seed=5))
+    path = tmp_path / "m.json"
+    save_model(model, str(path))
+    d = json.loads(path.read_text())
+    corrupt(d)
+    path.write_text(json.dumps(d))
+    with pytest.raises(ParseError) as info:
+        load_model(str(path))
+    assert str(path) in str(info.value) and field in str(info.value)
