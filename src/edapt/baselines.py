@@ -81,7 +81,7 @@ def fit_sselm(
     h_lab = h_all[:n_labeled]
     width = h_all.shape[1]
     a = np.eye(width) + ridge * (h_lab.T @ h_lab)
-    a += manifold_weight * (h_all.T @ (graph.laplacian @ h_all))
+    a += manifold_weight * (h_all.T @ (graph.sparse_laplacian @ h_all))
     return solve_spd(a, ridge * (h_lab.T @ t_labeled))
 
 

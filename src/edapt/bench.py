@@ -126,6 +126,9 @@ class BenchConfig:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         if not self.grid or any(g <= 0 for g in self.grid):
             raise ParameterError("grid values must be positive")
+        repeated = sorted({g for g in self.grid if self.grid.count(g) > 1})
+        if repeated:
+            raise ParameterError(f"grid values must be distinct; repeated {repeated}")
         if self.views < 1:
             raise ParameterError(f"views must be >= 1, got {self.views}")
 

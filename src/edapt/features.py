@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, DomainBundle, concat_features
 from .errors import ParameterError, ParseError, ShapeError
@@ -23,7 +22,16 @@ def _radbas(z: np.ndarray) -> np.ndarray:
     return np.exp(-np.square(z))
 
 
-_ACT_FNS = {"radbas": _radbas, "sigmoid": expit}
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-z)); exp(-z) overflows to inf below z ~ -709.8, where
+    # the logistic is 0 in double precision, so the overflow is silenced
+    with np.errstate(over="ignore"):
+        out = np.exp(-z)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+_ACT_FNS = {"radbas": _radbas, "sigmoid": _sigmoid}
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +165,30 @@ def save_standardizer(standardizer: Standardizer, path: str) -> None:
         fh.write(",".join(repr(float(v)) for v in standardizer.std) + "\n")
 
 
+def _stat_line(line: str, path: str, name: str) -> np.ndarray:
+    try:
+        values = np.array([float(tok) for tok in line.split(",")])
+    except ValueError as err:
+        raise ParseError(f"{path}: field {name!r}: {err}") from None
+    if not np.isfinite(values).all():
+        raise ParseError(f"{path}: field {name!r} has non-finite entries")
+    return values
+
+
 def load_standardizer(path: str) -> Standardizer:
-    """Read a standardizer written by :func:`save_standardizer`."""
+    """Read a standardizer written by :func:`save_standardizer`.
+
+    A line that does not parse, a non-finite entry or a non-positive
+    std raises :class:`ParseError` naming the file and the field.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) != 2:
         raise ParseError(f"{path}: expected 2 lines (mean, std), got {len(lines)}")
-    mean = np.array([float(tok) for tok in lines[0].split(",")])
-    std = np.array([float(tok) for tok in lines[1].split(",")])
+    mean = _stat_line(lines[0], path, "mean")
+    std = _stat_line(lines[1], path, "std")
     if mean.shape != std.shape:
         raise ParseError(f"{path}: mean and std lengths differ")
+    if (std <= 0.0).any():
+        raise ParseError(f"{path}: field 'std' has entries <= 0")
     return Standardizer(mean, std)

@@ -278,7 +278,7 @@ def _beta_blocks(prob: EdaProblem, params: EdaParams):
     g_loss += params.c_target * (prob.h_labeled.T @ prob.h_labeled)
     g_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.h_unlabeled)
     g_smooth = params.manifold_weight * (
-        prob.h_target.T @ (prob.graph.laplacian @ prob.h_target)
+        prob.h_target.T @ (prob.graph.sparse_laplacian @ prob.h_target)
     )
     rhs_loss = params.c_source * (prob.h_source.T @ prob.t_source)
     rhs_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.prelabels)
@@ -357,7 +357,7 @@ def beta_gradient(
         prob.h_unlabeled.T @ (prob.h_unlabeled @ beta - prob.prelabels)
     )
     g += smooth_scale * params.manifold_weight * (
-        prob.h_target.T @ (prob.graph.laplacian @ (prob.h_target @ beta))
+        prob.h_target.T @ (prob.graph.sparse_laplacian @ (prob.h_target @ beta))
     )
     return 2.0 * g
 

@@ -4,7 +4,8 @@ import numpy as np
 
 from edapt import Dataset, DomainBundle, EdaParams, build_problem
 
-__all__ = ["blob_bundle", "small_params", "small_problem", "random_prelabels"]
+__all__ = ["blob_bundle", "dense_knn_reference", "small_params", "small_problem",
+           "random_prelabels"]
 
 
 def blob_bundle(seed=0, d=2, c=3, per_source=4, per_labeled=2, per_unlabeled=3,
@@ -56,3 +57,39 @@ def small_problem(seed=0, **overrides):
     params = small_params(**overrides)
     prob, _ = build_problem(bundle, random_prelabels(bundle, seed), params)
     return prob, params
+
+
+def dense_knn_reference(x, n_neighbors, weighted=False, sq_dists=None):
+    """Brute-force k-NN graph: full distance matrix and a stable argsort.
+
+    The dense build the library used before its graphs became sparse,
+    kept as the reference its sparse build is checked against.  Pass
+    ``sq_dists`` (the full squared-distance matrix) to select from
+    given distances instead of computing them.  Returns
+    ``(mask, adjacency, degrees, laplacian)`` as dense arrays, ``mask``
+    the boolean edge set.
+    """
+    n = x.shape[1]
+    if sq_dists is None:
+        sq = np.einsum("ij,ij->j", x, x)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
+        np.maximum(d2, 0.0, out=d2)  # clamp roundoff negatives for duplicates
+    else:
+        d2 = np.array(sq_dists, dtype=np.float64)
+    np.fill_diagonal(d2, np.inf)
+    # stable sort: equal distances resolve toward the lower index
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :n_neighbors]
+    mask = np.zeros((n, n), dtype=bool)
+    rows = np.repeat(np.arange(n), n_neighbors)
+    mask[rows, nearest.ravel()] = True
+    mask |= mask.T
+
+    if weighted:
+        t = float(d2[mask].mean())
+        adjacency = np.where(mask, np.exp(-d2 / (2.0 * t)), 0.0)
+        np.fill_diagonal(adjacency, 0.0)
+    else:
+        adjacency = mask.astype(np.float64)
+    degrees = adjacency.sum(axis=1)
+    laplacian = np.diag(degrees) - adjacency
+    return mask, adjacency, degrees, laplacian

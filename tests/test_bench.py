@@ -92,6 +92,11 @@ def test_config_validation():
         default_config(views=0)
 
 
+def test_repeated_grid_values_are_rejected():
+    with pytest.raises(ParameterError, match=r"repeated \[1\.0\]"):
+        default_config(grid=(1.0, 10.0, 1.0))
+
+
 def test_config_hash_is_stable_and_sensitive():
     a, b = default_config(), default_config()
     assert config_text(a) == config_text(b)

@@ -154,6 +154,29 @@ def test_bench_and_sweep_commands(tmp_path, cfg_path, capsys):
         assert "c_source,c_target,mean,std" in fh.read()
 
 
+def test_bench_rejects_a_repeated_grid_value(tmp_path, capsys):
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(TINY_CFG.replace("grid = 1.0,10.0", "grid = 1,10,1"))
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "repeated [1.0]" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_malformed_standardizer(tmp_path, cfg_path, capsys):
+    data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    run = tmp_path / "run"
+    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    st_path = run / "standardizer.txt"
+    mean_line = st_path.read_text().splitlines()[0]
+    zero_std = ",".join("0.0" for _ in mean_line.split(","))
+    st_path.write_text(f"{mean_line}\n{zero_std}\n")
+    rc = main(["predict", str(run / "model.json"), f"{data}/target_test_features.csv",
+               "--out-dir", str(tmp_path / "pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(st_path) in err and "'std'" in err
+
+
 def test_errors_exit_with_code_2(tmp_path, cfg_path, capsys):
     assert main(["fit", str(tmp_path / "missing.txt"),
                  "--out-dir", str(tmp_path)]) == 2

@@ -1,6 +1,10 @@
 """Random hidden maps, activations, and feature standardization."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +133,49 @@ def test_standardizer_file_round_trip(tmp_path):
     back = load_standardizer(p)
     assert np.array_equal(back.mean, st.mean)
     assert np.array_equal(back.std, st.std)
+
+
+@pytest.mark.parametrize("lines, field, what", [
+    ("1.0,oops\n1.0,2.0\n", "'mean'", "could not convert"),
+    ("1.0,2.0\n1.0,inf\n", "'std'", "non-finite"),
+    ("1.0,nan\n1.0,2.0\n", "'mean'", "non-finite"),
+    ("1.0,2.0\n1.0,0.0\n", "'std'", "<= 0"),
+    ("1.0,2.0\n-1.0,2.0\n", "'std'", "<= 0"),
+])
+def test_malformed_standardizer_names_file_and_field(tmp_path, lines, field, what):
+    p = tmp_path / "st.txt"
+    p.write_text(lines)
+    with pytest.raises(ParseError) as err:
+        load_standardizer(str(p))
+    assert str(p) in str(err.value) and field in str(err.value)
+    assert what in str(err.value)
+
+
+def test_sigmoid_matches_expit_without_warnings():
+    from scipy.special import expit
+
+    z = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
+                        [-745.2, -709.8, -709.7, -0.0, 36.0, 37.5]])
+    hm = HiddenMap(np.ones((1, 1)), np.zeros(1), "sigmoid", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = map_features(hm, Dataset(z[None, :]))[:, 0]
+    want = expit(z)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nz = want != 0.0
+    assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 1e-15
+
+
+def test_import_loads_neither_scipy_special_nor_spatial():
+    code = ("import sys, edapt; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.spatial') "
+            "if m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_load_standardizer_errors(tmp_path):
