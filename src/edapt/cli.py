@@ -46,7 +46,7 @@ from .data import (
     save_multiview_bundle,
     unlabeled_truth,
 )
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .features import (
     derive_view_seed,
     fit_standardizer,
@@ -57,13 +57,7 @@ from .features import (
 )
 from .modelio import load_model, save_model
 from .multiview import MvEdaModel, fit_mveda, predict_mveda
-from .preclassify import (
-    KernelSpec,
-    average_prelabels,
-    load_prelabels,
-    preclassify_elm,
-    preclassify_kernel,
-)
+from .preclassify import BUILTINS, builtin_prelabels, load_prelabels
 from .single import EdaModel, fit_eda, predict_eda
 
 __all__ = ["main"]
@@ -120,21 +114,9 @@ def _cmd_synth(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-_PRE_BUILTINS = ("elm", "laplacian", "inverse", "average")
-
-
 def _resolve_prelabels(spec: str, bundle, hidden_map, ridge: float) -> np.ndarray:
-    if spec == "elm":
-        return preclassify_elm(bundle, hidden_map, ridge)
-    if spec == "laplacian":
-        return preclassify_kernel(bundle, KernelSpec("laplacian_dist"), ridge)
-    if spec == "inverse":
-        return preclassify_kernel(bundle, KernelSpec("inverse_dist"), ridge)
-    if spec == "average":
-        return average_prelabels([
-            preclassify_kernel(bundle, KernelSpec("laplacian_dist"), ridge),
-            preclassify_kernel(bundle, KernelSpec("inverse_dist"), ridge),
-        ])
+    if spec in BUILTINS:
+        return builtin_prelabels(spec, bundle, hidden_map, ridge)
     return load_prelabels(spec)  # anything else is a CSV path
 
 
@@ -229,13 +211,22 @@ def _apply_standardizers(model_path: str, datasets):
     base = os.path.dirname(os.path.abspath(model_path))
     single = os.path.join(base, "standardizer.txt")
     if len(datasets) == 1 and os.path.exists(single):
-        return [load_standardizer(single).apply(datasets[0])]
+        return [_standardize(single, datasets[0])]
     out = []
     for v, ds in enumerate(datasets):
         per_view = os.path.join(base, f"standardizer_view{v}.txt")
-        out.append(load_standardizer(per_view).apply(ds)
-                   if os.path.exists(per_view) else ds)
+        out.append(_standardize(per_view, ds) if os.path.exists(per_view) else ds)
     return out
+
+
+def _standardize(path: str, data: Dataset) -> Dataset:
+    st = load_standardizer(path)
+    if st.mean.shape[0] != data.dim:
+        raise ShapeError(
+            f"{path}: standardizer has {st.mean.shape[0]} features, "
+            f"the input has {data.dim}"
+        )
+    return st.apply(data)
 
 
 def _cmd_predict(args) -> int:

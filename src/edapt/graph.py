@@ -144,7 +144,8 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
     weighted : bool
         If True, edges carry Gaussian heat weights
         ``exp(-d_ij**2 / (2 t))`` with ``t`` the mean squared length of
-        the selected edges; default is binary 0/1 weights.
+        the selected edges (all weights are 1 when every edge has length
+        0); default is binary 0/1 weights.
 
     Raises
     ------
@@ -165,12 +166,14 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
     keys, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
                             return_index=True)
     rows, cols = np.divmod(keys, n)
+    weights = np.ones(keys.shape[0])
     if weighted:
         d2 = np.concatenate([d2, d2])[first]
         t = float(d2.mean())
-        weights = np.exp(-d2 / (2.0 * t))
-    else:
-        weights = np.ones(keys.shape[0])
+        # t = 0 only when every edge has length 0, and then every heat
+        # weight exp(-0 / (2 t)) is 1, as it is for any t > 0
+        if t > 0.0:
+            weights = np.exp(-d2 / (2.0 * t))
     adjacency = sparse.csr_array((weights, (rows, cols)), shape=(n, n))
     degrees = adjacency.sum(axis=1)
     laplacian = sparse.diags_array(degrees, format="csr") - adjacency

@@ -148,6 +148,16 @@ def _check_aligned(bundles: list[DomainBundle]) -> None:
             )
 
 
+def _build_views(bundles: list[DomainBundle], prelabels: list, params: EdaParams,
+                 hidden_maps: list) -> tuple[list[EdaProblem], list[HiddenMap]]:
+    """Check that the views describe the same samples, then build each
+    view's problem; returns ``(problems, hidden_maps)``."""
+    _check_aligned(bundles)
+    built = [build_problem(b, phi, params, hm)
+             for b, phi, hm in zip(bundles, prelabels, hidden_maps)]
+    return [prob for prob, _ in built], [hm for _, hm in built]
+
+
 def fit_mveda(
     bundles: list[DomainBundle],
     prelabels,
@@ -193,14 +203,7 @@ def fit_mveda(
                            derive_view_seed(params.seed, v))
             for v, bundle in enumerate(bundles)
         ]
-    _check_aligned(bundles)
-    problems: list[EdaProblem] = []
-    maps: list[HiddenMap] = []
-    for bundle, phi, hm in zip(bundles, prelabels, hidden_maps):
-        prob, hm = build_problem(bundle, phi, params, hm)
-        problems.append(prob)
-        maps.append(hm)
-
+    problems, maps = _build_views(bundles, prelabels, params, hidden_maps)
     betas, thetas, us, alpha, alphas, history = _alternate(problems, params)
     return MvEdaModel(maps, betas, thetas, us, alpha, np.asarray(alphas),
                       np.asarray(history), params)

@@ -101,24 +101,16 @@ def preclassify_kernel(
     bundle: DomainBundle,
     spec: KernelSpec = KernelSpec(),
     ridge: float = 1.0,
-    d_train: np.ndarray | None = None,
-    d_cross: np.ndarray | None = None,
 ) -> np.ndarray:
     """Kernel ridge scores for the unlabeled target samples.
 
-    Kernels act on squared Euclidean distances of raw features; pass
-    ``d_train`` (train x train) and ``d_cross`` (unlabeled x train) to
-    substitute precomputed squared distances.  A failed factorization is
-    retried once with jitter ``1e-8 * I``.
+    Kernels act on squared Euclidean distances of raw features.  A
+    failed factorization is retried once with jitter ``1e-8 * I``.
     """
     if ridge <= 0.0:
         raise ParameterError(f"ridge must be positive, got {ridge}")
     x, t = _training_block(bundle)
-    n_train = x.shape[1]
-    if d_train is None:
-        d_train = _sq_dists(x, x)
-    elif d_train.shape != (n_train, n_train):
-        raise ShapeError(f"d_train must be {(n_train, n_train)}, got {d_train.shape}")
+    d_train = _sq_dists(x, x)
     sigma = spec.sigma
     if sigma is None:
         mean_sq = float(d_train.mean())
@@ -126,15 +118,10 @@ def preclassify_kernel(
             raise ParameterError("cannot auto-scale sigma: all training points coincide")
         sigma = 1.0 / mean_sq
     k_train = _kernel(spec, d_train, sigma)
-    alpha = solve_spd(k_train + ridge * np.eye(n_train), t, jitter=1e-8)
+    alpha = solve_spd(k_train + ridge * np.eye(x.shape[1]), t, jitter=1e-8)
     if bundle.target_unlabeled is None:
         return np.zeros((0, bundle.n_classes))
-    if d_cross is None:
-        d_cross = _sq_dists(bundle.target_unlabeled.features, x)
-    elif d_cross.shape != (bundle.target_unlabeled.n, n_train):
-        raise ShapeError(
-            f"d_cross must be {(bundle.target_unlabeled.n, n_train)}, got {d_cross.shape}"
-        )
+    d_cross = _sq_dists(bundle.target_unlabeled.features, x)
     return _kernel(spec, d_cross, sigma) @ alpha
 
 
@@ -151,3 +138,21 @@ def average_prelabels(scores: list[np.ndarray]) -> np.ndarray:
 def load_prelabels(path: str) -> np.ndarray:
     """Load externally computed scores (CSV, one row per unlabeled sample)."""
     return read_matrix_csv(path)
+
+
+BUILTINS = ("elm", "laplacian", "inverse", "average")
+
+
+def builtin_prelabels(name: str, bundle: DomainBundle, hidden_map: HiddenMap,
+                      ridge: float) -> np.ndarray:
+    """Scores of the builtin pre-classifier ``name`` (one of ``BUILTINS``):
+    the random-feature ridge in ``hidden_map``'s space, a kernel ridge,
+    or the mean of the two kernel ridges."""
+    if name == "elm":
+        return preclassify_elm(bundle, hidden_map, ridge)
+    if name == "average":
+        return average_prelabels([builtin_prelabels(k, bundle, hidden_map, ridge)
+                                  for k in ("laplacian", "inverse")])
+    if name in BUILTINS:
+        return preclassify_kernel(bundle, KernelSpec(f"{name}_dist"), ridge)
+    raise ParameterError(f"unknown pre-classifier {name!r}; choose from {BUILTINS}")

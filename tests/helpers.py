@@ -86,7 +86,9 @@ def dense_knn_reference(x, n_neighbors, weighted=False, sq_dists=None):
 
     if weighted:
         t = float(d2[mask].mean())
-        adjacency = np.where(mask, np.exp(-d2 / (2.0 * t)), 0.0)
+        # every selected edge has length 0: exp(-0 / (2 t)) = 1 for t > 0
+        heat = np.exp(-d2 / (2.0 * t)) if t > 0.0 else np.ones_like(d2)
+        adjacency = np.where(mask, heat, 0.0)
         np.fill_diagonal(adjacency, 0.0)
     else:
         adjacency = mask.astype(np.float64)

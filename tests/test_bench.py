@@ -7,19 +7,33 @@ import pytest
 
 from edapt import (
     BenchConfig,
+    KernelSpec,
     ParameterError,
     ParseError,
+    accuracy,
+    augment_noise_view,
+    average_prelabels,
+    build_problem,
+    decode_labels,
     default_config,
+    derive_view_seed,
     emit_report,
     emit_sweep,
+    fit_eda,
+    fit_mveda,
     generate_shift,
+    mean_average_precision,
     new_hidden_map,
     parse_config,
     preclassify_elm,
+    preclassify_kernel,
+    predict_eda,
+    predict_mveda,
     run_benchmark,
     run_sweep,
     save_bundle,
     split_map_hash,
+    standardize_bundle,
     synth_spec,
 )
 from edapt.bench import METHOD_LABELS, _parse_value, config_hash, config_text, resplit_bundle
@@ -231,17 +245,91 @@ def test_multiview_runs_record_view_weights():
 
 
 def test_multiview_prelabels_are_computed_once_per_seed(monkeypatch):
-    import edapt.bench
+    import edapt.preclassify
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return preclassify_elm(*args, **kwargs)
 
-    monkeypatch.setattr(edapt.bench, "preclassify_elm", counting)
+    monkeypatch.setattr(edapt.preclassify, "preclassify_elm", counting)
     cfg = _fast(methods=("mveda",))
     run_benchmark(cfg)
     assert len(calls) == cfg.views * len(cfg.seeds)
+
+
+ADAPTATION = ("eda", "eda_lap", "eda_inv", "eda_avg", "mveda")
+
+
+@pytest.mark.parametrize("method", ADAPTATION)
+def test_adaptation_problems_are_built_once_per_seed(method, monkeypatch):
+    import edapt.multiview
+    import edapt.single
+    built = []
+
+    def counting(bundle, *args, **kwargs):
+        built.append(bundle)
+        return build_problem(bundle, *args, **kwargs)
+
+    # every module binding the library builds problems through
+    for module in (edapt.single, edapt.multiview):
+        monkeypatch.setattr(module, "build_problem", counting)
+    cfg = _fast(methods=(method,))
+    run_benchmark(cfg)
+    views = cfg.views if method == "mveda" else 1
+    assert len(built) == views * len(cfg.seeds)
+    assert len({id(b) for b in built}) == len(built)
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "map"])
+def test_adaptation_grid_matches_the_public_fit_and_predict(metric):
+    cfg = _fast(methods=ADAPTATION, views=3, metric=metric)
+    score = (lambda s, y: accuracy(decode_labels(s), y)) if metric == "accuracy" \
+        else mean_average_precision
+    report = run_benchmark(cfg)
+    p0 = cfg.params
+    values = {(m, s, pt): v for m, s, pt, v in report.per_seed}
+    histories, weights = {}, {}
+    for run_id, _, obj in report.convergence:
+        histories.setdefault(run_id, []).append(obj)
+    for run_id, it, _, w in report.view_weights:
+        weights.setdefault((run_id, it), []).append(w)
+    n_runs = 0
+    for seed in cfg.seeds:
+        bundle = standardize_bundle(generate_shift(synth_spec(cfg, seed)))
+        hm = new_hidden_map(p0.n_hidden, bundle.target_dim, p0.activation, seed)
+        bundles, maps = [bundle], [hm]
+        for v in range(1, cfg.views):
+            bundles.append(augment_noise_view(bundle, cfg.noise_dim,
+                                              derive_view_seed(seed, v)))
+            maps.append(new_hidden_map(p0.n_hidden, bundles[-1].target_dim,
+                                       p0.activation, derive_view_seed(seed, v)))
+        phis = [preclassify_elm(b, m, cfg.pre_ridge) for b, m in zip(bundles, maps)]
+        lap = preclassify_kernel(bundle, KernelSpec("laplacian_dist"), cfg.pre_ridge)
+        inv = preclassify_kernel(bundle, KernelSpec("inverse_dist"), cfg.pre_ridge)
+        single_phi = {"eda": phis[0], "eda_lap": lap, "eda_inv": inv,
+                      "eda_avg": average_prelabels([lap, inv])}
+        y = bundle.target_test.labels
+        for cs in cfg.grid:
+            for ct in cfg.grid:
+                p = replace(p0, seed=seed, c_source=cs, c_target=ct)
+                for method, phi in single_phi.items():
+                    model = fit_eda(bundle, phi, p, hidden_map=hm)
+                    _, scores = predict_eda(model, bundle.target_test)
+                    assert values[(method, seed, (cs, ct))] == score(scores, y)
+                    run_id = f"{method}_s{seed}_{cs:g}_{ct:g}"
+                    assert histories.pop(run_id) == list(model.objective_history)
+                    n_runs += 1
+                model = fit_mveda(bundles, phis, p, hidden_maps=maps)
+                _, scores, _ = predict_mveda(model, [b.target_test for b in bundles])
+                assert values[("mveda", seed, (cs, ct))] == score(scores, y)
+                run_id = f"mveda_s{seed}_{cs:g}_{ct:g}"
+                assert histories.pop(run_id) == list(model.objective_history)
+                for it, row in enumerate(model.alpha_history, start=1):
+                    assert weights.pop((run_id, it)) == list(row)
+                n_runs += 1
+    assert n_runs == len(report.per_seed)
+    assert histories == {} and weights == {}
 
 
 def test_manifest_data_is_resplit_per_seed(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edapt import load_csv, load_model, load_standardizer, predict_eda
+from edapt import Dataset, load_csv, load_model, load_standardizer, predict_eda, save_csv
 from edapt.cli import main
 
 TINY_CFG = """\
@@ -175,6 +175,43 @@ def test_predict_rejects_a_malformed_standardizer(tmp_path, cfg_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(st_path) in err and "'std'" in err
+
+
+def _one_feature_too_many(src: str, dst) -> str:
+    x = load_csv(src).features
+    save_csv(Dataset(np.vstack([x, x[:1]])), str(dst))
+    return str(dst)
+
+
+def test_predict_rejects_a_standardizer_of_the_wrong_length(tmp_path, cfg_path,
+                                                           capsys):
+    data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    run = tmp_path / "run"
+    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    wide = _one_feature_too_many(f"{data}/target_test_features.csv",
+                                 tmp_path / "wide.csv")
+    rc = main(["predict", str(run / "model.json"), wide,
+               "--out-dir", str(tmp_path / "pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(run / "standardizer.txt") in err
+    assert "has 2 features, the input has 3" in err
+
+    mv_data, (mv_manifest, _) = _synth(tmp_path / "mv", cfg_path, capsys, "--views", "2")
+    mv_run = tmp_path / "mv_run"
+    assert main(["fit", mv_manifest, "--config", cfg_path,
+                 "--out-dir", str(mv_run)]) == 0
+    capsys.readouterr()
+    wide = _one_feature_too_many(f"{mv_data}/view1_target_test_features.csv",
+                                 tmp_path / "wide_view1.csv")
+    rc = main(["predict", str(mv_run / "model"),
+               f"{mv_data}/view0_target_test_features.csv", wide,
+               "--out-dir", str(tmp_path / "mv_pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(mv_run / "standardizer_view1.txt") in err
+    assert "has 4 features, the input has 5" in err
 
 
 def test_errors_exit_with_code_2(tmp_path, cfg_path, capsys):

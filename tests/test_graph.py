@@ -40,6 +40,16 @@ def test_weighted_heat_kernel_hand_case():
     assert np.all(np.diag(g.adjacency) == 0.0)
 
 
+def test_weighted_heat_kernel_with_zero_length_edges():
+    # four coincident points: every selected edge has length 0, so the
+    # bandwidth is 0 and exp(-0 / (2 t)) = 1 for any t > 0.  Ties go to
+    # the lower index, so 2 and 3 both nominate 0 and 1 and share no edge
+    g = build_knn_graph(Dataset(np.zeros((2, 4))), 2, weighted=True)
+    assert np.array_equal(g.adjacency, [[0, 1, 1, 1], [1, 0, 1, 1],
+                                        [1, 1, 0, 0], [1, 1, 0, 0]])
+    assert np.array_equal(g.degrees, [3.0, 3.0, 2.0, 2.0])
+
+
 def _random_graph(seed, n=14, d=3, k=4, weighted=False):
     rng = np.random.default_rng(seed)
     return build_knn_graph(Dataset(rng.standard_normal((d, n))), k,

@@ -20,6 +20,7 @@ from edapt import (
     preclassify_kernel,
 )
 from edapt.data import concat_features, encode_labels
+from edapt.preclassify import BUILTINS, builtin_prelabels
 
 from helpers import blob_bundle
 
@@ -95,16 +96,6 @@ def test_kernel_spec_validation():
         preclassify_kernel(_two_point_bundle(), KernelSpec(), ridge=0.0)
 
 
-def test_distance_injection_shape_guards():
-    bundle = _two_point_bundle()
-    with pytest.raises(ShapeError):
-        preclassify_kernel(bundle, KernelSpec("rbf", 1.0),
-                           d_train=np.zeros((3, 3)))
-    with pytest.raises(ShapeError):
-        preclassify_kernel(bundle, KernelSpec("rbf", 1.0),
-                           d_cross=np.zeros((2, 2)))
-
-
 def test_elm_prelabels_match_manual_pipeline():
     bundle = blob_bundle(seed=1)
     hm = new_hidden_map(10, 2, seed=3)
@@ -149,3 +140,17 @@ def test_load_prelabels(tmp_path):
     p.write_text("0.5,-0.5\n0.25,0.75\n")
     assert np.array_equal(load_prelabels(str(p)),
                           [[0.5, -0.5], [0.25, 0.75]])
+
+
+def test_builtin_names_map_to_their_producers():
+    bundle = blob_bundle(seed=2)
+    hm = new_hidden_map(10, 2, seed=4)
+    lap = preclassify_kernel(bundle, KernelSpec("laplacian_dist"), 2.0)
+    inv = preclassify_kernel(bundle, KernelSpec("inverse_dist"), 2.0)
+    want = {"elm": preclassify_elm(bundle, hm, 2.0), "laplacian": lap,
+            "inverse": inv, "average": average_prelabels([lap, inv])}
+    assert tuple(want) == BUILTINS
+    for name, scores in want.items():
+        assert np.array_equal(builtin_prelabels(name, bundle, hm, 2.0), scores)
+    with pytest.raises(ParameterError, match="unknown pre-classifier"):
+        builtin_prelabels("rbf", bundle, hm, 2.0)
