@@ -59,7 +59,7 @@ from .features import (
 from .graph import build_knn_graph
 from .metrics import accuracy, mean_average_precision
 from .multiview import _build_views
-from .preclassify import builtin_prelabels
+from .preclassify import AVERAGED, average_prelabels, builtin_prelabels
 from .single import EdaParams, _alternate
 
 __all__ = [
@@ -388,6 +388,21 @@ class _SeedContext:
     t_labeled: np.ndarray
     y_test: np.ndarray
     token: str
+    # builtin pre-classifier scores by (name, view index), filled on first
+    # use; view v's bundle and map are the same for every method of a seed
+    scores: dict = field(default_factory=dict)
+
+    def prelabels(self, name: str, view: int, bundle: DomainBundle,
+                  hidden_map: HiddenMap) -> np.ndarray:
+        """Builtin pre-classifier ``name``'s scores on view ``view``, computed
+        once per seed; ``average`` is the mean of the cached kernel ridges."""
+        key = (name, view)
+        if key not in self.scores:
+            self.scores[key] = average_prelabels(
+                [self.prelabels(k, view, bundle, hidden_map) for k in AVERAGED]
+            ) if name == "average" else builtin_prelabels(
+                name, bundle, hidden_map, self.config.pre_ridge)
+        return self.scores[key]
 
     def views(self, n_views: int):
         """This seed's bundle and map, then ``n_views - 1`` noise-augmented
@@ -454,8 +469,8 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     ``alpha = [1]``.
     """
     bundles, maps = ctx.views(ctx.config.views if method == "mveda" else 1)
-    phis = [builtin_prelabels(_ADAPTATION_PRELABELS[method], b, m, ctx.config.pre_ridge)
-            for b, m in zip(bundles, maps)]
+    phis = [ctx.prelabels(_ADAPTATION_PRELABELS[method], v, b, m)
+            for v, (b, m) in enumerate(zip(bundles, maps))]
     problems, _ = _build_views(bundles, phis, p, maps)
     h_tests = [ctx.h_test] + [map_features(m, b.target_test)
                               for b, m in zip(bundles[1:], maps[1:])]

@@ -3,8 +3,11 @@
 All model updates in this package are solutions of SPD linear systems.
 They go through :func:`solve_spd`, which factorizes once (Cholesky) and
 iterates refinement so that stationarity residuals stay near machine
-precision even for badly scaled penalty weights.  Matrices are never
-inverted explicitly.
+precision even for badly scaled penalty weights.  The factored matrix is
+either the system itself or, for the output-weight solve of a view with
+fewer samples than hidden units, the smaller sample-space matrix that a
+caller-supplied correction map goes through; both run the same
+refinement loop.  System matrices are never inverted explicitly.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from .errors import NumericError
 
 
 def solve_spd(
-    a: np.ndarray, b: np.ndarray, jitter: float = 0.0, residual_fn=None
+    a: np.ndarray, b: np.ndarray, jitter: float = 0.0, residual_fn=None,
+    correction_fn=None,
 ) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
@@ -34,6 +38,13 @@ def solve_spd(
         drives *that* association of the residual to machine level,
         which matters when the caller checks stationarity against
         factored expressions rather than the assembled matrix.
+    correction_fn : callable, optional
+        ``(factor, r) -> x`` mapping a right-hand side or residual ``r``
+        to its solution through ``factor``, the Cholesky factor of ``a``;
+        defaults to the plain ``cho_solve``.  With it, ``a`` may be a
+        smaller matrix the caller's system is solved through (a Woodbury
+        capacitance matrix); ``b`` and ``residual_fn`` then belong to
+        the caller's system.
 
     Returns
     -------
@@ -63,7 +74,8 @@ def solve_spd(
             ) from None
     if residual_fn is None:
         residual_fn = lambda x: b - a @ x  # noqa: E731
-    x = cho_solve(factor, b)
+    correction = correction_fn or cho_solve
+    x = correction(factor, b)
     # iterative refinement: penalty weights spanning 1..1e4 leave the
     # system ill scaled enough that a bare solve can sit ~1e-7 off
     # stationarity; refining until the residual stalls recovers it
@@ -72,7 +84,7 @@ def solve_spd(
     for _ in range(4):
         if rn == 0.0:
             break
-        x_new = x + cho_solve(factor, res)
+        x_new = x + correction(factor, res)
         res_new = residual_fn(x_new)
         rn_new = np.linalg.norm(res_new)
         if rn_new >= rn:

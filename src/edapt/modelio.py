@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -19,7 +20,7 @@ from .baselines import ElmModel
 from .errors import ParseError
 from .features import HiddenMap
 from .multiview import MvEdaModel
-from .single import EdaModel, EdaParams
+from .single import EdaModel, EdaParams, _check_view
 
 __all__ = ["load_model", "save_model"]
 
@@ -154,44 +155,58 @@ def _view_fields(d, where: str) -> tuple:
             _array(d, "theta", where), _array(d, "u", where))
 
 
-def load_model(path: str):
-    """Load a model written by :func:`save_model` (file or directory).
-
-    A missing, malformed or non-finite field, or an unknown parameter,
-    raises :class:`ParseError` naming the file (and the field).
-    """
+@contextmanager
+def _naming(where: str):
+    """Re-raise a type or value error from inside as a ParseError that
+    names ``where``."""
     try:
-        return _load(path)
+        yield
     except ParseError:
         raise
     except (TypeError, ValueError) as err:
-        raise ParseError(f"{path}: {err}") from None
+        raise ParseError(f"{where}: {err}") from None
+
+
+def load_model(path: str):
+    """Load a model written by :func:`save_model` (file or directory).
+
+    A missing, malformed or non-finite field, an unknown parameter, or
+    arrays whose shapes disagree with each other raise
+    :class:`ParseError` naming the file (and the field).
+    """
+    with _naming(path):
+        return _load(path)
 
 
 def _load(path: str):
     if os.path.isdir(path):
         head_path = os.path.join(path, "mveda.json")
-        head = _read_json(head_path)
-        if _kind(head) != "mveda":
-            raise ParseError(f"{path}: not a multi-view model directory")
-        views = []
-        for v in range(_field(head, "n_views", head_path)):
-            where = os.path.join(path, f"view{v}.json")
-            blk = _read_json(where)
-            if _kind(blk) != "eda_view":
-                raise ParseError(f"{where}: wrong kind {_kind(blk)!r}")
-            views.append(_view_fields(blk, where))
-        where = os.path.join(path, "alpha.txt")
-        with open(where, encoding="utf-8") as fh:
-            alpha = np.array([float(line) for line in fh if line.strip()])
-        if not np.isfinite(alpha).all():
-            raise ParseError(f"{where}: non-finite view weights")
-        return MvEdaModel(
-            *(list(col) for col in zip(*views)), alpha,
-            _array(head, "alpha_history", head_path),
-            _array(head, "objective_history", head_path),
-            _params(head, head_path),
-        )
+        with _naming(head_path):
+            head = _read_json(head_path)
+            if _kind(head) != "mveda":
+                raise ParseError(f"{head_path}: wrong kind {_kind(head)!r}")
+            n_views = _field(head, "n_views", head_path)
+            views, c = [], None
+            for v in range(n_views):
+                where = os.path.join(path, f"view{v}.json")
+                with _naming(where):
+                    blk = _read_json(where)
+                    if _kind(blk) != "eda_view":
+                        raise ParseError(f"{where}: wrong kind {_kind(blk)!r}")
+                    views.append(_view_fields(blk, where))
+                    c = _check_view(*views[-1], c)
+            where = os.path.join(path, "alpha.txt")
+            with _naming(where), open(where, encoding="utf-8") as fh:
+                alpha = np.array([float(line) for line in fh if line.strip()])
+                if alpha.shape != (n_views,) or not np.isfinite(alpha).all():
+                    raise ParseError(f"{where}: need {n_views} finite view "
+                                     f"weights, got {alpha.tolist()}")
+            return MvEdaModel(
+                *(list(col) for col in zip(*views)), alpha,
+                _array(head, "alpha_history", head_path),
+                _array(head, "objective_history", head_path),
+                _params(head, head_path),
+            )
     d = _read_json(path)
     kind = _kind(d)
     if kind == "elm":

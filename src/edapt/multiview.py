@@ -37,6 +37,7 @@ from .single import (
     EdaParams,
     EdaProblem,
     _alternate,
+    _check_view,
     build_problem,
     mv_objective,
     update_alpha,
@@ -103,6 +104,12 @@ class MvEdaModel:
         v = len(self.hidden_maps)
         if not (len(self.betas) == len(self.thetas) == len(self.us) == v):
             raise ShapeError("per-view field lists disagree on view count")
+        c = None
+        for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas, self.us)):
+            try:
+                c = _check_view(*view, c)
+            except ShapeError as err:
+                raise ShapeError(f"view {i}: {err}") from None
         a = np.array(self.alpha, dtype=np.float64)
         if a.shape != (v,):
             raise ShapeError(f"alpha must have shape ({v},), got {a.shape}")

@@ -141,6 +141,8 @@ def load_prelabels(path: str) -> np.ndarray:
 
 
 BUILTINS = ("elm", "laplacian", "inverse", "average")
+# the kernel ridges whose scores ``average`` takes the mean of
+AVERAGED = ("laplacian", "inverse")
 
 
 def builtin_prelabels(name: str, bundle: DomainBundle, hidden_map: HiddenMap,
@@ -152,7 +154,7 @@ def builtin_prelabels(name: str, bundle: DomainBundle, hidden_map: HiddenMap,
         return preclassify_elm(bundle, hidden_map, ridge)
     if name == "average":
         return average_prelabels([builtin_prelabels(k, bundle, hidden_map, ridge)
-                                  for k in ("laplacian", "inverse")])
+                                  for k in AVERAGED])
     if name in BUILTINS:
         return preclassify_kernel(bundle, KernelSpec(f"{name}_dist"), ridge)
     raise ParameterError(f"unknown pre-classifier {name!r}; choose from {BUILTINS}")

@@ -18,6 +18,13 @@ handled by iteratively reweighted least squares: with
 ``u_i = 1 / (2 (||beta_i|| + eps))`` fixed, both block updates are SPD
 solves, and alternating them descends J monotonically.
 
+The beta solve is chosen by shape, as :func:`~edapt.baselines.fit_elm`
+chooses its branch: the L x L normal equations over the hidden units,
+or, when a view stacks fewer rows n than hidden units L, an n x n
+sample-space system (Woodbury identity) that never forms an L x L
+matrix.  Both refine through the same loop in
+:func:`~edapt.linalg.solve_spd`, on the analytic gradient.
+
 The alternating loop here also runs the multi-view solver
 (:mod:`edapt.multiview`): it takes a list of per-view problems, scales
 each view's loss terms by ``alpha_v`` and its smoothness term by
@@ -31,6 +38,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset, DomainBundle, decode_labels, encode_labels
 from .errors import ParameterError, ShapeError
@@ -105,12 +113,13 @@ class EdaParams:
     seed: int = 0
 
     def __post_init__(self):
+        # comparisons written so that NaN fails them
         for name in ("c_source", "c_target", "fidelity_weight", "manifold_weight"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.drift_weight <= 0.0:
+        if not self.drift_weight > 0.0:
             raise ParameterError(f"drift_weight must be positive, got {self.drift_weight}")
-        if self.reweight_eps <= 0.0:
+        if not self.reweight_eps > 0.0:
             raise ParameterError(f"reweight_eps must be positive, got {self.reweight_eps}")
         if self.n_hidden < 1:
             raise ParameterError(f"n_hidden must be >= 1, got {self.n_hidden}")
@@ -118,7 +127,7 @@ class EdaParams:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.n_neighbors < 1:
             raise ParameterError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        if self.view_exponent <= 1.0:
+        if not self.view_exponent > 1.0:
             raise ParameterError(f"view_exponent must exceed 1, got {self.view_exponent}")
         if self.activation not in ACTIVATIONS:
             raise ParameterError(
@@ -213,11 +222,13 @@ def update_u(beta: np.ndarray, reweight_eps: float) -> np.ndarray:
 
 
 def _loss_terms(beta, theta, prob: EdaProblem):
+    n_labeled = prob.h_labeled.shape[0]
+    p = prob.h_target @ beta
     src = np.linalg.norm(prob.h_source @ beta - prob.t_source) ** 2
-    tgt = np.linalg.norm(prob.h_labeled @ beta - prob.t_labeled @ theta) ** 2
+    tgt = np.linalg.norm(p[:n_labeled] - prob.t_labeled @ theta) ** 2
     drift = np.linalg.norm(theta - np.eye(theta.shape[0])) ** 2
-    fid = np.linalg.norm(prob.h_unlabeled @ beta - prob.prelabels) ** 2
-    smooth = quadratic_energy(prob.graph, prob.h_target @ beta)
+    fid = np.linalg.norm(p[n_labeled:] - prob.prelabels) ** 2
+    smooth = quadratic_energy(prob.graph, p)
     return src, tgt, drift, fid, smooth
 
 
@@ -285,15 +296,18 @@ def _beta_blocks(prob: EdaProblem, params: EdaParams):
     return g_loss, g_smooth, rhs_loss
 
 
+def _in_sample_space(prob: EdaProblem, params: EdaParams) -> bool:
+    """Fewer stacked rows than hidden units (``fit_elm``'s rule), and every
+    loss weight positive so that ``W`` below is invertible."""
+    n = prob.h_source.shape[0] + prob.h_target.shape[0]
+    return n < prob.n_hidden and min(
+        params.c_source, params.c_target, params.fidelity_weight) > 0.0
+
+
 def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
                 loss_scale: float, smooth_scale: float) -> np.ndarray:
-    g_loss, g_smooth, rhs_loss = blocks
-    a = loss_scale * g_loss
-    a += smooth_scale * g_smooth
-    a[np.diag_indices_from(a)] += u
-    rhs = loss_scale * (
-        rhs_loss + params.c_target * (prob.h_labeled.T @ (prob.t_labeled @ theta))
-    )
+    """One refined beta solve: primal on the assembled ``blocks``, or in
+    sample space when ``blocks`` is None (see :func:`_in_sample_space`)."""
 
     def residual(x):
         # -grad/2, in the gradient's own association, so refinement
@@ -301,7 +315,56 @@ def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
         return -0.5 * beta_gradient(x, u, theta, prob, params,
                                     loss_scale, smooth_scale)
 
+    if blocks is None:
+        return _solve_beta_in_sample_space(u, theta, prob, params, loss_scale,
+                                           smooth_scale, residual)
+    g_loss, g_smooth, rhs_loss = blocks
+    a = loss_scale * g_loss
+    a += smooth_scale * g_smooth
+    a[np.diag_indices_from(a)] += u
+    rhs = loss_scale * (
+        rhs_loss + params.c_target * (prob.h_labeled.T @ (prob.t_labeled @ theta))
+    )
     return solve_spd(a, rhs, jitter=1e-10, residual_fn=residual)
+
+
+def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
+                                loss_scale: float, smooth_scale: float, residual):
+    """The beta solve through an n x n system, for n stacked rows < L.
+
+    The normal matrix is ``A = D + Z' W Z`` with ``D = diag(u)``,
+    ``Z = [Hs; H]`` and ``W = blockdiag(s cs I, s diag(ct, tau) + s_r lam L)``.
+    By the Woodbury identity ``A^-1 r = D^-1 r - D^-1 Z' S^-1 Z D^-1 r``
+    with ``S = W^-1 + Z D^-1 Z'``; ``solve_spd`` factors ``S`` and refines
+    through that map.
+    """
+    if loss_scale == 0.0:
+        # a zero view weight leaves A = D and a zero right-hand side
+        return np.zeros((prob.n_hidden, prob.n_classes))
+    hs, ht = prob.h_source, prob.h_target
+    ns, nl, nt = hs.shape[0], prob.h_labeled.shape[0], ht.shape[0]
+    d_inv = 1.0 / u
+    z = np.empty((ns + nt, prob.n_hidden))  # Z D^-1/2, one symmetric product
+    np.multiply(hs, np.sqrt(d_inv), out=z[:ns])
+    np.multiply(ht, np.sqrt(d_inv), out=z[ns:])
+    s = z @ z.T
+    del z  # not held through the refinement loop
+    s[np.diag_indices(ns)] += 1.0 / (loss_scale * params.c_source)
+    w_t = (smooth_scale * params.manifold_weight) * prob.graph.sparse_laplacian.toarray()
+    w_t[np.diag_indices(nt)] += loss_scale * np.repeat(
+        [params.c_target, params.fidelity_weight], [nl, nt - nl])
+    s[ns:, ns:] += cho_solve(cho_factor(w_t, lower=True), np.eye(nt))
+    rhs = loss_scale * (hs.T @ (params.c_source * prob.t_source) + ht.T @ np.vstack(
+        [params.c_target * (prob.t_labeled @ theta),
+         params.fidelity_weight * prob.prelabels]))
+
+    def correction(factor, r):
+        y = d_inv[:, None] * r
+        w = cho_solve(factor, np.vstack([hs @ y, ht @ y]))
+        return y - d_inv[:, None] * (hs.T @ w[:ns] + ht.T @ w[ns:])
+
+    return solve_spd(s, rhs, jitter=1e-10, residual_fn=residual,
+                     correction_fn=correction)
 
 
 def update_beta(
@@ -316,10 +379,11 @@ def update_beta(
 
     Solves ``(diag(u) + cs Hs'Hs + ct Ht'Ht + tau Hu'Hu + lam H'LH) beta
     = cs Hs'Ts + ct Ht'(Tt theta) + tau Hu'phi`` with the penalty weights
-    scaled as documented on the module.
+    scaled as documented on the module.  The system is L x L, or n x n
+    in sample space when the view stacks fewer rows n than hidden units.
     """
-    return _solve_beta(_beta_blocks(prob, params), u, theta, prob, params,
-                       loss_scale, smooth_scale)
+    blocks = None if _in_sample_space(prob, params) else _beta_blocks(prob, params)
+    return _solve_beta(blocks, u, theta, prob, params, loss_scale, smooth_scale)
 
 
 def update_theta(beta: np.ndarray, prob: EdaProblem, params: EdaParams) -> np.ndarray:
@@ -345,20 +409,21 @@ def beta_gradient(
     loss_scale: float = 1.0,
     smooth_scale: float = 1.0,
 ) -> np.ndarray:
-    """Analytic gradient of the fixed-u surrogate objective in beta."""
+    """Analytic gradient of the fixed-u surrogate objective in beta; the
+    target stack is multiplied once each way, by ``P = H beta`` and by
+    ``H' ([ct (P_l - Tt theta); tau (P_u - phi)] + lam L P)``."""
+    n_labeled = prob.h_labeled.shape[0]
+    p = prob.h_target @ beta
+    r = smooth_scale * params.manifold_weight * (prob.graph.sparse_laplacian @ p)
+    r[:n_labeled] += loss_scale * params.c_target * (
+        p[:n_labeled] - prob.t_labeled @ theta)
+    r[n_labeled:] += loss_scale * params.fidelity_weight * (
+        p[n_labeled:] - prob.prelabels)
     g = u[:, None] * beta
-    g = g + loss_scale * params.c_source * (
+    g += loss_scale * params.c_source * (
         prob.h_source.T @ (prob.h_source @ beta - prob.t_source)
     )
-    g += loss_scale * params.c_target * (
-        prob.h_labeled.T @ (prob.h_labeled @ beta - prob.t_labeled @ theta)
-    )
-    g += loss_scale * params.fidelity_weight * (
-        prob.h_unlabeled.T @ (prob.h_unlabeled @ beta - prob.prelabels)
-    )
-    g += smooth_scale * params.manifold_weight * (
-        prob.h_target.T @ (prob.graph.sparse_laplacian @ (prob.h_target @ beta))
-    )
+    g += prob.h_target.T @ r
     return 2.0 * g
 
 
@@ -453,8 +518,9 @@ def _alternate(problems: list[EdaProblem], params: EdaParams):
     n_views = len(problems)
     r = params.view_exponent
     # per-view constant blocks, assembled once; each round only rescales
-    # them by the current view weight
-    blocks = [_beta_blocks(prob, params) for prob in problems]
+    # them by the current view weight.  Sample-space views have none.
+    blocks = [None if _in_sample_space(prob, params) else _beta_blocks(prob, params)
+              for prob in problems]
     us = [np.ones(prob.n_hidden) for prob in problems]
     thetas = [np.eye(prob.n_classes) for prob in problems]
     alpha = np.full(n_views, 1.0 / n_views)
@@ -502,14 +568,22 @@ class EdaModel:
             a = np.array(getattr(self, name), dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        if self.beta.shape[0] != self.hidden_map.n_hidden:
-            raise ShapeError(
-                f"beta has {self.beta.shape[0]} rows for a "
-                f"{self.hidden_map.n_hidden}-unit map"
-            )
-        c = self.beta.shape[1]
-        if self.theta.shape != (c, c):
-            raise ShapeError(f"theta must be ({c}, {c}), got {self.theta.shape}")
+        _check_view(self.hidden_map, self.beta, self.theta, self.u)
+
+
+def _check_view(hidden_map: HiddenMap, beta, theta, u, n_classes=None) -> int:
+    """Check one fitted view's arrays against its L-unit map and each
+    other: ``beta`` (L, c), ``theta`` (c, c), ``u`` (L,), with ``c`` given
+    or read from ``beta``.  Errors name the field; returns ``c``."""
+    n, c = hidden_map.n_hidden, n_classes
+    if c is None:
+        c = np.shape(beta)[1] if np.ndim(beta) == 2 else "c"
+    for name, a, shape in (("beta", beta, (n, c)), ("theta", theta, (c, c)),
+                           ("u", u, (n,))):
+        if np.shape(a) != shape:
+            raise ShapeError(f"field {name!r} must have shape {shape}, "
+                             f"got {np.shape(a)}")
+    return c
 
 
 def fit_eda(

@@ -4,8 +4,8 @@ import numpy as np
 
 from edapt import Dataset, DomainBundle, EdaParams, build_problem
 
-__all__ = ["blob_bundle", "dense_knn_reference", "small_params", "small_problem",
-           "random_prelabels"]
+__all__ = ["beta_gradient_reference", "blob_bundle", "dense_knn_reference",
+           "small_params", "small_problem", "random_prelabels"]
 
 
 def blob_bundle(seed=0, d=2, c=3, per_source=4, per_labeled=2, per_unlabeled=3,
@@ -95,3 +95,25 @@ def dense_knn_reference(x, n_neighbors, weighted=False, sq_dists=None):
     degrees = adjacency.sum(axis=1)
     laplacian = np.diag(degrees) - adjacency
     return mask, adjacency, degrees, laplacian
+
+
+def beta_gradient_reference(beta, u, theta, prob, params, loss_scale=1.0,
+                            smooth_scale=1.0):
+    """The surrogate's beta gradient term by term, each block multiplied
+    by beta and back on its own: the formula ``beta_gradient`` used
+    before it shared one product with the target stack, kept as its
+    reference."""
+    g = u[:, None] * beta
+    g = g + loss_scale * params.c_source * (
+        prob.h_source.T @ (prob.h_source @ beta - prob.t_source)
+    )
+    g += loss_scale * params.c_target * (
+        prob.h_labeled.T @ (prob.h_labeled @ beta - prob.t_labeled @ theta)
+    )
+    g += loss_scale * params.fidelity_weight * (
+        prob.h_unlabeled.T @ (prob.h_unlabeled @ beta - prob.prelabels)
+    )
+    g += smooth_scale * params.manifold_weight * (
+        prob.h_target.T @ (prob.graph.sparse_laplacian @ (prob.h_target @ beta))
+    )
+    return 2.0 * g

@@ -258,6 +258,27 @@ def test_multiview_prelabels_are_computed_once_per_seed(monkeypatch):
     assert len(calls) == cfg.views * len(cfg.seeds)
 
 
+def test_builtin_prelabels_are_computed_once_per_seed(monkeypatch):
+    # eda_avg averages the two kernel ridges eda_lap and eda_inv anchor
+    # to, and eda shares mveda's first-view random-feature ridge
+    import edapt.preclassify
+    calls = {"elm": 0, "kernel": 0}
+
+    def counting(name, producer):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return producer(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(edapt.preclassify, "preclassify_elm",
+                        counting("elm", preclassify_elm))
+    monkeypatch.setattr(edapt.preclassify, "preclassify_kernel",
+                        counting("kernel", preclassify_kernel))
+    cfg = _fast(methods=("eda", "eda_lap", "eda_inv", "eda_avg", "mveda"))
+    run_benchmark(cfg)
+    assert calls == {"elm": cfg.views * len(cfg.seeds), "kernel": 2 * len(cfg.seeds)}
+
+
 ADAPTATION = ("eda", "eda_lap", "eda_inv", "eda_avg", "mveda")
 
 

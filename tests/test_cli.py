@@ -1,5 +1,7 @@
 """End-to-end runs of the command line, in process."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,25 @@ def test_predict_rejects_a_standardizer_of_the_wrong_length(tmp_path, cfg_path,
     err = capsys.readouterr().err
     assert str(mv_run / "standardizer_view1.txt") in err
     assert "has 4 features, the input has 5" in err
+
+
+def test_predict_rejects_a_model_whose_shapes_disagree(tmp_path, cfg_path, capsys):
+    mv_data, (mv_manifest, _) = _synth(tmp_path / "mv", cfg_path, capsys, "--views", "2")
+    mv_run = tmp_path / "mv_run"
+    assert main(["fit", mv_manifest, "--config", cfg_path,
+                 "--out-dir", str(mv_run)]) == 0
+    capsys.readouterr()
+    view1 = mv_run / "model" / "view1.json"
+    d = json.loads(view1.read_text())
+    d.update(beta=d["beta"][:5], u=d["u"][:3])
+    view1.write_text(json.dumps(d))
+    rc = main(["predict", str(mv_run / "model"),
+               f"{mv_data}/view0_target_test_features.csv",
+               f"{mv_data}/view1_target_test_features.csv",
+               "--out-dir", str(tmp_path / "mv_pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(view1) in err and "'beta'" in err
 
 
 def test_errors_exit_with_code_2(tmp_path, cfg_path, capsys):

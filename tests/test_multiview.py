@@ -152,18 +152,19 @@ def _two_view_setup(seed=0):
 def test_single_view_dispatch_is_bitwise():
     bundle = blob_bundle(seed=5)
     params = small_params()
-    hm = new_hidden_map(20, 2, seed=5)
     pre = random_prelabels(bundle, 5)
-    single = fit_eda(bundle, pre, params, hm)
-    multi = fit_mveda([bundle], pre, params, [hm])
-    assert multi.n_views == 1
-    assert np.array_equal(multi.betas[0], single.beta)
-    assert np.array_equal(multi.thetas[0], single.theta)
-    assert np.array_equal(multi.us[0], single.u)
-    assert np.array_equal(multi.objective_history, single.objective_history)
-    assert np.array_equal(multi.alpha, [1.0])
-    assert np.array_equal(multi.alpha_history,
-                          np.ones((len(single.objective_history), 1)))
+    for n_hidden in (20, 40):  # 27 stacked rows: primal, then sample space
+        hm = new_hidden_map(n_hidden, 2, seed=5)
+        single = fit_eda(bundle, pre, params, hm)
+        multi = fit_mveda([bundle], pre, params, [hm])
+        assert multi.n_views == 1
+        assert np.array_equal(multi.betas[0], single.beta)
+        assert np.array_equal(multi.thetas[0], single.theta)
+        assert np.array_equal(multi.us[0], single.u)
+        assert np.array_equal(multi.objective_history, single.objective_history)
+        assert np.array_equal(multi.alpha, [1.0])
+        assert np.array_equal(multi.alpha_history,
+                              np.ones((len(single.objective_history), 1)))
 
 
 def test_identical_views_share_the_weight_evenly():
@@ -259,3 +260,13 @@ def test_model_validation():
         MvEdaModel(model.hidden_maps, model.betas, model.thetas, model.us,
                    model.alpha, model.alpha_history[:1],
                    model.objective_history, model.params)
+    # one view's arrays against its map, and one class count across views
+    for field, v, betas, thetas, us in [
+        ("'beta'", 1, [model.betas[0], model.betas[1][:5]], model.thetas, model.us),
+        ("'u'", 1, model.betas, model.thetas, [model.us[0], model.us[1][:3]]),
+        ("'theta'", 0, model.betas, [np.eye(2), model.thetas[1]], model.us),
+        ("'beta'", 1, [model.betas[0], model.betas[1][:, :2]], model.thetas, model.us),
+    ]:
+        with pytest.raises(ShapeError, match=f"view {v}: field {field}"):
+            MvEdaModel(model.hidden_maps, betas, thetas, us, model.alpha,
+                       model.alpha_history, model.objective_history, model.params)

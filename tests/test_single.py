@@ -26,7 +26,13 @@ from edapt import (
 )
 from edapt.single import beta_gradient, theta_gradient
 
-from helpers import blob_bundle, random_prelabels, small_params, small_problem
+from helpers import (
+    beta_gradient_reference,
+    blob_bundle,
+    random_prelabels,
+    small_params,
+    small_problem,
+)
 
 
 def _naive_objective(beta, theta, prob, params, loss_scale=1.0,
@@ -237,6 +243,20 @@ def test_beta_gradient_matches_central_differences(seed, loss_scale):
     assert np.linalg.norm(fd - grad) < 1e-5 * np.linalg.norm(grad)
 
 
+@pytest.mark.parametrize("n_hidden", [24, 40])
+@pytest.mark.parametrize("seed", range(3))
+def test_beta_gradient_matches_the_blockwise_reference(seed, n_hidden):
+    prob, params = small_problem(seed, n_hidden=n_hidden)
+    rng = np.random.default_rng(seed)
+    beta = rng.standard_normal((n_hidden, 3))
+    u = rng.uniform(0.5, 2.0, size=n_hidden)
+    theta = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    for scale, smooth in [(1.0, 1.0), (0.37, 0.37 ** 2)]:
+        got = beta_gradient(beta, u, theta, prob, params, scale, smooth)
+        want = beta_gradient_reference(beta, u, theta, prob, params, scale, smooth)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_theta_gradient_matches_central_differences():
     prob, params = small_problem(seed=2, n_hidden=6)
     rng = np.random.default_rng(22)
@@ -359,6 +379,10 @@ def test_params_validation():
         EdaParams(activation="relu")
     with pytest.raises(ParameterError):
         EdaParams(reweight_eps=0.0)
+    for name in ("c_source", "c_target", "drift_weight", "fidelity_weight",
+                 "manifold_weight", "reweight_eps", "view_exponent"):
+        with pytest.raises(ParameterError, match=name):
+            EdaParams(**{name: float("nan")})
 
 
 def test_model_validation():
@@ -368,4 +392,7 @@ def test_model_validation():
                  EdaParams())
     with pytest.raises(ShapeError):
         EdaModel(hm, np.ones((4, 3)), np.eye(2), np.ones(4), [1.0],
+                 EdaParams())
+    with pytest.raises(ShapeError, match="'u'"):
+        EdaModel(hm, np.ones((4, 3)), np.eye(3), np.ones(3), [1.0],
                  EdaParams())
