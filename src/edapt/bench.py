@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -165,20 +165,8 @@ _BENCH_KEYS = {
     "standardize": "bool",
 }
 
-_PARAM_KEYS = {
-    "c_source": float,
-    "c_target": float,
-    "drift_weight": float,
-    "fidelity_weight": float,
-    "manifold_weight": float,
-    "n_hidden": int,
-    "max_iter": int,
-    "reweight_eps": float,
-    "n_neighbors": int,
-    "view_exponent": float,
-    "activation": str,
-    "seed": int,
-}
+# solver parameters are given flat; each parses as its default's type
+_PARAM_KEYS = {f.name: type(f.default) for f in fields(EdaParams)}
 
 
 def _parse_value(kind, raw: str):

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import ElmModel, predict_scores
+from .baselines import predict_scores
 from .bench import (
     default_config,
     emit_report,
@@ -65,8 +65,12 @@ __all__ = ["main"]
 _ERRORS = (ParameterError, ValueError, RuntimeError, OSError)
 
 
+def _config(args):
+    return load_config(args.config) if args.config else default_config()
+
+
 def _bench_config(args):
-    config = load_config(args.config) if args.config else default_config()
+    config = _config(args)
     if getattr(args, "seed", None) is not None:
         config = replace(config, seeds=(args.seed,))
     return config
@@ -89,7 +93,7 @@ def _write_scores(path: str, scores: np.ndarray) -> None:
 
 
 def _cmd_synth(args) -> int:
-    config = load_config(args.config) if args.config else default_config()
+    config = _config(args)
     seed = args.seed if args.seed is not None else config.params.seed
     spec = synth_spec(config, seed)
     bundle = generate_shift(spec)
@@ -120,17 +124,23 @@ def _resolve_prelabels(spec: str, bundle, hidden_map, ridge: float) -> np.ndarra
     return load_prelabels(spec)  # anything else is a CSV path
 
 
+def _standardizer_name(multiview: bool, v: int) -> str:
+    """The file `fit` saves view ``v``'s standardizer to and `predict` reads."""
+    return f"standardizer_view{v}.txt" if multiview else "standardizer.txt"
+
+
 def _cmd_fit(args) -> int:
-    config = load_config(args.config) if args.config else default_config()
+    config = _config(args)
     params = config.params
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    keys = read_keyvalues(args.manifest)
-    multiview = any(k.startswith("view0_") for k in keys)
-    os.makedirs(args.out_dir, exist_ok=True)
-    specs = [tok.strip() for tok in args.prelabels.split(",") if tok.strip()]
+    multiview = any(k.startswith("view0_") for k in read_keyvalues(args.manifest))
 
+    # the choices that depend on the manifest kind; the pipeline below
+    # runs once over the view list for either kind
     if multiview:
+        if args.detransform:
+            raise ParameterError("--detransform applies to single-view fits")
         bundles = load_multiview_bundles(args.manifest)
         if args.views is not None:
             if not 1 <= args.views <= len(bundles):
@@ -138,56 +148,55 @@ def _cmd_fit(args) -> int:
                     f"--views {args.views} out of range; manifest has {len(bundles)}"
                 )
             bundles = bundles[: args.views]
-        if config.standardize:
-            # persist the rescaling so `predict` can apply it to raw CSVs
-            sts = [fit_standardizer(b.source, b.target_labeled) for b in bundles]
-            bundles = [standardize_bundle(b, st) for b, st in zip(bundles, sts)]
-            for v, st in enumerate(sts):
-                save_standardizer(
-                    st, os.path.join(args.out_dir, f"standardizer_view{v}.txt")
-                )
-        if len(specs) == 1:
-            specs = specs * len(bundles)
-        if len(specs) != len(bundles):
-            raise ParameterError(
-                f"{len(specs)} prelabel specs for {len(bundles)} views"
-            )
-        maps = [
-            new_hidden_map(params.n_hidden, b.target_dim, params.activation,
-                           derive_view_seed(params.seed, v))
-            for v, b in enumerate(bundles)
-        ]
-        phis = [
-            _resolve_prelabels(s, b, m, config.pre_ridge)
-            for s, b, m in zip(specs, bundles, maps)
-        ]
-        model = fit_mveda(bundles, phis, params, hidden_maps=maps)
-        model_path = save_model(model, os.path.join(args.out_dir, "model"))
-        unl = [b.target_unlabeled for b in bundles]
-        have_unlabeled = all(d is not None for d in unl)
-        if have_unlabeled:
-            labels, scores, _ = predict_mveda(model, unl)
-        print("view weights: " + " ".join(f"{a:.6f}" for a in model.alpha))
+        seeds = [derive_view_seed(params.seed, v) for v in range(len(bundles))]
+        model_name = "model"
+
+        def fit(bundles, phis, maps):
+            return fit_mveda(bundles, phis, params, hidden_maps=maps)
+
+        def predict(model, unlabeled):
+            return predict_mveda(model, unlabeled)[:2]
     else:
         if args.views not in (None, 1):
             raise ParameterError("--views only applies to multi-view manifests")
-        bundle = load_bundle(args.manifest)
-        if config.standardize:
-            st = fit_standardizer(bundle.source, bundle.target_labeled)
-            bundle = standardize_bundle(bundle, st)
-            save_standardizer(st, os.path.join(args.out_dir, "standardizer.txt"))
-        if len(specs) != 1:
-            raise ParameterError("single-view fit takes exactly one prelabel spec")
-        hidden_map = new_hidden_map(params.n_hidden, bundle.target_dim,
-                                    params.activation, params.seed)
-        phi = _resolve_prelabels(specs[0], bundle, hidden_map, config.pre_ridge)
-        model = fit_eda(bundle, phi, params, hidden_map=hidden_map)
-        model_path = save_model(model, os.path.join(args.out_dir, "model.json"))
-        have_unlabeled = bundle.target_unlabeled is not None
-        if have_unlabeled:
-            labels, scores = predict_eda(model, bundle.target_unlabeled,
-                                         detransform=args.detransform)
+        bundles = [load_bundle(args.manifest)]
+        seeds = [params.seed]
+        model_name = "model.json"
 
+        def fit(bundles, phis, maps):
+            return fit_eda(bundles[0], phis[0], params, hidden_map=maps[0])
+
+        def predict(model, unlabeled):
+            return predict_eda(model, unlabeled[0], detransform=args.detransform)
+
+    specs = [tok.strip() for tok in args.prelabels.split(",") if tok.strip()]
+    if len(specs) == 1:
+        specs = specs * len(bundles)
+    if len(specs) != len(bundles):
+        raise ParameterError(f"{len(specs)} prelabel specs for {len(bundles)} views")
+    os.makedirs(args.out_dir, exist_ok=True)
+    if config.standardize:
+        # persist the rescaling so `predict` can apply it to raw CSVs
+        sts = [fit_standardizer(b.source, b.target_labeled) for b in bundles]
+        bundles = [standardize_bundle(b, st) for b, st in zip(bundles, sts)]
+        for v, st in enumerate(sts):
+            save_standardizer(
+                st, os.path.join(args.out_dir, _standardizer_name(multiview, v))
+            )
+    maps = [new_hidden_map(params.n_hidden, b.target_dim, params.activation, seed)
+            for b, seed in zip(bundles, seeds)]
+    phis = [
+        _resolve_prelabels(s, b, m, config.pre_ridge)
+        for s, b, m in zip(specs, bundles, maps)
+    ]
+    model = fit(bundles, phis, maps)
+    model_path = save_model(model, os.path.join(args.out_dir, model_name))
+    unlabeled = [b.target_unlabeled for b in bundles]
+    have_unlabeled = all(d is not None for d in unlabeled)
+    if have_unlabeled:
+        labels, scores = predict(model, unlabeled)
+    if isinstance(model, MvEdaModel):
+        print("view weights: " + " ".join(f"{a:.6f}" for a in model.alpha))
     history = model.objective_history
     print("objective: " + " ".join(repr(float(v)) for v in history))
     print(model_path)
@@ -206,16 +215,13 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_standardizers(model_path: str, datasets):
+def _apply_standardizers(model_path: str, multiview: bool, datasets):
     """Rescale inputs with any standardizer files `fit` left beside the model."""
     base = os.path.dirname(os.path.abspath(model_path))
-    single = os.path.join(base, "standardizer.txt")
-    if len(datasets) == 1 and os.path.exists(single):
-        return [_standardize(single, datasets[0])]
     out = []
     for v, ds in enumerate(datasets):
-        per_view = os.path.join(base, f"standardizer_view{v}.txt")
-        out.append(_standardize(per_view, ds) if os.path.exists(per_view) else ds)
+        path = os.path.join(base, _standardizer_name(multiview, v))
+        out.append(_standardize(path, ds) if os.path.exists(path) else ds)
     return out
 
 
@@ -231,29 +237,20 @@ def _standardize(path: str, data: Dataset) -> Dataset:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
+    multiview = isinstance(model, MvEdaModel)
+    if args.detransform and not isinstance(model, EdaModel):
+        raise ParameterError("--detransform applies to single-view adaptation models")
+    if not multiview and len(args.features) != 1:
+        raise ParameterError("single-view models take exactly one feature CSV")
     datasets = [load_csv(p) for p in args.features]
-    datasets = _apply_standardizers(args.model, datasets)
-    if isinstance(model, MvEdaModel):
-        if args.detransform:
-            raise ParameterError(
-                "--detransform applies to single-view adaptation models"
-            )
+    datasets = _apply_standardizers(args.model, multiview, datasets)
+    if multiview:
         labels, scores, _ = predict_mveda(model, datasets)
     elif isinstance(model, EdaModel):
-        if len(datasets) != 1:
-            raise ParameterError("single-view models take exactly one feature CSV")
         labels, scores = predict_eda(model, datasets[0], detransform=args.detransform)
-    elif isinstance(model, ElmModel):
-        if args.detransform:
-            raise ParameterError(
-                "--detransform applies to single-view adaptation models"
-            )
-        if len(datasets) != 1:
-            raise ParameterError("baseline models take exactly one feature CSV")
+    else:
         scores = predict_scores(model, datasets[0])
         labels = decode_labels(scores)
-    else:
-        raise ParameterError(f"cannot predict with {type(model).__name__}")
     os.makedirs(args.out_dir, exist_ok=True)
     lab_path = os.path.join(args.out_dir, "predicted_labels.csv")
     sc_path = os.path.join(args.out_dir, "predicted_scores.csv")
@@ -272,9 +269,8 @@ def _cmd_predict(args) -> int:
 def _cmd_bench(args) -> int:
     config = _bench_config(args)
     report = run_benchmark(config)
-    paths = emit_report(report, args.out_dir)
-    for name in ("results", "per_seed", "convergence", "timing", "table", "config"):
-        print(paths[name])
+    for path in emit_report(report, args.out_dir).values():
+        print(path)
     return 0
 
 

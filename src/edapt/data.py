@@ -401,45 +401,41 @@ def _write_split(
     return out
 
 
-def save_bundle(bundle: DomainBundle, out_dir: str,
-                manifest_name: str = "manifest.txt") -> str:
-    """Write a bundle's CSVs plus manifest into ``out_dir``; return manifest path."""
+def _write_views(views: list[tuple[str, DomainBundle]], out_dir: str,
+                 manifest_name: str) -> str:
+    """Write each ``(prefix, bundle)`` view's CSVs plus one manifest whose
+    keys carry the view's prefix; return the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     keys: dict[str, str] = {}
-    keys.update(_write_split(bundle.source, out_dir, "source", True))
-    keys.update(_write_split(bundle.target_labeled, out_dir, "target_labeled", True))
-    keys.update(_write_split(bundle.target_unlabeled, out_dir, "target_unlabeled", False))
-    if bundle.target_test is not None:
-        keys.update(_write_split(bundle.target_test, out_dir, "target_test", True))
-    keys["classes"] = str(bundle.n_classes)
+    for prefix, b in views:
+        # the prefixed stem doubles as the manifest key prefix
+        keys.update(_write_split(b.source, out_dir, f"{prefix}source", True))
+        keys.update(_write_split(b.target_labeled, out_dir, f"{prefix}target_labeled", True))
+        keys.update(_write_split(b.target_unlabeled, out_dir, f"{prefix}target_unlabeled", False))
+        if b.target_test is not None:
+            keys.update(_write_split(b.target_test, out_dir, f"{prefix}target_test", True))
+    keys["classes"] = str(views[0][1].n_classes)
     manifest = os.path.join(out_dir, manifest_name)
     with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
         for k, v in keys.items():
             fh.write(f"{k} = {v}\n")
     return manifest
+
+
+def save_bundle(bundle: DomainBundle, out_dir: str,
+                manifest_name: str = "manifest.txt") -> str:
+    """Write a bundle's CSVs plus manifest into ``out_dir``; return manifest path."""
+    return _write_views([("", bundle)], out_dir, manifest_name)
 
 
 def save_multiview_bundle(bundles: list[DomainBundle], out_dir: str,
                           manifest_name: str = "manifest.txt") -> str:
     """Write per-view CSVs plus a ``view<i>_``-keyed manifest; return its path."""
-    os.makedirs(out_dir, exist_ok=True)
-    keys: dict[str, str] = {}
     classes = {b.n_classes for b in bundles}
     if len(classes) != 1:
         raise ParameterError(f"views disagree on class count: {sorted(classes)}")
-    for i, b in enumerate(bundles):
-        # the view-prefixed stem doubles as the manifest key prefix
-        keys.update(_write_split(b.source, out_dir, f"view{i}_source", True))
-        keys.update(_write_split(b.target_labeled, out_dir, f"view{i}_target_labeled", True))
-        keys.update(_write_split(b.target_unlabeled, out_dir, f"view{i}_target_unlabeled", False))
-        if b.target_test is not None:
-            keys.update(_write_split(b.target_test, out_dir, f"view{i}_target_test", True))
-    keys["classes"] = str(bundles[0].n_classes)
-    manifest = os.path.join(out_dir, manifest_name)
-    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-        for k, v in keys.items():
-            fh.write(f"{k} = {v}\n")
-    return manifest
+    return _write_views([(f"view{i}_", b) for i, b in enumerate(bundles)],
+                        out_dir, manifest_name)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,9 @@ class HiddenMap:
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
         b = np.array(self.biases, dtype=np.float64)
-        if w.ndim != 2:
-            raise ShapeError("weights must be 2-D (n_hidden x n_features)")
+        if w.ndim != 2 or 0 in w.shape:
+            raise ShapeError("weights must be 2-D (n_hidden x n_features) with "
+                             f"at least one hidden unit and one input, got {w.shape}")
         if b.shape != (w.shape[0],):
             raise ShapeError(
                 f"biases must have shape ({w.shape[0]},), got {b.shape}"

@@ -145,8 +145,9 @@ def _params(d, where: str) -> EdaParams:
 def _map_from_block(d, where: str) -> HiddenMap:
     blk = _field(d, "hidden_map", where)
     where = f"{where}: hidden_map"
-    return HiddenMap(_array(blk, "weights", where), _array(blk, "biases", where),
-                     _field(blk, "activation", where), _field(blk, "seed", where))
+    with _naming(where):
+        return HiddenMap(_array(blk, "weights", where), _array(blk, "biases", where),
+                         _field(blk, "activation", where), _field(blk, "seed", where))
 
 
 def _view_fields(d, where: str) -> tuple:

@@ -37,6 +37,7 @@ from .single import (
     EdaParams,
     EdaProblem,
     _alternate,
+    _check_history,
     _check_view,
     build_problem,
     mv_objective,
@@ -116,6 +117,7 @@ class MvEdaModel:
         a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
         h = np.array(self.objective_history, dtype=np.float64)
+        _check_history(h)
         h.flags.writeable = False
         object.__setattr__(self, "objective_history", h)
         ah = np.array(self.alpha_history, dtype=np.float64)

@@ -569,6 +569,7 @@ class EdaModel:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         _check_view(self.hidden_map, self.beta, self.theta, self.u)
+        _check_history(self.objective_history)
 
 
 def _check_view(hidden_map: HiddenMap, beta, theta, u, n_classes=None) -> int:
@@ -584,6 +585,13 @@ def _check_view(hidden_map: HiddenMap, beta, theta, u, n_classes=None) -> int:
             raise ShapeError(f"field {name!r} must have shape {shape}, "
                              f"got {np.shape(a)}")
     return c
+
+
+def _check_history(history: np.ndarray) -> None:
+    """Every fit records at least one round, since ``max_iter >= 1``."""
+    if history.ndim != 1 or history.size == 0:
+        raise ShapeError("field 'objective_history' must hold at least one round, "
+                         f"got shape {history.shape}")
 
 
 def fit_eda(

@@ -1,12 +1,13 @@
 """Benchmark harness: config parsing, resplits, fairness token, reports."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from edapt import (
     BenchConfig,
+    EdaParams,
     KernelSpec,
     ParameterError,
     ParseError,
@@ -121,6 +122,16 @@ def test_config_hash_is_stable_and_sensitive():
     text = config_text(a)
     for key in ("methods", "grid", "c_source", "n_hidden", "standardize"):
         assert f"{key} = " in text
+
+
+def test_config_text_names_every_setting():
+    # a setting left out of the canonical text would be left out of the
+    # config hash, so two different runs could share report names
+    text = config_text(default_config())
+    names = [f.name for f in fields(BenchConfig) if f.name != "params"]
+    names += [f.name for f in fields(EdaParams)]
+    for name in names:
+        assert f"\n{name} = " in "\n" + text, name
 
 
 def test_synth_spec_carries_the_split_sizes():

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, in process."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -138,6 +139,50 @@ def test_views_flag_limits_a_multiview_manifest(tmp_path, cfg_path, capsys):
                "--out-dir", str(run)])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_fit_rejects_detransform_on_a_multiview_manifest(tmp_path, cfg_path, capsys):
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys, "--views", "2")
+    run = tmp_path / "run"
+    rc = main(["fit", manifest, "--config", cfg_path, "--detransform",
+               "--out-dir", str(run)])
+    assert rc == 2
+    assert "--detransform applies to single-view fits" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_predict_reads_standardizers_by_model_kind(tmp_path, cfg_path, capsys):
+    mv_data, (mv_manifest, _) = _synth(tmp_path / "mv", cfg_path, capsys, "--views", "2")
+    run = tmp_path / "run"
+    assert main(["fit", mv_manifest, "--config", cfg_path, "--views", "1",
+                 "--out-dir", str(run)]) == 0
+    test_csv = f"{mv_data}/view0_target_test_features.csv"
+
+    def predict(out):
+        assert main(["predict", str(run / "model"), test_csv,
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        return load_csv(str(out / "predicted_scores.csv")).features
+
+    before = predict(tmp_path / "before")
+    # an unrelated single-view fit into the same directory leaves its own
+    # standardizer.txt beside the one-view model
+    _, (manifest, _) = _synth(tmp_path / "single", cfg_path, capsys, "--seed", "1")
+    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
+    assert (run / "standardizer.txt").exists()
+    assert np.array_equal(predict(tmp_path / "after"), before)
+
+
+def test_bench_prints_every_report_path(tmp_path, cfg_path, capsys):
+    cfg = tmp_path / "mv.cfg"
+    cfg.write_text(TINY_CFG.replace("methods = elm_s,eda", "methods = eda,mveda"))
+    reports = tmp_path / "reports"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(reports)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [os.path.basename(p).rsplit("_", 1)[0] for p in lines] == [
+        "results", "per_seed", "convergence", "view_weights", "timing", "table",
+        "config"]
+    assert sorted(lines) == sorted(str(p) for p in reports.iterdir())
 
 
 def test_bench_and_sweep_commands(tmp_path, cfg_path, capsys):

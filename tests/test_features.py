@@ -79,6 +79,11 @@ def test_hidden_map_validation():
         HiddenMap(np.ones((2, 2)), np.ones(2), "tanh", 0)
     with pytest.raises(ShapeError):
         HiddenMap(np.ones((2, 2)), np.ones(3), "radbas", 0)
+    # a map needs at least one hidden unit and one input feature
+    with pytest.raises(ShapeError):
+        HiddenMap(np.ones((2, 0)), np.ones(2), "radbas", 0)
+    with pytest.raises(ShapeError):
+        HiddenMap(np.ones((0, 2)), np.ones(0), "radbas", 0)
     hm = new_hidden_map(3, 2)
     with pytest.raises(ShapeError):
         map_features(hm, Dataset(np.ones((5, 2))))

@@ -123,6 +123,9 @@ def test_unknown_kind_and_junk(tmp_path):
     (lambda d: d.pop("theta"), "'theta'"),
     (lambda d: d["params"].update(mystery=1), "mystery"),
     (lambda d: d["beta"][0].__setitem__(0, float("nan")), "'beta'"),
+    (lambda d: d["hidden_map"].update(weights=[[] for _ in d["u"]]),
+     "hidden_map: weights"),
+    (lambda d: d.update(objective_history=[]), "'objective_history'"),
 ])
 def test_malformed_eda_file_names_file_and_field(tmp_path, corrupt, field):
     bundle = blob_bundle(seed=5)
@@ -165,6 +168,30 @@ def test_mismatched_view_file_names_file_and_field(tmp_path):
     with pytest.raises(ParseError) as info:
         load_model(str(out))
     assert str(alpha) in str(info.value)
+
+
+def test_inputless_map_and_empty_history_name_file_and_field(tmp_path):
+    bundle = blob_bundle(seed=8)
+    model = fit_mveda([bundle], [random_prelabels(bundle, 8)], small_params(),
+                      [new_hidden_map(12, 2, seed=8)])
+    out = tmp_path / "mv"
+    save_model(model, str(out))
+    view0 = out / "view0.json"
+    good = view0.read_text()
+    d = json.loads(good)
+    d["hidden_map"]["weights"] = [[] for _ in d["u"]]
+    view0.write_text(json.dumps(d))
+    with pytest.raises(ParseError) as info:
+        load_model(str(out))
+    assert str(view0) in str(info.value) and "hidden_map: weights" in str(info.value)
+    view0.write_text(good)
+    head = out / "mveda.json"
+    d = json.loads(head.read_text())
+    d.update(objective_history=[], alpha_history=[])
+    head.write_text(json.dumps(d))
+    with pytest.raises(ParseError) as info:
+        load_model(str(out))
+    assert str(head) in str(info.value) and "'objective_history'" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +284,7 @@ def test_models_round_trip_bit_for_bit(model):
 
 
 # array fields of each file kind, and those whose length other fields fix
-# (an eda file's objective history may have any length)
+# (an eda file's objective history may have any non-zero length)
 _ARRAYS = {
     "elm": ["beta"],
     "eda": ["beta", "theta", "u", "objective_history"],
