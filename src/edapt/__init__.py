@@ -13,42 +13,17 @@ the same samples, :mod:`edapt.baselines` for the reference classifiers,
 and the ``edapt`` command line for the full experiment loop.
 """
 
-from .baselines import ElmModel, fit_elm, fit_sselm, predict_scores
+from .baselines import ElmModel, fit_elm, fit_sselm
 from .bench import (
     BenchConfig,
-    BenchReport,
-    MethodSummary,
     default_config,
+    default_shift_spec,
     emit_report,
     emit_sweep,
-    load_config,
-    parse_config,
     run_benchmark,
     run_sweep,
-    split_map_hash,
-    synth_spec,
 )
-from .data import (
-    Dataset,
-    DomainBundle,
-    SynthShiftSpec,
-    augment_noise_view,
-    concat_features,
-    decode_labels,
-    default_class_means,
-    default_shift_spec,
-    encode_labels,
-    generate_shift,
-    load_bundle,
-    load_csv,
-    load_multiview_bundles,
-    read_keyvalues,
-    read_matrix_csv,
-    save_bundle,
-    save_csv,
-    save_multiview_bundle,
-    unlabeled_truth,
-)
+from .data import Dataset, DomainBundle, augment_noise_view, generate_shift
 from .errors import (
     MetricError,
     NumericError,
@@ -56,134 +31,76 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .features import (
-    HiddenMap,
-    Standardizer,
-    derive_view_seed,
-    fit_standardizer,
-    load_standardizer,
-    map_features,
-    new_hidden_map,
-    save_standardizer,
-    standardize_bundle,
-)
+from .features import HiddenMap, derive_view_seed, new_hidden_map, standardize_bundle
 from .graph import LaplacianGraph, build_knn_graph, quadratic_energy
 from .metrics import accuracy, mean_average_precision
 from .modelio import load_model, save_model
 from .multiview import (
     MvEdaModel,
     fit_mveda,
-    mv_objective,
     predict_mveda,
-    update_alpha,
     update_beta_view,
     update_theta_view,
-    view_trace,
 )
-from .preclassify import (
-    KernelSpec,
-    average_prelabels,
-    load_prelabels,
-    preclassify_elm,
-    preclassify_kernel,
-)
+from .preclassify import preclassify_elm
 from .single import (
     EdaModel,
     EdaParams,
-    EdaProblem,
     build_problem,
-    eda_objective,
     fit_eda,
     l21_norm,
     predict_eda,
-    surrogate_objective,
     update_beta,
     update_theta,
-    update_u,
 )
 
 __version__ = "0.1.0"
 
+# the documented surface (README, "Library"); everything else is
+# imported from its module
 __all__ = [
     "BenchConfig",
-    "BenchReport",
     "Dataset",
     "DomainBundle",
     "EdaModel",
     "EdaParams",
-    "EdaProblem",
     "ElmModel",
     "HiddenMap",
-    "KernelSpec",
     "LaplacianGraph",
-    "MethodSummary",
     "MetricError",
     "MvEdaModel",
     "NumericError",
     "ParameterError",
     "ParseError",
     "ShapeError",
-    "Standardizer",
-    "SynthShiftSpec",
     "accuracy",
     "augment_noise_view",
-    "average_prelabels",
     "build_knn_graph",
     "build_problem",
-    "concat_features",
-    "decode_labels",
-    "default_class_means",
     "default_config",
     "default_shift_spec",
     "derive_view_seed",
-    "eda_objective",
     "emit_report",
     "emit_sweep",
-    "encode_labels",
     "fit_eda",
     "fit_elm",
     "fit_mveda",
     "fit_sselm",
-    "fit_standardizer",
     "generate_shift",
     "l21_norm",
-    "load_bundle",
-    "load_config",
-    "load_csv",
     "load_model",
-    "load_multiview_bundles",
-    "load_prelabels",
-    "load_standardizer",
-    "map_features",
     "mean_average_precision",
-    "mv_objective",
     "new_hidden_map",
-    "parse_config",
     "preclassify_elm",
-    "preclassify_kernel",
     "predict_eda",
     "predict_mveda",
-    "predict_scores",
     "quadratic_energy",
-    "read_keyvalues",
-    "read_matrix_csv",
     "run_benchmark",
     "run_sweep",
-    "save_bundle",
-    "save_csv",
     "save_model",
-    "save_multiview_bundle",
-    "save_standardizer",
-    "split_map_hash",
     "standardize_bundle",
-    "surrogate_objective",
-    "synth_spec",
-    "unlabeled_truth",
-    "update_alpha",
     "update_beta",
     "update_beta_view",
     "update_theta",
     "update_theta_view",
-    "update_u",
-    "view_trace",
 ]

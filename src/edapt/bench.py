@@ -59,7 +59,7 @@ from .features import (
 from .graph import build_knn_graph
 from .metrics import accuracy, mean_average_precision
 from .multiview import _build_views
-from .preclassify import AVERAGED, average_prelabels, builtin_prelabels
+from .preclassify import KERNELS, average_prelabels, builtin_prelabels
 from .single import EdaParams, _alternate
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
     "BenchReport",
     "MethodSummary",
     "default_config",
+    "default_shift_spec",
     "emit_report",
     "emit_sweep",
     "load_config",
@@ -198,23 +199,32 @@ def _parse_value(kind, raw: str):
 
 
 def parse_config(pairs: dict[str, str]) -> BenchConfig:
-    """Build a config from ``key = value`` pairs (unknown keys rejected)."""
+    """Build a config from ``key = value`` pairs (unknown keys rejected;
+    a value that does not parse names its key)."""
     bench_kwargs = {}
     param_kwargs = {}
     for key, raw in pairs.items():
-        if key in _BENCH_KEYS:
-            bench_kwargs[key] = _parse_value(_BENCH_KEYS[key], raw)
-        elif key in _PARAM_KEYS:
-            param_kwargs[key] = _parse_value(_PARAM_KEYS[key], raw)
-        else:
+        kind = _BENCH_KEYS.get(key, _PARAM_KEYS.get(key))
+        if kind is None:
             raise ParseError(f"unknown config key {key!r}")
+        try:
+            value = _parse_value(kind, raw)
+        except ValueError:
+            raise ParseError(f"key {key!r}: cannot parse {raw!r} as "
+                             f"{getattr(kind, '__name__', kind)}") from None
+        (bench_kwargs if key in _BENCH_KEYS else param_kwargs)[key] = value
     base = BenchConfig()
     params = replace(base.params, **param_kwargs) if param_kwargs else base.params
     return replace(base, params=params, **bench_kwargs)
 
 
 def load_config(path: str) -> BenchConfig:
-    return parse_config(read_keyvalues(path))
+    """Read and parse a config file; errors name the file."""
+    pairs = read_keyvalues(path)
+    try:
+        return parse_config(pairs)
+    except (ParseError, ParameterError) as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def config_text(config: BenchConfig) -> str:
@@ -271,6 +281,15 @@ def synth_spec(config: BenchConfig, seed: int) -> SynthShiftSpec:
         n_test=config.n_test,
         seed=seed,
     )
+
+
+def default_shift_spec(seed: int = 0, **overrides) -> SynthShiftSpec:
+    """The stock synthetic scenario: :func:`synth_spec` of
+    ``default_config(**overrides)``, so three Gaussian blobs on a
+    120-degree star, isotropic variance 0.16, shifted in the target
+    domain by a 30-degree rotation plus a (2, 0) translation unless
+    overridden."""
+    return synth_spec(default_config(**overrides), seed)
 
 
 def resplit_bundle(bundle: DomainBundle, m: int, seed: int) -> DomainBundle:
@@ -387,7 +406,7 @@ class _SeedContext:
         key = (name, view)
         if key not in self.scores:
             self.scores[key] = average_prelabels(
-                [self.prelabels(k, view, bundle, hidden_map) for k in AVERAGED]
+                [self.prelabels(k, view, bundle, hidden_map) for k in KERNELS]
             ) if name == "average" else builtin_prelabels(
                 name, bundle, hidden_map, self.config.pre_ridge)
         return self.scores[key]

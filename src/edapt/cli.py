@@ -41,6 +41,7 @@ from .data import (
     load_csv,
     load_multiview_bundles,
     read_keyvalues,
+    read_matrix_csv,
     save_bundle,
     save_csv,
     save_multiview_bundle,
@@ -57,7 +58,7 @@ from .features import (
 )
 from .modelio import load_model, save_model
 from .multiview import MvEdaModel, fit_mveda, predict_mveda
-from .preclassify import BUILTINS, builtin_prelabels, load_prelabels
+from .preclassify import BUILTINS, builtin_prelabels
 from .single import EdaModel, fit_eda, predict_eda
 
 __all__ = ["main"]
@@ -121,7 +122,12 @@ def _cmd_synth(args) -> int:
 def _resolve_prelabels(spec: str, bundle, hidden_map, ridge: float) -> np.ndarray:
     if spec in BUILTINS:
         return builtin_prelabels(spec, bundle, hidden_map, ridge)
-    return load_prelabels(spec)  # anything else is a CSV path
+    scores = read_matrix_csv(spec)  # anything else is a CSV path
+    want = (bundle.n_unlabeled, bundle.n_classes)
+    if scores.shape != want:
+        raise ShapeError(f"{spec}: prelabels must be {want} (unlabeled samples "
+                         f"x classes), got {scores.shape}")
+    return scores
 
 
 def _standardizer_name(multiview: bool, v: int) -> str:

@@ -31,7 +31,6 @@ __all__ = [
     "concat_features",
     "decode_labels",
     "default_class_means",
-    "default_shift_spec",
     "encode_labels",
     "generate_shift",
     "load_bundle",
@@ -211,10 +210,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
     Raises
     ------
     ParseError
-        Ragged rows, non-numeric tokens (message carries file and line),
-        or an empty file.
+        Ragged rows, non-numeric or non-finite tokens (message carries
+        file and line), or an empty file.
     """
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -235,9 +234,15 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 raise ParseError(
                     f"{path}:{lineno}: non-numeric value {bad!r}"
                 ) from None
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows)
+    out = np.asarray(rows)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ParseError(f"{path}:{linenos[r]}: non-finite value {float(out[r, c])}")
+    return out
 
 
 def load_csv(features_path: str, labels_path: str | None = None) -> Dataset:
@@ -248,7 +253,8 @@ def load_csv(features_path: str, labels_path: str | None = None) -> Dataset:
     Raises
     ------
     ParseError
-        Ragged rows or non-numeric tokens (message carries file and line).
+        Ragged rows, non-numeric or non-finite tokens (message carries
+        file and line).
     ShapeError
         Label/feature row-count mismatch.
     """
@@ -283,6 +289,8 @@ def _load_labels(path: str) -> np.ndarray:
                 out.append(int(line))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-integer label {line!r}") from None
+            if out[-1] < 0:
+                raise ParseError(f"{path}:{lineno}: negative label {out[-1]}")
     return np.asarray(out, dtype=np.int64)
 
 
@@ -302,6 +310,8 @@ def save_csv(dataset: Dataset, features_path: str, labels_path: str | None = Non
                 fh.write(f"{int(v)}\n")
 
 
+# the split keys a manifest may hold, each with a ``view<i>_`` prefix in
+# a multi-view manifest; the first four are required
 _MANIFEST_KEYS = (
     "source_features",
     "source_labels",
@@ -314,7 +324,10 @@ _MANIFEST_KEYS = (
 
 
 def read_keyvalues(path: str) -> dict[str, str]:
-    """Parse a ``key = value`` text file (``#`` comments, blank lines ok)."""
+    """Parse a ``key = value`` text file (``#`` comments, blank lines ok).
+
+    A key given twice is rejected, naming the file and line.
+    """
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -323,33 +336,64 @@ def read_keyvalues(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (t.strip() for t in line.split("=", 1))
+            if key in out:
+                raise ParseError(f"{path}:{lineno}: key {key!r} given twice")
+            out[key] = val
     return out
 
 
-def _bundle_from_keys(keys: dict[str, str], base: str, prefix: str = "") -> DomainBundle:
-    def path(k):
-        p = keys.get(prefix + k)
-        return None if p is None else os.path.join(base, p)
+def _check_manifest_keys(keys: dict[str, str], manifest_path: str,
+                         prefixes: list[str]) -> None:
+    """Reject any key but ``classes`` and the per-view split keys."""
+    allowed = {"classes"} | {p + k for p in prefixes for k in _MANIFEST_KEYS}
+    unknown = [k for k in keys if k not in allowed]
+    if unknown:
+        raise ParseError(f"{manifest_path}: unknown key {unknown[0]!r}")
 
-    for required in ("source_features", "source_labels",
-                     "target_labeled_features", "target_labeled_labels"):
-        if keys.get(prefix + required) is None:
-            raise ParseError(f"manifest missing key {prefix + required!r}")
-    if "classes" not in keys:
-        raise ParseError("manifest missing key 'classes'")
-    n_classes = int(keys["classes"])
-    source = load_csv(path("source_features"), path("source_labels"))
-    labeled = load_csv(path("target_labeled_features"), path("target_labeled_labels"))
-    unl_path = path("target_unlabeled_features")
+
+def _bundle_from_keys(keys: dict[str, str], manifest_path: str,
+                      prefix: str = "") -> DomainBundle:
+    """One view's bundle; every error names the manifest and the key or
+    split it came from."""
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    for key in ("classes", *(prefix + k for k in _MANIFEST_KEYS[:4])):
+        if key not in keys:
+            raise ParseError(f"{manifest_path}: missing key {key!r}")
+    try:
+        n_classes = int(keys["classes"])
+    except ValueError:
+        raise ParseError(f"{manifest_path}: key 'classes' must be an integer, "
+                         f"got {keys['classes']!r}") from None
+
+    def split(stem: str) -> Dataset:
+        name = prefix + stem
+        feat = os.path.join(base, keys[f"{name}_features"])
+        lab = keys.get(f"{name}_labels")
+        lab = None if lab is None else os.path.join(base, lab)
+        try:
+            ds = load_csv(feat, lab)
+        except (ParseError, ShapeError, ParameterError) as err:
+            raise type(err)(f"{manifest_path}: split {name!r}: {err}") from None
+        if ds.labels is not None and ds.labels.max() >= n_classes:
+            i = int(np.argmax(ds.labels))
+            raise ParameterError(f"{manifest_path}: split {name!r}: {lab}: label "
+                                 f"{ds.labels[i]} at index {i} outside [0, {n_classes})")
+        return ds
+
+    source = split("source")
+    labeled = split("target_labeled")
+    unl_path = keys.get(prefix + "target_unlabeled_features")
     unlabeled = None
-    if unl_path is not None and _has_rows(unl_path):
-        unlabeled = load_csv(unl_path)
+    if unl_path is not None and _has_rows(os.path.join(base, unl_path)):
+        unlabeled = split("target_unlabeled")
     test = None
-    if path("target_test_features") is not None:
-        test = load_csv(path("target_test_features"), path("target_test_labels"))
-    return DomainBundle(source, labeled, unlabeled, n_classes, test)
+    if prefix + "target_test_features" in keys:
+        test = split("target_test")
+    try:
+        return DomainBundle(source, labeled, unlabeled, n_classes, test)
+    except (ShapeError, ParameterError) as err:
+        raise type(err)(f"{manifest_path}: {err}") from None
 
 
 def _has_rows(path: str) -> bool:
@@ -365,21 +409,25 @@ def load_bundle(manifest_path: str) -> DomainBundle:
     unlabeled file yields an empty unlabeled split.
     """
     keys = read_keyvalues(manifest_path)
-    return _bundle_from_keys(keys, os.path.dirname(os.path.abspath(manifest_path)))
+    _check_manifest_keys(keys, manifest_path, [""])
+    return _bundle_from_keys(keys, manifest_path)
 
 
 def load_multiview_bundles(manifest_path: str) -> list[DomainBundle]:
-    """Load per-view bundles from a manifest with ``view<i>_`` key groups."""
+    """Load per-view bundles from a manifest with ``view<i>_`` key groups.
+
+    Views are numbered from 0 without gaps; a key of any other view, or
+    one that is not a split key, is rejected.
+    """
     keys = read_keyvalues(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    views = []
-    i = 0
-    while any(k.startswith(f"view{i}_") for k in keys):
-        views.append(_bundle_from_keys(keys, base, prefix=f"view{i}_"))
-        i += 1
-    if not views:
+    n_views = 0
+    while any(k.startswith(f"view{n_views}_") for k in keys):
+        n_views += 1
+    if not n_views:
         raise ParseError(f"{manifest_path}: no view0_* keys found")
-    return views
+    prefixes = [f"view{i}_" for i in range(n_views)]
+    _check_manifest_keys(keys, manifest_path, prefixes)
+    return [_bundle_from_keys(keys, manifest_path, p) for p in prefixes]
 
 
 def _write_split(
@@ -401,10 +449,9 @@ def _write_split(
     return out
 
 
-def _write_views(views: list[tuple[str, DomainBundle]], out_dir: str,
-                 manifest_name: str) -> str:
-    """Write each ``(prefix, bundle)`` view's CSVs plus one manifest whose
-    keys carry the view's prefix; return the manifest path."""
+def _write_views(views: list[tuple[str, DomainBundle]], out_dir: str) -> str:
+    """Write each ``(prefix, bundle)`` view's CSVs plus one
+    ``manifest.txt`` whose keys carry the view's prefix; return its path."""
     os.makedirs(out_dir, exist_ok=True)
     keys: dict[str, str] = {}
     for prefix, b in views:
@@ -415,27 +462,24 @@ def _write_views(views: list[tuple[str, DomainBundle]], out_dir: str,
         if b.target_test is not None:
             keys.update(_write_split(b.target_test, out_dir, f"{prefix}target_test", True))
     keys["classes"] = str(views[0][1].n_classes)
-    manifest = os.path.join(out_dir, manifest_name)
+    manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
         for k, v in keys.items():
             fh.write(f"{k} = {v}\n")
     return manifest
 
 
-def save_bundle(bundle: DomainBundle, out_dir: str,
-                manifest_name: str = "manifest.txt") -> str:
+def save_bundle(bundle: DomainBundle, out_dir: str) -> str:
     """Write a bundle's CSVs plus manifest into ``out_dir``; return manifest path."""
-    return _write_views([("", bundle)], out_dir, manifest_name)
+    return _write_views([("", bundle)], out_dir)
 
 
-def save_multiview_bundle(bundles: list[DomainBundle], out_dir: str,
-                          manifest_name: str = "manifest.txt") -> str:
+def save_multiview_bundle(bundles: list[DomainBundle], out_dir: str) -> str:
     """Write per-view CSVs plus a ``view<i>_``-keyed manifest; return its path."""
     classes = {b.n_classes for b in bundles}
     if len(classes) != 1:
         raise ParameterError(f"views disagree on class count: {sorted(classes)}")
-    return _write_views([(f"view{i}_", b) for i, b in enumerate(bundles)],
-                        out_dir, manifest_name)
+    return _write_views([(f"view{i}_", b) for i, b in enumerate(bundles)], out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -534,38 +578,6 @@ def default_class_means() -> np.ndarray:
     """
     angles = np.deg2rad([90.0, 210.0, 330.0])
     return np.column_stack([3.0 + 1.6 * np.cos(angles), 3.0 + 1.6 * np.sin(angles)])
-
-
-def default_shift_spec(
-    seed: int = 0,
-    rotation_deg: float = 30.0,
-    translation=(2.0, 0.0),
-    scale: float = 1.0,
-    n_source: int = 150,
-    n_labeled_per_class: int = 3,
-    n_unlabeled: int = 150,
-    n_test: int = 150,
-) -> SynthShiftSpec:
-    """The default three-class planar scenario.
-
-    Three Gaussian blobs on a 120-degree star, isotropic spread 0.4,
-    shifted in the target domain by a 30-degree rotation plus a (2, 0)
-    translation unless overridden.
-    """
-    means = default_class_means()
-    cov = np.stack([0.16 * np.eye(2)] * 3)
-    return SynthShiftSpec(
-        means=means,
-        covariances=cov,
-        rotation_deg=rotation_deg,
-        translation=translation,
-        scale=scale,
-        n_source=n_source,
-        n_labeled_per_class=n_labeled_per_class,
-        n_unlabeled=n_unlabeled,
-        n_test=n_test,
-        seed=seed,
-    )
 
 
 def _split_counts(total: int, n_classes: int) -> list[int]:

@@ -46,7 +46,7 @@ from .single import (
     update_theta,
     view_trace,
 )
-from .single import beta_gradient  # noqa: F401  (still looked up here by callers)
+from .single import beta_gradient  # noqa: F401  (perfbench/test_harness.py reads it here)
 
 __all__ = [
     "MvEdaModel",
@@ -181,8 +181,8 @@ def fit_mveda(
         One bundle per view, describing the same samples in different
         feature spaces (labels and counts must agree across views).
     prelabels
-        Per-view list of score matrices / callables, or a single one
-        shared by every view.
+        Per-view list of score matrices, or a single one shared by every
+        view.
     params : EdaParams
         ``params.seed`` seeds view ``v``'s hidden map through a per-view
         derived seed; pass ``hidden_maps`` to override.

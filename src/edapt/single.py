@@ -165,8 +165,8 @@ def build_problem(
 ) -> tuple[EdaProblem, HiddenMap]:
     """Map a bundle into hidden space and assemble the solver operands.
 
-    ``prelabels`` may be a score matrix (one row per unlabeled sample) or
-    a callable ``bundle -> scores``.  If no map is given, one is drawn
+    ``prelabels`` is a score matrix with one row per unlabeled sample
+    and one column per class.  If no map is given, one is drawn
     from ``params``.  Source and target feature dims must agree, since a
     single hidden map serves both domains.
     """
@@ -179,8 +179,6 @@ def build_problem(
         hidden_map = new_hidden_map(
             params.n_hidden, bundle.target_dim, params.activation, params.seed
         )
-    if callable(prelabels):
-        prelabels = prelabels(bundle)
     prelabels = np.asarray(prelabels, dtype=np.float64)
     if prelabels.ndim != 2 or prelabels.shape != (bundle.n_unlabeled, bundle.n_classes):
         raise ShapeError(
@@ -473,15 +471,13 @@ def mv_objective(
     return total
 
 
-def update_alpha(
-    traces, view_exponent: float, floor: float = TRACE_FLOOR
-) -> np.ndarray:
+def update_alpha(traces, view_exponent: float) -> np.ndarray:
     """Closed-form simplex weights from per-view smoothness values.
 
     ``alpha_v ∝ (1 / q_v)**(1 / (r - 1))``, normalized to sum to one.
-    Views whose trace is at or below ``floor`` (numerically zero; the
-    traces are non-negative up to roundoff) take over the entire mass,
-    split evenly among themselves.  If every view is degenerate the
+    Views whose trace is at or below ``TRACE_FLOOR`` (numerically zero;
+    the traces are non-negative up to roundoff) take over the entire
+    mass, split evenly among themselves.  If every view is degenerate the
     weights fall back to uniform with a warning.
     """
     q = np.asarray(traces, dtype=np.float64)
@@ -489,7 +485,7 @@ def update_alpha(
         raise ShapeError("traces must be a non-empty vector")
     if view_exponent <= 1.0:
         raise ParameterError(f"view_exponent must exceed 1, got {view_exponent}")
-    degenerate = q <= floor
+    degenerate = q <= TRACE_FLOOR
     if degenerate.all():
         warnings.warn(
             "all view smoothness traces are numerically zero; "
@@ -608,8 +604,7 @@ def fit_eda(
     moves by less than ``1e-10`` relatively.  The recorded sequence is
     non-increasing up to the reweighting floor.
 
-    ``prelabels`` is a score matrix for the unlabeled split or a
-    callable producing one from the bundle.
+    ``prelabels`` is a score matrix for the unlabeled split.
     """
     prob, hidden_map = build_problem(bundle, prelabels, params, hidden_map)
     (beta,), (theta,), (u,), _, _, history = _alternate([prob], params)

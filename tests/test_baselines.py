@@ -12,8 +12,8 @@ from edapt import (
     fit_elm,
     fit_sselm,
     new_hidden_map,
-    predict_scores,
 )
+from edapt.baselines import predict_scores
 
 
 def test_identity_activations_hand_case():
@@ -114,7 +114,7 @@ def test_elm_model_and_prediction():
     beta = np.arange(6.0).reshape(3, 2)
     model = ElmModel(hm, beta, ridge=1.0)
     data = Dataset(np.array([[0.5, 1.5], [0.25, -0.5]]))
-    from edapt import map_features
+    from edapt.features import map_features
     assert np.array_equal(predict_scores(model, data),
                           map_features(hm, data) @ beta)
     with pytest.raises(ShapeError):

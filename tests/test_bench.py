@@ -8,14 +8,11 @@ import pytest
 from edapt import (
     BenchConfig,
     EdaParams,
-    KernelSpec,
     ParameterError,
     ParseError,
     accuracy,
     augment_noise_view,
-    average_prelabels,
     build_problem,
-    decode_labels,
     default_config,
     derive_view_seed,
     emit_report,
@@ -25,19 +22,25 @@ from edapt import (
     generate_shift,
     mean_average_precision,
     new_hidden_map,
-    parse_config,
     preclassify_elm,
-    preclassify_kernel,
     predict_eda,
     predict_mveda,
     run_benchmark,
     run_sweep,
-    save_bundle,
-    split_map_hash,
     standardize_bundle,
+)
+from edapt.bench import (
+    METHOD_LABELS,
+    _parse_value,
+    config_hash,
+    config_text,
+    parse_config,
+    resplit_bundle,
+    split_map_hash,
     synth_spec,
 )
-from edapt.bench import METHOD_LABELS, _parse_value, config_hash, config_text, resplit_bundle
+from edapt.data import decode_labels, save_bundle
+from edapt.preclassify import average_prelabels, preclassify_kernel
 
 
 def _fast(**over):
@@ -337,8 +340,8 @@ def test_adaptation_grid_matches_the_public_fit_and_predict(metric):
             maps.append(new_hidden_map(p0.n_hidden, bundles[-1].target_dim,
                                        p0.activation, derive_view_seed(seed, v)))
         phis = [preclassify_elm(b, m, cfg.pre_ridge) for b, m in zip(bundles, maps)]
-        lap = preclassify_kernel(bundle, KernelSpec("laplacian_dist"), cfg.pre_ridge)
-        inv = preclassify_kernel(bundle, KernelSpec("inverse_dist"), cfg.pre_ridge)
+        lap = preclassify_kernel(bundle, "laplacian", cfg.pre_ridge)
+        inv = preclassify_kernel(bundle, "inverse", cfg.pre_ridge)
         single_phi = {"eda": phis[0], "eda_lap": lap, "eda_inv": inv,
                       "eda_avg": average_prelabels([lap, inv])}
         y = bundle.target_test.labels

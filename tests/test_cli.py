@@ -2,12 +2,23 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from edapt import Dataset, load_csv, load_model, load_standardizer, predict_eda, save_csv
+from edapt import (
+    Dataset,
+    load_model,
+    new_hidden_map,
+    preclassify_elm,
+    predict_eda,
+    standardize_bundle,
+)
+from edapt.bench import load_config
 from edapt.cli import main
+from edapt.data import load_bundle, load_csv, save_csv
+from edapt.features import fit_standardizer, load_standardizer
 
 TINY_CFG = """\
 seeds = 0
@@ -298,3 +309,102 @@ def test_errors_exit_with_code_2(tmp_path, cfg_path, capsys):
                  "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert str(model) in err and "'theta'" in err
+
+
+def test_fit_reads_prelabels_from_a_csv(tmp_path, cfg_path, capsys):
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    assert main(["fit", manifest, "--config", cfg_path, "--prelabels", "elm",
+                 "--out-dir", str(tmp_path / "elm")]) == 0
+    # the builtin elm scores as `fit` computes them, written with repr floats
+    config = load_config(cfg_path)
+    p = config.params
+    bundle = load_bundle(manifest)
+    bundle = standardize_bundle(bundle, fit_standardizer(bundle.source,
+                                                         bundle.target_labeled))
+    hm = new_hidden_map(p.n_hidden, bundle.target_dim, p.activation, p.seed)
+    phi = preclassify_elm(bundle, hm, config.pre_ridge)
+    csv = tmp_path / "phi.csv"
+    csv.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in phi))
+    assert main(["fit", manifest, "--config", cfg_path, "--prelabels", str(csv),
+                 "--out-dir", str(tmp_path / "csv")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "csv" / "model.json").read_bytes()
+            == (tmp_path / "elm" / "model.json").read_bytes())
+
+
+def _edit(path, pattern, repl):
+    with open(path) as fh:
+        text = fh.read()
+    new = re.sub(pattern, repl, text, flags=re.M)
+    assert new != text
+    with open(path, "w") as fh:
+        fh.write(new)
+
+
+def _fit_error(manifest, cfg_path, tmp_path, capsys, *extra):
+    rc = main(["fit", manifest, "--config", cfg_path,
+               "--out-dir", str(tmp_path / "run"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    return err
+
+
+def test_fit_rejects_a_misspelled_manifest_key(tmp_path, cfg_path, capsys):
+    # it used to fit without the unlabeled split
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    _edit(manifest, r"^target_unlabeled_features ", "target_unlabled_features ")
+    err = _fit_error(manifest, cfg_path, tmp_path, capsys)
+    assert f"{manifest}: unknown key 'target_unlabled_features'" in err
+
+
+def test_fit_rejects_a_multiview_manifest_with_a_renamed_view(tmp_path, cfg_path,
+                                                              capsys):
+    # it used to fit view 0 alone
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys, "--views", "3")
+    _edit(manifest, r"^view1_", "viewB_")
+    err = _fit_error(manifest, cfg_path, tmp_path, capsys)
+    assert f"{manifest}: unknown key 'viewB_source_features'" in err
+
+
+@pytest.mark.parametrize("case", ["classes", "missing_key", "nan_feature",
+                                  "label_range", "prelabel_shape"])
+def test_fit_input_errors_name_the_file_and_key(tmp_path, cfg_path, capsys, case):
+    data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    extra = []
+    if case == "classes":
+        _edit(manifest, r"^classes = .*$", "classes = x")
+        want = [manifest, "'classes'", "'x'"]
+    elif case == "missing_key":
+        _edit(manifest, r"^source_labels = .*\n", "")
+        want = [f"{manifest}: missing key 'source_labels'"]
+    elif case == "nan_feature":
+        _edit(f"{data}/source_features.csv", r"\A(.*\n)[^,\n]*", r"\1nan")
+        want = [manifest, "split 'source'", f"{data}/source_features.csv:2",
+                "non-finite value nan"]
+    elif case == "label_range":
+        _edit(f"{data}/source_labels.csv", r"\A\d+", "7")
+        want = [manifest, "split 'source'", f"{data}/source_labels.csv",
+                "label 7 at index 0 outside [0, 3)"]
+    else:
+        phi = tmp_path / "phi.csv"
+        phi.write_text("1.0,2.0\n3.0,4.0\n")
+        extra = ["--prelabels", str(phi)]
+        want = [str(phi), "(12, 3)", "(2, 2)"]
+    err = _fit_error(manifest, cfg_path, tmp_path, capsys, *extra)
+    assert all(w in err for w in want), err
+
+
+def test_config_value_errors_name_the_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seeds = 0\nm = abc\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: key 'm': cannot parse 'abc' as int" in err
+
+
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    # it used to run with the last value
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seeds = 0\nmethods = elm_s\nseeds = 1\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"{cfg}:3: key 'seeds' given twice" in capsys.readouterr().err

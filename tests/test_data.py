@@ -10,13 +10,15 @@ from edapt import (
     ParameterError,
     ParseError,
     ShapeError,
-    SynthShiftSpec,
     augment_noise_view,
+    default_shift_spec,
+    generate_shift,
+)
+from edapt.data import (
+    SynthShiftSpec,
     concat_features,
     decode_labels,
-    default_shift_spec,
     encode_labels,
-    generate_shift,
     load_bundle,
     load_csv,
     load_multiview_bundles,
@@ -193,6 +195,9 @@ def test_label_file_errors(tmp_path):
         load_csv(str(fp), str(lp))
     lp.write_text("0\n")
     with pytest.raises(ShapeError):
+        load_csv(str(fp), str(lp))
+    lp.write_text("0\n-1\n")
+    with pytest.raises(ParseError, match=r"l\.csv:2: negative label -1"):
         load_csv(str(fp), str(lp))
 
 

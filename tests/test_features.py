@@ -15,14 +15,17 @@ from edapt import (
     ParameterError,
     ParseError,
     ShapeError,
-    Standardizer,
     derive_view_seed,
-    fit_standardizer,
-    map_features,
     new_hidden_map,
     standardize_bundle,
 )
-from edapt.features import load_standardizer, save_standardizer
+from edapt.features import (
+    Standardizer,
+    fit_standardizer,
+    load_standardizer,
+    map_features,
+    save_standardizer,
+)
 
 from helpers import blob_bundle
 

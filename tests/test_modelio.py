@@ -20,11 +20,10 @@ from edapt import (
     fit_eda,
     fit_mveda,
     load_model,
-    map_features,
     new_hidden_map,
     save_model,
 )
-from edapt.features import ACTIVATIONS
+from edapt.features import ACTIVATIONS, map_features
 
 from helpers import blob_bundle, random_prelabels, small_params
 

@@ -12,16 +12,14 @@ from edapt import (
     build_problem,
     fit_eda,
     fit_mveda,
-    mv_objective,
     new_hidden_map,
     predict_mveda,
-    update_alpha,
     update_beta,
     update_beta_view,
     update_theta,
     update_theta_view,
-    view_trace,
 )
+from edapt.multiview import mv_objective, update_alpha, view_trace
 from edapt.single import beta_gradient
 
 from helpers import blob_bundle, random_prelabels, small_params, small_problem
@@ -239,7 +237,7 @@ def test_predict_mveda_fuses_with_the_learned_weights():
     tests = [b.target_test for b in bundles]
     labels, fused, per_view = predict_mveda(model, tests)
     assert len(per_view) == 2
-    from edapt import map_features
+    from edapt.features import map_features
     manual = sum(a * (map_features(m, t) @ b)
                  for a, m, t, b in zip(model.alpha, model.hidden_maps,
                                        tests, model.betas))

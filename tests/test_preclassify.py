@@ -8,19 +8,21 @@ import pytest
 from edapt import (
     Dataset,
     DomainBundle,
-    KernelSpec,
     ParameterError,
     ShapeError,
-    average_prelabels,
     fit_elm,
-    load_prelabels,
-    map_features,
     new_hidden_map,
     preclassify_elm,
-    preclassify_kernel,
 )
 from edapt.data import concat_features, encode_labels
-from edapt.preclassify import BUILTINS, builtin_prelabels
+from edapt.features import map_features
+from edapt.preclassify import (
+    BUILTINS,
+    KERNELS,
+    average_prelabels,
+    builtin_prelabels,
+    preclassify_kernel,
+)
 
 from helpers import blob_bundle
 
@@ -37,23 +39,23 @@ def _two_point_bundle(unlabeled_at=0.5):
 
 
 def _kernel_value(kind, d2, sigma):
-    if kind == "rbf":
-        return math.exp(-d2 / (2.0 * sigma**2))
-    if kind == "laplacian_dist":
+    if kind == "laplacian":
         return math.exp(-math.sqrt(sigma) * d2)
     return 1.0 / (math.sqrt(sigma) * d2 + 1.0)
 
 
-@pytest.mark.parametrize("kind", ["rbf", "laplacian_dist", "inverse_dist"])
+@pytest.mark.parametrize("kind", KERNELS)
 def test_kernel_scores_hand_case(kind):
+    # ordered training pairs (self included) have squared distances
+    # 0, 4, 4, 0 -> mean 2 -> automatic bandwidth sigma = 1/2.
     # training gram [[1, k(4)], [k(4), 1]] + I, targets [[1,-1],[-1,1]]:
     # solving by hand gives scores s = (k(.25) - k(2.25)) (2 + k(4)) / det
     # for class 0 and -s for class 1, det = 4 - k(4)^2
     bundle = _two_point_bundle()
-    scores = preclassify_kernel(bundle, KernelSpec(kind, sigma=1.0), ridge=1.0)
-    k4 = _kernel_value(kind, 4.0, 1.0)
+    scores = preclassify_kernel(bundle, kind, ridge=1.0)
+    k4 = _kernel_value(kind, 4.0, 0.5)
     det = 4.0 - k4 * k4
-    s = (_kernel_value(kind, 0.25, 1.0) - _kernel_value(kind, 2.25, 1.0)) \
+    s = (_kernel_value(kind, 0.25, 0.5) - _kernel_value(kind, 2.25, 0.5)) \
         * (2.0 + k4) / det
     assert scores.shape == (1, 2)
     assert scores[0, 0] == pytest.approx(s, rel=1e-12)
@@ -62,12 +64,23 @@ def test_kernel_scores_hand_case(kind):
 
 
 def test_auto_bandwidth_matches_mean_squared_distance():
-    # ordered training pairs (self included) have squared distances
-    # 0, 4, 4, 0 -> mean 2 -> sigma = 1/2
-    bundle = _two_point_bundle()
-    auto = preclassify_kernel(bundle, KernelSpec("rbf", sigma=None), ridge=1.0)
-    fixed = preclassify_kernel(bundle, KernelSpec("rbf", sigma=0.5), ridge=1.0)
-    assert np.array_equal(auto, fixed)
+    # training points 0, 1 (class 0) and 3 (class 1): the nine ordered
+    # pairs (self included) have squared distances summing to
+    # 2 (1 + 9 + 4) = 28, so sigma = 9/28; the unlabeled point 2 lies at
+    # squared distances 4, 1, 1 from them
+    bundle = DomainBundle(
+        Dataset(np.array([[0.0, 1.0]]), [0, 0]),
+        Dataset(np.array([[3.0]]), [1]),
+        Dataset(np.array([[2.0]])),
+        2,
+    )
+    d2 = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 4.0], [9.0, 4.0, 0.0]])
+    t = np.array([[1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+    for kind in KERNELS:
+        k = np.vectorize(lambda d: _kernel_value(kind, d, 9.0 / 28.0))
+        want = k(np.array([[4.0, 1.0, 1.0]])) @ np.linalg.solve(k(d2) + np.eye(3), t)
+        got = preclassify_kernel(bundle, kind, ridge=1.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), kind
 
 
 def test_auto_bandwidth_rejects_coincident_training_points():
@@ -78,22 +91,21 @@ def test_auto_bandwidth_rejects_coincident_training_points():
         2,
     )
     with pytest.raises(ParameterError):
-        preclassify_kernel(bundle, KernelSpec("rbf", sigma=None))
+        preclassify_kernel(bundle)
 
 
 def test_huge_ridge_flattens_scores():
     bundle = _two_point_bundle()
-    scores = preclassify_kernel(bundle, KernelSpec("rbf", 1.0), ridge=1e12)
+    scores = preclassify_kernel(bundle, ridge=1e12)
     assert np.max(np.abs(scores)) < 1e-9
 
 
 def test_kernel_spec_validation():
+    for kind in ("quadratic", "rbf", "laplacian_dist"):
+        with pytest.raises(ParameterError, match="unknown kernel"):
+            preclassify_kernel(_two_point_bundle(), kind)
     with pytest.raises(ParameterError):
-        KernelSpec("quadratic")
-    with pytest.raises(ParameterError):
-        KernelSpec("rbf", sigma=0.0)
-    with pytest.raises(ParameterError):
-        preclassify_kernel(_two_point_bundle(), KernelSpec(), ridge=0.0)
+        preclassify_kernel(_two_point_bundle(), ridge=0.0)
 
 
 def test_elm_prelabels_match_manual_pipeline():
@@ -112,8 +124,8 @@ def test_all_preclassifiers_are_interchangeable():
     bundle = blob_bundle(seed=2)
     hm = new_hidden_map(10, 2, seed=4)
     outs = [preclassify_elm(bundle, hm)]
-    for kind in ("laplacian_dist", "inverse_dist", "rbf"):
-        outs.append(preclassify_kernel(bundle, KernelSpec(kind)))
+    for kind in KERNELS:
+        outs.append(preclassify_kernel(bundle, kind))
     for scores in outs:
         assert scores.shape == (bundle.n_unlabeled, bundle.n_classes)
         assert np.isfinite(scores).all()
@@ -123,7 +135,7 @@ def test_empty_unlabeled_split_gives_empty_scores():
     bundle = blob_bundle(seed=3, per_unlabeled=0)
     hm = new_hidden_map(10, 2, seed=5)
     assert preclassify_elm(bundle, hm).shape == (0, 3)
-    assert preclassify_kernel(bundle, KernelSpec("rbf", 1.0)).shape == (0, 3)
+    assert preclassify_kernel(bundle).shape == (0, 3)
 
 
 def test_average_prelabels():
@@ -135,18 +147,11 @@ def test_average_prelabels():
         average_prelabels([])
 
 
-def test_load_prelabels(tmp_path):
-    p = tmp_path / "phi.csv"
-    p.write_text("0.5,-0.5\n0.25,0.75\n")
-    assert np.array_equal(load_prelabels(str(p)),
-                          [[0.5, -0.5], [0.25, 0.75]])
-
-
 def test_builtin_names_map_to_their_producers():
     bundle = blob_bundle(seed=2)
     hm = new_hidden_map(10, 2, seed=4)
-    lap = preclassify_kernel(bundle, KernelSpec("laplacian_dist"), 2.0)
-    inv = preclassify_kernel(bundle, KernelSpec("inverse_dist"), 2.0)
+    lap = preclassify_kernel(bundle, "laplacian", 2.0)
+    inv = preclassify_kernel(bundle, "inverse", 2.0)
     want = {"elm": preclassify_elm(bundle, hm, 2.0), "laplacian": lap,
             "inverse": inv, "average": average_prelabels([lap, inv])}
     assert tuple(want) == BUILTINS
