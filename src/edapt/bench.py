@@ -138,6 +138,24 @@ class BenchConfig:
             raise ParameterError(f"grid values must be distinct; repeated {repeated}")
         if self.views < 1:
             raise ParameterError(f"views must be >= 1, got {self.views}")
+        # the synthetic scenario is built per seed inside run_benchmark;
+        # checking its geometry here lets load_config name the file and key
+        if self.means is not None:
+            widths = [len(row) for row in self.means]
+            if len(widths) < 2 or min(widths) < 1 or len(set(widths)) != 1:
+                raise ParameterError(
+                    "means must be two or more rows of equal, non-zero length, "
+                    f"got row lengths {widths}")
+            if not np.isfinite(self.means).all():
+                raise ParameterError("means must be finite")
+        dim = default_class_means().shape[1] if self.means is None else len(self.means[0])
+        if len(self.translation) != dim or not np.isfinite(self.translation).all():
+            raise ParameterError(
+                f"translation must be {dim} finite values (one per means column), "
+                f"got {self.translation}")
+        if not (np.isfinite(self.cov_scale) and self.cov_scale > 0.0):
+            raise ParameterError(
+                f"cov_scale must be positive and finite, got {self.cov_scale!r}")
 
 
 def default_config(**overrides) -> BenchConfig:

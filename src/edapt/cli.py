@@ -250,6 +250,12 @@ def _cmd_predict(args) -> int:
         raise ParameterError("single-view models take exactly one feature CSV")
     datasets = [load_csv(p) for p in args.features]
     datasets = _apply_standardizers(args.model, multiview, datasets)
+    maps = model.hidden_maps if multiview else [model.hidden_map]
+    for v, (path, hidden_map, ds) in enumerate(zip(args.features, maps, datasets)):
+        if ds.dim != hidden_map.n_features:
+            view = f" (view {v})" if multiview else ""
+            raise ShapeError(f"{path}{view}: the input has {ds.dim} features, "
+                             f"the model's hidden map takes {hidden_map.n_features}")
     if multiview:
         labels, scores, _ = predict_mveda(model, datasets)
     elif isinstance(model, EdaModel):

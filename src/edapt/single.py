@@ -44,7 +44,7 @@ from .data import Dataset, DomainBundle, decode_labels, encode_labels
 from .errors import ParameterError, ShapeError
 from .features import ACTIVATIONS, HiddenMap, map_features, new_hidden_map
 from .graph import LaplacianGraph, build_knn_graph, quadratic_energy
-from .linalg import solve_spd
+from .linalg import _blas_threads_for, solve_spd
 
 __all__ = [
     "EdaModel",
@@ -351,7 +351,8 @@ def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
     w_t = (smooth_scale * params.manifold_weight) * prob.graph.sparse_laplacian.toarray()
     w_t[np.diag_indices(nt)] += loss_scale * np.repeat(
         [params.c_target, params.fidelity_weight], [nl, nt - nl])
-    s[ns:, ns:] += cho_solve(cho_factor(w_t, lower=True), np.eye(nt))
+    with _blas_threads_for(nt):
+        s[ns:, ns:] += cho_solve(cho_factor(w_t, lower=True), np.eye(nt))
     rhs = loss_scale * (hs.T @ (params.c_source * prob.t_source) + ht.T @ np.vstack(
         [params.c_target * (prob.t_labeled @ theta),
          params.fidelity_weight * prob.prelabels]))

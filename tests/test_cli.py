@@ -272,6 +272,38 @@ def test_predict_rejects_a_standardizer_of_the_wrong_length(tmp_path, cfg_path,
     assert "has 4 features, the input has 5" in err
 
 
+def test_predict_names_a_csv_of_the_wrong_width(tmp_path, cfg_path, capsys):
+    # with no standardizer beside the model, the hidden map's width is the check
+    data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    run = tmp_path / "run"
+    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    os.remove(run / "standardizer.txt")
+    wide = _one_feature_too_many(f"{data}/target_test_features.csv",
+                                 tmp_path / "wide.csv")
+    rc = main(["predict", str(run / "model.json"), wide,
+               "--out-dir", str(tmp_path / "pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{wide}: the input has 3 features, the model's hidden map takes 2" in err
+
+    mv_data, (mv_manifest, _) = _synth(tmp_path / "mv", cfg_path, capsys, "--views", "2")
+    mv_run = tmp_path / "mv_run"
+    assert main(["fit", mv_manifest, "--config", cfg_path,
+                 "--out-dir", str(mv_run)]) == 0
+    capsys.readouterr()
+    os.remove(mv_run / "standardizer_view1.txt")
+    wide = _one_feature_too_many(f"{mv_data}/view1_target_test_features.csv",
+                                 tmp_path / "wide_view1.csv")
+    rc = main(["predict", str(mv_run / "model"),
+               f"{mv_data}/view0_target_test_features.csv", wide,
+               "--out-dir", str(tmp_path / "mv_pred")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert (f"{wide} (view 1): the input has 5 features, "
+            "the model's hidden map takes 4") in err
+
+
 def test_predict_rejects_a_model_whose_shapes_disagree(tmp_path, cfg_path, capsys):
     mv_data, (mv_manifest, _) = _synth(tmp_path / "mv", cfg_path, capsys, "--views", "2")
     mv_run = tmp_path / "mv_run"
@@ -408,3 +440,17 @@ def test_config_rejects_a_repeated_key(tmp_path, capsys):
     cfg.write_text("seeds = 0\nmethods = elm_s\nseeds = 1\n")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert f"{cfg}:3: key 'seeds' given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, want", [
+    ("means = 1,2;3", "means must be two or more rows of equal, non-zero length, "
+                      "got row lengths [2, 1]"),
+    ("translation = 1,2,3", "translation must be 2 finite values"),
+    ("cov_scale = 0", "cov_scale must be positive and finite, got 0.0"),
+])
+def test_config_geometry_errors_name_the_file_and_key(tmp_path, capsys, line, want):
+    # they used to pass load_config and fail inside run_benchmark unnamed
+    cfg = tmp_path / "geometry.cfg"
+    cfg.write_text(f"seeds = 0\nmethods = elm_s\n{line}\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"{cfg}: {want}" in capsys.readouterr().err

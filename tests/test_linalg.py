@@ -1,10 +1,16 @@
-"""solve_spd against dense references and its failure modes."""
+"""solve_spd against dense references, its failure modes, and the BLAS
+thread context small solves run in."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from edapt import NumericError
+from edapt import NumericError, augment_noise_view, fit_eda, fit_mveda
+from edapt import linalg
 from edapt.linalg import solve_spd
+
+from helpers import blob_bundle, random_prelabels, small_params
 
 
 def test_matches_dense_solver():
@@ -79,3 +85,121 @@ def test_refinement_tightens_ill_scaled_system():
     x = solve_spd(a, b)
     scale = np.linalg.norm(a) * np.linalg.norm(x)
     assert np.linalg.norm(a @ x - b) < 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread context
+# ---------------------------------------------------------------------------
+
+
+def _spd(n, seed=0):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    return m @ m.T + n * np.eye(n), rng.standard_normal((n, 2))
+
+
+@pytest.fixture
+def two_threads():
+    """Every found OpenBLAS set to two threads, so a pin is visible."""
+    controls = linalg._blas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    inherited = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, inherited):
+        set_(count)
+
+
+def _counts(controls):
+    return [get() for get, _ in controls]
+
+
+def test_small_solve_runs_on_one_thread_and_restores(two_threads):
+    a, b = _spd(8)
+    seen = []
+
+    def residual(x):
+        seen.append(_counts(two_threads))
+        return b - a @ x
+
+    solve_spd(a, b, residual_fn=residual)
+    assert seen and all(c == [1] * len(two_threads) for c in seen)
+    assert _counts(two_threads) == [2] * len(two_threads)
+
+
+def test_count_restored_when_the_solve_raises(two_threads, monkeypatch):
+    seen = []
+    original = linalg.cho_factor
+
+    def factor(*args, **kwargs):
+        seen.append(_counts(two_threads))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cho_factor", factor)
+    with pytest.raises(NumericError):
+        solve_spd(-np.eye(3), np.ones(3), jitter=1e-10)
+    # the factorization and its jitter retry both ran pinned
+    assert seen == [[1] * len(two_threads)] * 2
+    assert _counts(two_threads) == [2] * len(two_threads)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_solves_at_or_above_the_crossover_leave_the_count_alone(n, monkeypatch):
+    calls = []
+    controls = [(lambda: 2, calls.append)]
+    monkeypatch.setattr(linalg, "_controls", controls)
+    monkeypatch.setattr(linalg, "_PIN_BELOW", 8)
+    solve_spd(*_spd(n))
+    assert calls == []
+    solve_spd(*_spd(7))  # below: pinned, then restored
+    assert calls == [1, 2]
+
+
+def test_missing_thread_control_warns_once_and_solves_the_same(monkeypatch):
+    a, b = _spd(8)
+    want = solve_spd(a, b)
+    monkeypatch.setattr(linalg, "_find_controls", lambda: [])
+    monkeypatch.setattr(linalg, "_controls", None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = [solve_spd(a, b) for _ in range(3)]
+    assert all(np.array_equal(g, want) for g in got)
+    assert [w.category for w in caught] == [UserWarning]
+    assert "thread control" in str(caught[0].message)
+
+
+def _rel(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_fits_match_with_the_context_disabled(two_threads, monkeypatch):
+    primal = blob_bundle(1, per_source=20, per_unlabeled=20)  # 126 rows, L=40
+    sample = blob_bundle(2)  # 27 rows, L=60 and L=30: sample space
+    views = [sample, augment_noise_view(sample, 2, seed=5)]
+
+    def run():
+        return {
+            "primal": fit_eda(primal, random_prelabels(primal, 1),
+                              small_params(n_hidden=40)),
+            "sample": fit_eda(sample, random_prelabels(sample, 2),
+                              small_params(n_hidden=60)),
+            "mveda": fit_mveda(views, [random_prelabels(sample, 2)] * 2,
+                               small_params(n_hidden=30)),
+        }
+
+    pinned = run()
+    monkeypatch.setattr(linalg, "_PIN_BELOW", 0)  # the context off
+    plain = run()
+    for name in ("primal", "sample"):
+        got, want = pinned[name], plain[name]
+        assert _rel(got.beta, want.beta) <= 1e-10, name
+        assert _rel(got.theta, want.theta) <= 1e-10, name
+        assert _rel(got.objective_history, want.objective_history) <= 1e-10, name
+    got, want = pinned["mveda"], plain["mveda"]
+    for v in range(2):
+        assert _rel(got.betas[v], want.betas[v]) <= 1e-10
+        assert _rel(got.thetas[v], want.thetas[v]) <= 1e-10
+    assert _rel(got.objective_history, want.objective_history) <= 1e-10
