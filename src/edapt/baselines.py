@@ -105,4 +105,4 @@ class ElmModel:
 
 def predict_scores(model: ElmModel, data: Dataset) -> np.ndarray:
     """Per-class scores ``map(X) @ beta`` (argmax rows for hard labels)."""
-    return map_features(model.hidden_map, data) @ model.beta
+    return map_features(model.hidden_map, data, model.beta)

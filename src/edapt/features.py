@@ -4,6 +4,14 @@ The classifiers in this package never train their hidden layer.  A
 :class:`HiddenMap` draws its input weights and biases i.i.d. uniform on
 ``[0, 1]`` once (weights first, then biases, from one PCG64 stream) and
 is then immutable; learning happens entirely in the output weights.
+
+:func:`map_features` is one blocked kernel.  The activations are laid out
+hidden-unit-major (an F-ordered ``n x L`` matrix) and the bias add and
+the activation run in place, one block of about ``_BLOCK`` entries (a
+few rows) at a time, while the block is still in cache.  Given output
+weights it returns the scores ``act(W x + b) @ weights`` block by block
+from one reused buffer and never forms the ``n x L`` matrix, so scoring
+needs O(block * L + n * c) memory rather than O(n * L).
 """
 
 from __future__ import annotations
@@ -18,17 +26,25 @@ from .errors import ParameterError, ParseError, ShapeError
 ACTIVATIONS = ("radbas", "sigmoid")
 
 
+# activations per block (1 MiB of float64, inside a 2 MiB per-core L2)
+_BLOCK = 1 << 17
+
+
+# the activations overwrite their argument and return it
 def _radbas(z: np.ndarray) -> np.ndarray:
-    return np.exp(-np.square(z))
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    return np.exp(z, out=z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-z)); exp(-z) overflows to inf below z ~ -709.8, where
     # the logistic is 0 in double precision, so the overflow is silenced
+    np.negative(z, out=z)
     with np.errstate(over="ignore"):
-        out = np.exp(-z)
-    out += 1.0
-    return np.reciprocal(out, out=out)
+        np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 _ACT_FNS = {"radbas": _radbas, "sigmoid": _sigmoid}
@@ -102,18 +118,50 @@ def derive_view_seed(seed: int, view: int) -> int:
     return int(np.random.SeedSequence([seed, view]).generate_state(1)[0])
 
 
-def map_features(hidden_map: HiddenMap, data: Dataset) -> np.ndarray:
-    """Apply the hidden layer to a dataset.
+def map_features(hidden_map: HiddenMap, data: Dataset,
+                 weights: np.ndarray | None = None) -> np.ndarray:
+    """Apply the hidden layer to a dataset, optionally projecting it.
 
-    Returns the ``n x n_hidden`` activation matrix whose row ``i`` is
-    ``act(W @ x_i + b)``.  Feature dimension must match the map.
+    Without ``weights``, returns the ``n x n_hidden`` activation matrix
+    whose row ``i`` is ``act(W @ x_i + b)``, F-ordered (hidden-unit-major).
+    With ``weights`` (``n_hidden x c``), returns the ``n x c`` scores
+    ``act(W @ x_i + b) @ weights``, computed in row blocks of about
+    ``_BLOCK`` activations without forming the activation matrix.  The
+    matrix equals the unblocked ``act((W @ X).T + b)`` bit for bit; the
+    scores equal its product with ``weights`` bit for bit when the
+    dataset fits in one block and up to rounding otherwise.  Feature
+    dimension must match the map.
     """
     if data.dim != hidden_map.n_features:
         raise ShapeError(
             f"map expects {hidden_map.n_features} features, data has {data.dim}"
         )
-    z = (hidden_map.weights @ data.features).T + hidden_map.biases
-    return _ACT_FNS[hidden_map.activation](z)
+    w, b, x = hidden_map.weights, hidden_map.biases[:, None], data.features
+    act = _ACT_FNS[hidden_map.activation]
+    n_hidden, n = w.shape[0], data.n
+    rows = max(1, _BLOCK // n_hidden)
+    if weights is None:
+        # one product over all rows: a product per row block may round
+        # differently in the last bits, and the matrix must not
+        zt = w @ x
+        for i in range(0, n, rows):
+            z = zt[:, i:i + rows]
+            z += b
+            act(z)
+        return zt.T
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[0] != n_hidden:
+        raise ShapeError(f"weights must have shape ({n_hidden}, c) for a map of "
+                         f"shape {w.shape}, got {weights.shape}")
+    scores = np.empty((n, weights.shape[1]))
+    buf = np.empty((n_hidden, min(rows, n)))
+    for i in range(0, n, rows):
+        xb = x[:, i:i + rows]
+        z = buf[:, :xb.shape[1]]
+        np.matmul(w, xb, out=z)
+        z += b
+        np.matmul(act(z).T, weights, out=scores[i:i + rows])
+    return scores
 
 
 @dataclass(frozen=True, eq=False)

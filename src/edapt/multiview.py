@@ -229,12 +229,12 @@ def predict_mveda(
     """
     if len(datasets) != model.n_views:
         raise ShapeError(f"{len(datasets)} datasets for {model.n_views} views")
-    per_view = [
-        map_features(hm, ds) @ beta
-        for hm, ds, beta in zip(model.hidden_maps, datasets, model.betas)
-    ]
-    ns = {s.shape[0] for s in per_view}
+    ns = {ds.n for ds in datasets}
     if len(ns) != 1:
         raise ShapeError(f"views disagree on sample count: {sorted(ns)}")
+    per_view = [
+        map_features(hm, ds, beta)
+        for hm, ds, beta in zip(model.hidden_maps, datasets, model.betas)
+    ]
     fused = sum(a * s for a, s in zip(model.alpha, per_view))
     return decode_labels(fused), fused, per_view

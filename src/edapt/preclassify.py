@@ -65,11 +65,10 @@ def preclassify_elm(bundle: DomainBundle, hidden_map: HiddenMap,
     in the given map's hidden space and evaluates the unlabeled split.
     """
     x, t = _training_block(bundle)
-    h_train = map_features(hidden_map, Dataset(x))
-    beta = fit_elm(h_train, t, ridge)
     if bundle.target_unlabeled is None:
         return np.zeros((0, bundle.n_classes))
-    return map_features(hidden_map, bundle.target_unlabeled) @ beta
+    beta = fit_elm(map_features(hidden_map, Dataset(x)), t, ridge)
+    return map_features(hidden_map, bundle.target_unlabeled, beta)
 
 
 def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",

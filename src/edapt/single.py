@@ -619,13 +619,21 @@ def predict_eda(
 
     Scores are ``map(X) @ beta``.  With ``detransform=True`` the learned
     class drift is undone (``scores @ theta^{-1}``, falling back to the
-    pseudo-inverse when theta is near singular); default is off, since
-    the drift matrix stays near the identity in practice.
+    pseudo-inverse with a ``UserWarning`` when theta is near singular);
+    default is off, since the drift matrix stays near the identity in
+    practice.
     """
-    scores = map_features(model.hidden_map, data) @ model.beta
+    scores = map_features(model.hidden_map, data, model.beta)
     if detransform:
         theta = model.theta
-        if np.linalg.cond(theta) > 1e12:
+        cond = np.linalg.cond(theta)
+        if cond > 1e12:
+            warnings.warn(
+                f"theta is near singular (condition number {cond:.3g}); "
+                "undoing the class drift with its pseudo-inverse",
+                UserWarning,
+                stacklevel=2,
+            )
             scores = scores @ np.linalg.pinv(theta)
         else:
             scores = np.linalg.solve(theta.T, scores.T).T

@@ -5,7 +5,8 @@ import numpy as np
 from edapt import Dataset, DomainBundle, EdaParams, build_problem
 
 __all__ = ["beta_gradient_reference", "blob_bundle", "dense_knn_reference",
-           "small_params", "small_problem", "random_prelabels"]
+           "hidden_layer_reference", "small_params", "small_problem",
+           "random_prelabels"]
 
 
 def blob_bundle(seed=0, d=2, c=3, per_source=4, per_labeled=2, per_unlabeled=3,
@@ -117,3 +118,14 @@ def beta_gradient_reference(beta, u, theta, prob, params, loss_scale=1.0,
         prob.h_target.T @ (prob.graph.sparse_laplacian @ (prob.h_target @ beta))
     )
     return 2.0 * g
+
+
+def hidden_layer_reference(hidden_map, x):
+    """The unblocked hidden layer ``act((W @ X).T + b)``, one full-size
+    temporary per step: the formula ``map_features`` used before it ran
+    in row blocks, kept as its reference."""
+    z = (hidden_map.weights @ x).T + hidden_map.biases
+    if hidden_map.activation == "radbas":
+        return np.exp(-np.square(z))
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the logistic 0
+        return 1.0 / (1.0 + np.exp(-z))

@@ -4,22 +4,33 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edapt import (
     Dataset,
+    EdaModel,
+    EdaParams,
+    ElmModel,
     HiddenMap,
+    MvEdaModel,
     ParameterError,
     ParseError,
     ShapeError,
     derive_view_seed,
     new_hidden_map,
+    predict_eda,
+    predict_mveda,
     standardize_bundle,
 )
+from edapt.baselines import predict_scores
 from edapt.features import (
+    ACTIVATIONS,
+    _BLOCK,
     Standardizer,
     fit_standardizer,
     load_standardizer,
@@ -27,7 +38,7 @@ from edapt.features import (
     save_standardizer,
 )
 
-from helpers import blob_bundle
+from helpers import blob_bundle, hidden_layer_reference
 
 
 def test_radbas_hand_case():
@@ -165,13 +176,85 @@ def test_sigmoid_matches_expit_without_warnings():
     z = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
                         [-745.2, -709.8, -709.7, -0.0, 36.0, 37.5]])
     hm = HiddenMap(np.ones((1, 1)), np.zeros(1), "sigmoid", 0)
+    data = Dataset(z[None, :])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = map_features(hm, Dataset(z[None, :]))[:, 0]
+        got = map_features(hm, data)[:, 0]
+        projected = map_features(hm, data, np.ones((1, 1)))[:, 0]
     want = expit(z)
     assert np.array_equal(got == 0.0, want == 0.0)
     nz = want != 0.0
     assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 1e-15
+    assert np.array_equal(projected, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_blocked_kernel_matches_the_unblocked_reference(data):
+    activation = data.draw(st.sampled_from(ACTIVATIONS))
+    d = data.draw(st.integers(1, 12))
+    # wide maps hold one row per block
+    n_hidden = data.draw(st.one_of(st.integers(1, 400), st.just(_BLOCK + 1)))
+    rows = max(1, _BLOCK // n_hidden)
+    # below, at and just above one block, and a few blocks with a ragged end
+    n = data.draw(st.one_of(st.integers(1, 40),
+                            st.sampled_from([max(1, rows - 1), rows, rows + 1,
+                                             2 * rows + 1, 3 * rows + 2])))
+    c = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    hm = new_hidden_map(n_hidden, d, activation, seed)
+    x = 2.0 * rng.standard_normal((d, n))
+    weights = rng.standard_normal((n_hidden, c))
+    want = hidden_layer_reference(hm, x)
+
+    got = map_features(hm, Dataset(x))
+    assert np.array_equal(got, want)
+    assert got.flags.f_contiguous
+
+    scores = map_features(hm, Dataset(x), weights)
+    assert scores.shape == (n, c)
+    if n <= rows:
+        assert np.array_equal(scores, want @ weights)
+    else:
+        # up to rounding: bounded by the summed magnitudes of each score
+        bound = np.abs(want) @ np.abs(weights)
+        assert np.all(np.abs(scores - want @ weights) <= 1e-12 * bound)
+
+
+def test_projection_weights_of_the_wrong_shape():
+    hm = new_hidden_map(5, 3, seed=0)
+    data = Dataset(np.ones((3, 4)))
+    for weights in (np.ones((4, 2)), np.ones(5), np.ones((6, 2))):
+        with pytest.raises(ShapeError) as err:
+            map_features(hm, data, weights)
+        assert "(5, 3)" in str(err.value)
+        assert str(weights.shape) in str(err.value)
+
+
+def test_scoring_streams_without_the_activation_matrix():
+    # 4000 rows at L = 1000: the activation matrix alone is 32 MB
+    n, n_hidden, c = 4000, 1000, 3
+    rng = np.random.default_rng(0)
+    maps = [new_hidden_map(n_hidden, 2, seed=s) for s in (0, 1)]
+    betas = [rng.standard_normal((n_hidden, c)) for _ in maps]
+    data = Dataset(rng.standard_normal((2, n)))
+    eye, ones = np.eye(c), np.ones(n_hidden)
+    params = EdaParams(n_hidden=n_hidden)
+    eda = EdaModel(maps[0], betas[0], eye, ones, [1.0], params)
+    mveda = MvEdaModel(maps, betas, [eye, eye], [ones, ones], [0.5, 0.5],
+                       [[0.5, 0.5]], [1.0], params)
+    elm = ElmModel(maps[0], betas[0], 1.0)
+    for score in (lambda: predict_eda(eda, data),
+                  lambda: predict_mveda(mveda, [data, data]),
+                  lambda: predict_scores(elm, data)):
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_hidden * 8 // 4
 
 
 def test_import_loads_neither_scipy_special_nor_spatial():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edapt import (
+    Dataset,
     MvEdaModel,
     ParameterError,
     ShapeError,
@@ -245,6 +246,22 @@ def test_predict_mveda_fuses_with_the_learned_weights():
     assert np.array_equal(labels, np.argmax(fused, axis=1))
     with pytest.raises(ShapeError):
         predict_mveda(model, tests[:1])
+
+
+def test_predict_mveda_checks_sample_counts_before_mapping(monkeypatch):
+    bundles, maps, pres = _two_view_setup(seed=13)
+    model = fit_mveda(bundles, pres, small_params(), maps)
+    tests = [b.target_test for b in bundles]
+    short = Dataset(tests[1].features[:, :-1])
+
+    def no_mapping(*args, **kwargs):
+        raise AssertionError("mapped a view before checking the sample counts")
+
+    monkeypatch.setattr("edapt.multiview.map_features", no_mapping)
+    n = tests[0].n
+    counts = rf"views disagree on sample count: \[{n - 1}, {n}\]"
+    with pytest.raises(ShapeError, match=counts):
+        predict_mveda(model, [tests[0], short])
 
 
 def test_model_validation():

@@ -138,6 +138,15 @@ def test_empty_unlabeled_split_gives_empty_scores():
     assert preclassify_kernel(bundle).shape == (0, 3)
 
 
+def test_elm_fits_nothing_without_an_unlabeled_split(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted a ridge with nothing to score")
+
+    monkeypatch.setattr("edapt.preclassify.fit_elm", no_fit)
+    bundle = blob_bundle(seed=3, per_unlabeled=0)
+    assert preclassify_elm(bundle, new_hidden_map(10, 2, seed=5)).shape == (0, 3)
+
+
 def test_average_prelabels():
     mean = average_prelabels([np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])])
     assert np.array_equal(mean, [[2.0, 3.0]])

@@ -365,6 +365,20 @@ def test_detransform_identity_theta_is_noop():
     assert np.allclose(plain, undone, rtol=0, atol=1e-14)
 
 
+def test_detransform_near_singular_theta_warns_and_uses_the_pseudo_inverse():
+    hm = new_hidden_map(5, 2, seed=0)
+    beta = np.random.default_rng(0).standard_normal((5, 2))
+    theta = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    model = EdaModel(hm, beta, theta, np.ones(5), [1.0], EdaParams(n_hidden=5))
+    from edapt import Dataset
+    data = Dataset(np.random.default_rng(1).standard_normal((2, 4)))
+    _, plain = predict_eda(model, data)
+    with pytest.warns(UserWarning, match="near singular") as record:
+        _, undone = predict_eda(model, data, detransform=True)
+    assert [w.category for w in record] == [UserWarning]
+    assert np.array_equal(undone, plain @ np.linalg.pinv(theta))
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         EdaParams(c_source=-1.0)
