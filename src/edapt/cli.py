@@ -36,6 +36,7 @@ from .data import (
     Dataset,
     augment_noise_view,
     decode_labels,
+    default_class_means,
     generate_shift,
     load_bundle,
     load_csv,
@@ -70,8 +71,28 @@ def _config(args):
     return load_config(args.config) if args.config else default_config()
 
 
+# the methods that build no k-NN graph; ``sselm`` builds its graph on
+# every training row, the adaptation methods on the target rows
+_NO_GRAPH = ("elm_s", "elm_t", "elm_st")
+
+
+def _check_neighbors(k: int, rows: int, config_path: str, data: str) -> None:
+    """Name the config and the data when the k-NN graph has too few rows."""
+    if k >= rows:
+        raise ParameterError(f"{config_path}: key 'n_neighbors': {k} needs at least "
+                             f"{k + 1} samples for the k-NN graph, {data} has {rows}")
+
+
 def _bench_config(args):
     config = _config(args)
+    graph = {m for m in config.methods if m not in _NO_GRAPH}
+    if args.config and config.data == "synth" and graph:
+        classes = len(config.means or default_class_means())
+        rows = config.m * classes + config.n_unlabeled
+        if graph == {"sselm"}:
+            rows += config.n_source
+        _check_neighbors(config.params.n_neighbors, rows, args.config,
+                         "the synthetic scenario")
     if getattr(args, "seed", None) is not None:
         config = replace(config, seeds=(args.seed,))
     return config
@@ -175,6 +196,8 @@ def _cmd_fit(args) -> int:
         def predict(model, unlabeled):
             return predict_eda(model, unlabeled[0], detransform=args.detransform)
 
+    _check_neighbors(params.n_neighbors, bundles[0].target_all().n,
+                     args.config or "the default config", args.manifest)
     specs = [tok.strip() for tok in args.prelabels.split(",") if tok.strip()]
     if len(specs) == 1:
         specs = specs * len(bundles)

@@ -30,17 +30,21 @@ ACTIVATIONS = ("radbas", "sigmoid")
 _BLOCK = 1 << 17
 
 
-# the activations overwrite their argument and return it
+# The activations overwrite their argument and return it.  They flip the
+# sign with multiply(z, -1.0), which is exact: numpy 2.4.6's in-place
+# negative(z, out=z) on AVX-512 reads the wrong elements when z is a view
+# with a stride of 8 elements (a one-row block of 8 samples), writing
+# -s[0], -s[1], ... where -s[0], -s[8], ... belong.
 def _radbas(z: np.ndarray) -> np.ndarray:
     np.square(z, out=z)
-    np.negative(z, out=z)
+    np.multiply(z, -1.0, out=z)
     return np.exp(z, out=z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-z)); exp(-z) overflows to inf below z ~ -709.8, where
     # the logistic is 0 in double precision, so the overflow is silenced
-    np.negative(z, out=z)
+    np.multiply(z, -1.0, out=z)
     with np.errstate(over="ignore"):
         np.exp(z, out=z)
     z += 1.0

@@ -10,13 +10,13 @@ caller-supplied correction map goes through; both run the same
 refinement loop.  System matrices are never inverted explicitly.
 
 BLAS threads.  A solve whose factored matrix has order below
-``_PIN_BELOW`` runs single-threaded: for the small factorizations that
-make up most of a fit, waking a second OpenBLAS thread costs more than
-it saves.  :func:`_blas_threads_for` sets the thread count of every
+``_PIN_BELOW`` runs single-threaded: in the solves of a fit, waking a
+second OpenBLAS thread costs more than it saves at every order measured
+below 3000.  :func:`_blas_threads_for` sets the thread count of every
 OpenBLAS library numpy and scipy have loaded through its own
 set-num-threads symbol (``ctypes``), and restores the inherited count
 on exit.  Larger solves, and every product outside a solve, keep the
-inherited count.  The symbols are looked up on the first small solve;
+inherited count.  The symbols are looked up on the first pinned solve;
 if none is found, solves keep the inherited count and a ``UserWarning``
 says so once per process.  The setting is process-global, so solves
 running in several Python threads at once may see each other's count;
@@ -35,9 +35,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericError
 
-# Order of the factored matrix below which a solve runs on one BLAS
-# thread; chosen from an in-situ sweep of n (README, "BLAS threads").
-_PIN_BELOW = 1000
+# Order of the factored matrix below which a solve runs on one BLAS thread:
+# two threads first won in situ at 3000 (README, "BLAS threads").
+_PIN_BELOW = 3000
 
 # (get, set) num-threads symbol names, in lookup order: numpy's 64-bit
 # build, scipy's build, then plain OpenBLAS
@@ -101,7 +101,7 @@ def _blas_controls() -> list:
         if not _controls:
             warnings.warn(
                 "no OpenBLAS thread control found in the loaded libraries; "
-                "small SPD solves run with the inherited BLAS thread count",
+                "SPD solves run with the inherited BLAS thread count",
                 UserWarning,
             )
     return _controls

@@ -87,6 +87,8 @@ def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",
     if ridge <= 0.0:
         raise ParameterError(f"ridge must be positive, got {ridge}")
     x, t = _training_block(bundle)
+    if bundle.target_unlabeled is None:
+        return np.zeros((0, bundle.n_classes))
     d_train = _sq_dists(x, x)
     mean_sq = float(d_train.mean())
     if mean_sq <= 0.0:
@@ -94,8 +96,6 @@ def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",
     sigma = 1.0 / mean_sq
     k_train = _kernel(kind, d_train, sigma)
     alpha = solve_spd(k_train + ridge * np.eye(x.shape[1]), t, jitter=1e-8)
-    if bundle.target_unlabeled is None:
-        return np.zeros((0, bundle.n_classes))
     d_cross = _sq_dists(bundle.target_unlabeled.features, x)
     return _kernel(kind, d_cross, sigma) @ alpha
 

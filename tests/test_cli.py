@@ -454,3 +454,34 @@ def test_config_geometry_errors_name_the_file_and_key(tmp_path, capsys, line, wa
     cfg.write_text(f"seeds = 0\nmethods = elm_s\n{line}\n")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert f"{cfg}: {want}" in capsys.readouterr().err
+
+
+def test_bench_names_the_config_when_n_neighbors_exceeds_the_target_rows(
+        tmp_path, cfg_path, capsys):
+    # it used to fail inside the graph build, naming neither file nor key
+    with open(cfg_path, "a") as fh:
+        fh.write("n_neighbors = 18\n")  # 2 per class x 3 + 12 unlabeled rows
+    assert main(["bench", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    assert (f"{cfg_path}: key 'n_neighbors': 18 needs at least 19 samples for the "
+            "k-NN graph, the synthetic scenario has 18") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", ["sselm", "elm_s"])
+def test_bench_checks_n_neighbors_against_the_graph_its_methods_build(
+        tmp_path, capsys, methods):
+    # sselm's graph also holds the 30 source rows; the ELM baselines build none
+    cfg = tmp_path / "graph.cfg"
+    cfg.write_text(TINY_CFG.replace("methods = elm_s,eda", f"methods = {methods}")
+                   + "n_neighbors = 18\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+
+
+def test_fit_names_the_config_and_manifest_when_n_neighbors_exceeds_the_target_rows(
+        tmp_path, cfg_path, capsys):
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    big = tmp_path / "big.cfg"
+    big.write_text(TINY_CFG.replace("n_unlabeled = 12", "n_unlabeled = 300")
+                   + "n_neighbors = 18\n")
+    err = _fit_error(manifest, str(big), tmp_path, capsys)
+    assert (f"{big}: key 'n_neighbors': 18 needs at least 19 samples for the "
+            f"k-NN graph, {manifest} has 18") in err

@@ -222,6 +222,24 @@ def test_blocked_kernel_matches_the_unblocked_reference(data):
         assert np.all(np.abs(scores - want @ weights) <= 1e-12 * bound)
 
 
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_one_row_blocks_at_a_stride_of_eight(activation, monkeypatch):
+    # a one-row block of 8 samples is a view with a stride of 8 elements,
+    # where numpy 2.4.6's in-place negative reads the wrong elements
+    hm = new_hidden_map(20, 2, activation, seed=4)
+    rng = np.random.default_rng(4)
+    monkeypatch.setattr("edapt.features._BLOCK", 10)  # matrix form: 1 row per block
+    x = rng.standard_normal((2, 8))
+    assert np.array_equal(map_features(hm, Dataset(x)),
+                          hidden_layer_reference(hm, x))
+    monkeypatch.setattr("edapt.features._BLOCK", 160)  # scores: 8 rows, then 1
+    x = rng.standard_normal((2, 9))
+    weights = rng.standard_normal((20, 3))
+    want = hidden_layer_reference(hm, x) @ weights
+    got = map_features(hm, Dataset(x), weights)
+    assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + 1.0))
+
+
 def test_projection_weights_of_the_wrong_shape():
     hm = new_hidden_map(5, 3, seed=0)
     data = Dataset(np.ones((3, 4)))

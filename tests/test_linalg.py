@@ -157,6 +157,16 @@ def test_solves_at_or_above_the_crossover_leave_the_count_alone(n, monkeypatch):
     assert calls == [1, 2]
 
 
+def test_solves_up_to_order_1500_run_on_one_thread_and_restore(monkeypatch):
+    # tall's L = 1000 solves among them: two threads lost there in situ
+    calls = []
+    monkeypatch.setattr(linalg, "_controls", [(lambda: 2, calls.append)])
+    for n in (7, 1000, 1500):
+        calls.clear()
+        solve_spd(*_spd(n))
+        assert calls == [1, 2], n
+
+
 def test_missing_thread_control_warns_once_and_solves_the_same(monkeypatch):
     a, b = _spd(8)
     want = solve_spd(a, b)
@@ -191,7 +201,7 @@ def test_fits_match_with_the_context_disabled(two_threads, monkeypatch):
         }
 
     pinned = run()
-    monkeypatch.setattr(linalg, "_PIN_BELOW", 0)  # the context off
+    monkeypatch.setattr(linalg, "_controls", [])  # the context off
     plain = run()
     for name in ("primal", "sample"):
         got, want = pinned[name], plain[name]

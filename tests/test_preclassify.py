@@ -147,6 +147,16 @@ def test_elm_fits_nothing_without_an_unlabeled_split(monkeypatch):
     assert preclassify_elm(bundle, new_hidden_map(10, 2, seed=5)).shape == (0, 3)
 
 
+@pytest.mark.parametrize("kind", KERNELS)
+def test_kernel_solves_nothing_without_an_unlabeled_split(kind, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a kernel system with nothing to score")
+
+    monkeypatch.setattr("edapt.preclassify.solve_spd", no_solve)
+    bundle = blob_bundle(seed=3, per_unlabeled=0)
+    assert preclassify_kernel(bundle, kind).shape == (0, 3)
+
+
 def test_average_prelabels():
     mean = average_prelabels([np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])])
     assert np.array_equal(mean, [[2.0, 3.0]])
