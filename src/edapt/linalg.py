@@ -2,12 +2,15 @@
 
 All model updates in this package are solutions of SPD linear systems.
 They go through :func:`solve_spd`, which factorizes once (Cholesky) and
-iterates refinement so that stationarity residuals stay near machine
-precision even for badly scaled penalty weights.  The factored matrix is
-either the system itself or, for the output-weight solve of a view with
-fewer samples than hidden units, the smaller sample-space matrix that a
-caller-supplied correction map goes through; both run the same
-refinement loop.  System matrices are never inverted explicitly.
+takes one step of iterative refinement, so that stationarity residuals
+stay near machine precision even for badly scaled penalty weights.  One
+step already gives componentwise backward stability (Skeel 1980; Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 12.2);
+more passes leave the residual where the first one put it.  The factored
+matrix is either the system itself or, for the output-weight solve of a
+view with fewer samples than hidden units, the smaller sample-space
+matrix that a caller-supplied correction map goes through; both take
+the same refinement step.  System matrices are never inverted explicitly.
 
 BLAS threads.  A solve whose factored matrix has order below
 ``_PIN_BELOW`` runs single-threaded: in the solves of a fit, waking a
@@ -136,13 +139,13 @@ def solve_spd(
     b : ndarray, shape (n,) or (n, m)
         Right-hand side.
     jitter : float
-        If the factorization fails, retry once with ``jitter * I`` added.
-        Zero disables the retry.
+        If the factorization fails, retry once with ``jitter * I`` added
+        and say so with a ``UserWarning``.  Zero disables the retry.
     residual_fn : callable, optional
-        ``x -> b - a @ x`` evaluated the caller's way.  Refinement then
-        drives *that* association of the residual to machine level,
-        which matters when the caller checks stationarity against
-        factored expressions rather than the assembled matrix.
+        ``x -> b - a @ x`` evaluated the caller's way, once per solve.
+        Refinement then drives *that* association of the residual to
+        machine level, which matters when the caller checks stationarity
+        against factored expressions rather than the assembled matrix.
     correction_fn : callable, optional
         ``(factor, r) -> x`` mapping a right-hand side or residual ``r``
         to its solution through ``factor``, the Cholesky factor of ``a``;
@@ -154,46 +157,46 @@ def solve_spd(
     Returns
     -------
     ndarray
-        Solution refined until its residual stops shrinking (at most
-        four refinement passes).
+        Solution after one refinement pass:
+        ``x0 + correction(factor, residual_fn(x0))``.
 
     Raises
     ------
     NumericError
-        If the inputs are non-finite or the factorization fails even
-        after the jitter retry.
+        If the inputs or the solution are non-finite, or the
+        factorization fails even after the jitter retry.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericError("non-finite entries in linear system")
+    # a and b are checked above; scipy's own checks would repeat that
     with _blas_threads_for(a.shape[0]):
         try:
-            factor = cho_factor(a, lower=True)
+            factor = cho_factor(a, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             if jitter <= 0.0:
                 raise NumericError("Cholesky factorization failed") from None
             try:
                 a = a + jitter * np.eye(a.shape[0])
-                factor = cho_factor(a, lower=True)
+                factor = cho_factor(a, lower=True, check_finite=False)
             except np.linalg.LinAlgError:
                 raise NumericError(
                     f"Cholesky factorization failed after jitter {jitter!r} retry"
                 ) from None
+            warnings.warn(
+                f"Cholesky factorization of an order-{a.shape[0]} matrix failed; "
+                f"solved with jitter {jitter!r} added to its diagonal",
+                UserWarning, stacklevel=2,
+            )
         if residual_fn is None:
             residual_fn = lambda x: b - a @ x  # noqa: E731
-        correction = correction_fn or cho_solve
+        correction = correction_fn or (
+            lambda f, r: cho_solve(f, r, check_finite=False))
+        # one pass of iterative refinement: penalty weights spanning 1..1e4
+        # leave the system ill scaled enough that a bare solve can sit ~1e-7
+        # off stationarity; one correction recovers it, further ones do not
+        # shrink the residual
         x = correction(factor, b)
-        # iterative refinement: penalty weights spanning 1..1e4 leave the
-        # system ill scaled enough that a bare solve can sit ~1e-7 off
-        # stationarity; refining until the residual stalls recovers it
-        res = residual_fn(x)
-        rn = np.linalg.norm(res)
-        for _ in range(4):
-            if rn == 0.0:
-                break
-            x_new = x + correction(factor, res)
-            res_new = residual_fn(x_new)
-            rn_new = np.linalg.norm(res_new)
-            if rn_new >= rn:
-                break
-            x, res, rn = x_new, res_new, rn_new
-        return x
+        x = x + correction(factor, residual_fn(x))
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite solution of linear system")
+    return x

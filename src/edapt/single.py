@@ -22,7 +22,7 @@ The beta solve is chosen by shape, as :func:`~edapt.baselines.fit_elm`
 chooses its branch: the L x L normal equations over the hidden units,
 or, when a view stacks fewer rows n than hidden units L, an n x n
 sample-space system (Woodbury identity) that never forms an L x L
-matrix.  Both refine through the same loop in
+matrix.  Both take the same single refinement pass in
 :func:`~edapt.linalg.solve_spd`, on the analytic gradient.
 
 The alternating loop here also runs the multi-view solver
@@ -304,12 +304,13 @@ def _in_sample_space(prob: EdaProblem, params: EdaParams) -> bool:
 
 def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
                 loss_scale: float, smooth_scale: float) -> np.ndarray:
-    """One refined beta solve: primal on the assembled ``blocks``, or in
-    sample space when ``blocks`` is None (see :func:`_in_sample_space`)."""
+    """One beta solve with one refinement pass: primal on the assembled
+    ``blocks``, or in sample space when ``blocks`` is None (see
+    :func:`_in_sample_space`)."""
 
     def residual(x):
-        # -grad/2, in the gradient's own association, so refinement
-        # lands on a point whose analytic gradient is machine-small
+        # -grad/2, in the gradient's own association, so the refinement
+        # pass lands on a point whose analytic gradient is machine-small
         return -0.5 * beta_gradient(x, u, theta, prob, params,
                                     loss_scale, smooth_scale)
 
@@ -333,8 +334,8 @@ def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
     The normal matrix is ``A = D + Z' W Z`` with ``D = diag(u)``,
     ``Z = [Hs; H]`` and ``W = blockdiag(s cs I, s diag(ct, tau) + s_r lam L)``.
     By the Woodbury identity ``A^-1 r = D^-1 r - D^-1 Z' S^-1 Z D^-1 r``
-    with ``S = W^-1 + Z D^-1 Z'``; ``solve_spd`` factors ``S`` and refines
-    through that map.
+    with ``S = W^-1 + Z D^-1 Z'``; ``solve_spd`` factors ``S`` and takes
+    its one refinement pass through that map.
     """
     if loss_scale == 0.0:
         # a zero view weight leaves A = D and a zero right-hand side
@@ -346,20 +347,22 @@ def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
     np.multiply(hs, np.sqrt(d_inv), out=z[:ns])
     np.multiply(ht, np.sqrt(d_inv), out=z[ns:])
     s = z @ z.T
-    del z  # not held through the refinement loop
+    del z  # not held through the solve
     s[np.diag_indices(ns)] += 1.0 / (loss_scale * params.c_source)
     w_t = (smooth_scale * params.manifold_weight) * prob.graph.sparse_laplacian.toarray()
     w_t[np.diag_indices(nt)] += loss_scale * np.repeat(
         [params.c_target, params.fidelity_weight], [nl, nt - nl])
     with _blas_threads_for(nt):
-        s[ns:, ns:] += cho_solve(cho_factor(w_t, lower=True), np.eye(nt))
+        # solve_spd's finiteness check on s covers this block
+        s[ns:, ns:] += cho_solve(cho_factor(w_t, lower=True, check_finite=False),
+                                 np.eye(nt), check_finite=False)
     rhs = loss_scale * (hs.T @ (params.c_source * prob.t_source) + ht.T @ np.vstack(
         [params.c_target * (prob.t_labeled @ theta),
          params.fidelity_weight * prob.prelabels]))
 
     def correction(factor, r):
         y = d_inv[:, None] * r
-        w = cho_solve(factor, np.vstack([hs @ y, ht @ y]))
+        w = cho_solve(factor, np.vstack([hs @ y, ht @ y]), check_finite=False)
         return y - d_inv[:, None] * (hs.T @ w[:ns] + ht.T @ w[ns:])
 
     return solve_spd(s, rhs, jitter=1e-10, residual_fn=residual,

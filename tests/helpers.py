@@ -1,12 +1,13 @@
 """Small deterministic problem builders shared across the test modules."""
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from edapt import Dataset, DomainBundle, EdaParams, build_problem
 
 __all__ = ["beta_gradient_reference", "blob_bundle", "dense_knn_reference",
            "hidden_layer_reference", "small_params", "small_problem",
-           "random_prelabels"]
+           "random_prelabels", "solve_spd_reference"]
 
 
 def blob_bundle(seed=0, d=2, c=3, per_source=4, per_labeled=2, per_unlabeled=3,
@@ -129,3 +130,31 @@ def hidden_layer_reference(hidden_map, x):
         return np.exp(-np.square(z))
     with np.errstate(over="ignore"):  # exp(-z) = inf gives the logistic 0
         return 1.0 / (1.0 + np.exp(-z))
+
+
+def solve_spd_reference(a, b, jitter=0.0, residual_fn=None, correction_fn=None):
+    """``solve_spd`` with up to four refinement passes, stopping when the
+    residual norm stops shrinking: the loop the library ran before it
+    took a single pass, kept as its reference.  No thread pin and no
+    finiteness checks; the jitter retry is silent."""
+    try:
+        factor = cho_factor(a, lower=True)
+    except np.linalg.LinAlgError:
+        a = a + jitter * np.eye(a.shape[0])
+        factor = cho_factor(a, lower=True)
+    if residual_fn is None:
+        residual_fn = lambda x: b - a @ x  # noqa: E731
+    correction = correction_fn or cho_solve
+    x = correction(factor, b)
+    res = residual_fn(x)
+    rn = np.linalg.norm(res)
+    for _ in range(4):
+        if rn == 0.0:
+            break
+        x_new = x + correction(factor, res)
+        res_new = residual_fn(x_new)
+        rn_new = np.linalg.norm(res_new)
+        if rn_new >= rn:
+            break
+        x, res, rn = x_new, res_new, rn_new
+    return x

@@ -1,16 +1,18 @@
-"""solve_spd against dense references, its failure modes, and the BLAS
-thread context small solves run in."""
+"""solve_spd against dense references and its former refinement loop,
+its failure modes, and the BLAS thread context small solves run in."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from edapt import NumericError, augment_noise_view, fit_eda, fit_mveda
-from edapt import linalg
+from edapt import NumericError, augment_noise_view, fit_eda, fit_mveda, update_beta
+from edapt import linalg, single
 from edapt.linalg import solve_spd
+from edapt.single import beta_gradient
 
-from helpers import blob_bundle, random_prelabels, small_params
+from helpers import (blob_bundle, random_prelabels, small_params, small_problem,
+                     solve_spd_reference)
 
 
 def test_matches_dense_solver():
@@ -37,6 +39,17 @@ def test_jitter_retry_recovers():
     assert np.array_equal(x, b)
 
 
+def test_jitter_retry_warns_once_naming_order_and_jitter():
+    b = np.array([0.0, 1.0, 2.0])
+    with pytest.warns(UserWarning, match=r"order-3 .*jitter 1\.0") as caught:
+        x = solve_spd(np.zeros((3, 3)), b, jitter=1.0)
+    assert [w.category for w in caught] == [UserWarning]
+    assert np.array_equal(x, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no retry, no warning
+        solve_spd(np.eye(3), b, jitter=1.0)
+
+
 def test_failure_without_jitter():
     with pytest.raises(NumericError):
         solve_spd(np.zeros((2, 2)), np.ones(2))
@@ -58,6 +71,29 @@ def test_non_finite_rejected():
         solve_spd(a, np.array([np.inf, 1.0]))
 
 
+def test_non_finite_residual_raises_numeric_error():
+    with pytest.raises(NumericError, match="non-finite solution"):
+        solve_spd(2.0 * np.eye(3), np.ones(3),
+                  residual_fn=lambda x: np.full(3, np.nan))
+
+
+def test_scipy_finiteness_checks_are_skipped(monkeypatch):
+    # solve_spd checks a and b itself; the primal and sample-space beta
+    # solves then call cho_factor and cho_solve with check_finite=False
+    seen = []
+    for module in (linalg, single):
+        for name in ("cho_factor", "cho_solve"):
+            def record(*args, _original=getattr(module, name), **kwargs):
+                seen.append(kwargs.get("check_finite", True))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+    for n_hidden in (24, 40):  # primal, then sample space
+        prob, params = small_problem(0, n_hidden=n_hidden)
+        update_beta(np.ones(n_hidden), np.eye(3), prob, params)
+    assert len(seen) >= 6 and not any(seen)
+
+
 def test_residual_fn_is_consulted():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((6, 6))
@@ -70,7 +106,7 @@ def test_residual_fn_is_consulted():
         return b - a @ x
 
     x = solve_spd(a, b, residual_fn=residual)
-    assert calls, "custom residual was never evaluated"
+    assert len(calls) == 1  # one refinement pass
     assert np.max(np.abs(b - a @ x)) < 1e-12
 
 
@@ -85,6 +121,78 @@ def test_refinement_tightens_ill_scaled_system():
     x = solve_spd(a, b)
     scale = np.linalg.norm(a) * np.linalg.norm(x)
     assert np.linalg.norm(a @ x - b) < 1e-12 * scale
+    # the former stall loop lands on the same point: two backward-stable
+    # solutions differ by up to cond(a) eps ~ 9e-12
+    assert _rel(x, solve_spd_reference(a, b)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# one refinement pass, against the former stall loop
+# ---------------------------------------------------------------------------
+
+
+def test_default_residual_is_evaluated_once():
+    a, b = _spd(6)
+    products = []
+
+    class Counting(np.ndarray):  # counts the default residual's a @ x
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    x = solve_spd(a.view(Counting), b)
+    assert len(products) == 1
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+
+
+def test_residual_through_a_correction_fn_is_evaluated_once():
+    a, b = _spd(6, seed=2)
+    residuals, corrections = [], []
+
+    def residual(x):
+        residuals.append(1)
+        return b - a @ x
+
+    def correction(factor, r):
+        corrections.append(1)
+        return linalg.cho_solve(factor, r)
+
+    x = solve_spd(a, b, residual_fn=residual, correction_fn=correction)
+    assert (len(residuals), len(corrections)) == (1, 2)
+    assert np.max(np.abs(a @ x - b)) < 1e-12
+
+
+@pytest.mark.parametrize("n_hidden", [24, 40])  # primal, sample space
+def test_beta_solves_evaluate_the_gradient_once(n_hidden, monkeypatch):
+    prob, params = small_problem(0, n_hidden=n_hidden)
+    assert single._in_sample_space(prob, params) == (n_hidden == 40)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return beta_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(single, "beta_gradient", counted)
+    update_beta(np.ones(n_hidden), np.eye(3), prob, params)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scale, smooth", [(1.0, 1.0), (0.37, 0.37 ** 2)])
+@pytest.mark.parametrize("n_hidden", [24, 40])  # primal, sample space
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_beta_solve_matches_the_stall_loop(seed, n_hidden, scale, smooth,
+                                                     monkeypatch):
+    prob, params = small_problem(seed, n_hidden=n_hidden)
+    assert single._in_sample_space(prob, params) == (n_hidden == 40)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.5, 2.0, size=n_hidden)
+    theta = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    got = update_beta(u, theta, prob, params, scale, smooth)
+    monkeypatch.setattr(single, "solve_spd", solve_spd_reference)
+    want = update_beta(u, theta, prob, params, scale, smooth)
+    assert _rel(got, want) < 1e-9
+    grad = beta_gradient(got, u, theta, prob, params, scale, smooth)
+    assert np.max(np.abs(grad)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
