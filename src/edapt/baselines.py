@@ -9,6 +9,7 @@ variant; reports label it "SS-ELM (simplified)").
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,9 @@ class ElmModel:
     ridge: float
 
     def __post_init__(self):
+        if not (isinstance(self.ridge, numbers.Real) and 0.0 < self.ridge < np.inf):
+            raise ParameterError(
+                f"ridge must be a positive finite number, got {self.ridge!r}")
         b = np.array(self.beta, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != self.hidden_map.n_hidden:
             raise ShapeError(

@@ -131,13 +131,25 @@ class BenchConfig:
             raise ParameterError("need at least one seed")
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
-        if not self.grid or any(g <= 0 for g in self.grid):
-            raise ParameterError("grid values must be positive")
+        # comparisons written so that NaN fails them
+        if not self.grid or not all(0.0 < g < np.inf for g in self.grid):
+            raise ParameterError(f"grid values must be positive and finite, "
+                                 f"got {self.grid}")
         repeated = sorted({g for g in self.grid if self.grid.count(g) > 1})
         if repeated:
             raise ParameterError(f"grid values must be distinct; repeated {repeated}")
         if self.views < 1:
             raise ParameterError(f"views must be >= 1, got {self.views}")
+        for name, least in (("n_source", 1), ("n_unlabeled", 0), ("n_test", 0)):
+            if getattr(self, name) < least:
+                raise ParameterError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("pre_ridge", "scale", "cov_scale"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be positive and finite, "
+                                     f"got {getattr(self, name)!r}")
+        if not np.isfinite(self.rotation_deg):
+            raise ParameterError(f"rotation_deg must be finite, got {self.rotation_deg}")
         # the synthetic scenario is built per seed inside run_benchmark;
         # checking its geometry here lets load_config name the file and key
         if self.means is not None:
@@ -153,9 +165,6 @@ class BenchConfig:
             raise ParameterError(
                 f"translation must be {dim} finite values (one per means column), "
                 f"got {self.translation}")
-        if not (np.isfinite(self.cov_scale) and self.cov_scale > 0.0):
-            raise ParameterError(
-                f"cov_scale must be positive and finite, got {self.cov_scale!r}")
 
 
 def default_config(**overrides) -> BenchConfig:

@@ -176,7 +176,6 @@ def _cmd_fit(args) -> int:
                 )
             bundles = bundles[: args.views]
         seeds = [derive_view_seed(params.seed, v) for v in range(len(bundles))]
-        model_name = "model"
 
         def fit(bundles, phis, maps):
             return fit_mveda(bundles, phis, params, hidden_maps=maps)
@@ -188,7 +187,6 @@ def _cmd_fit(args) -> int:
             raise ParameterError("--views only applies to multi-view manifests")
         bundles = [load_bundle(args.manifest)]
         seeds = [params.seed]
-        model_name = "model.json"
 
         def fit(bundles, phis, maps):
             return fit_eda(bundles[0], phis[0], params, hidden_map=maps[0])
@@ -219,7 +217,7 @@ def _cmd_fit(args) -> int:
         for s, b, m in zip(specs, bundles, maps)
     ]
     model = fit(bundles, phis, maps)
-    model_path = save_model(model, os.path.join(args.out_dir, model_name))
+    model_path = save_model(model, os.path.join(args.out_dir, "model.json"))
     unlabeled = [b.target_unlabeled for b in bundles]
     have_unlabeled = all(d is not None for d in unlabeled)
     if have_unlabeled:
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = subs.add_parser("predict", help="score feature CSVs with a saved model")
-    p.add_argument("model", help="model file (or directory for multi-view)")
+    p.add_argument("model", help="model JSON file written by fit")
     p.add_argument("features", nargs="+",
                    help="feature CSVs, one per view (one row per sample)")
     _add_common(p, seed=False, config=False)

@@ -16,6 +16,7 @@ needs O(block * L + n * c) memory rather than O(n * L).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 _ACT_FNS = {"radbas": _radbas, "sigmoid": _sigmoid}
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; a string, float or None raises ParameterError
+    naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +101,7 @@ class HiddenMap:
         b.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
 
     @property
     def n_hidden(self) -> int:

@@ -10,7 +10,10 @@ more passes leave the residual where the first one put it.  The factored
 matrix is either the system itself or, for the output-weight solve of a
 view with fewer samples than hidden units, the smaller sample-space
 matrix that a caller-supplied correction map goes through; both take
-the same refinement step.  System matrices are never inverted explicitly.
+the same refinement step.  :func:`solve_spd` never inverts the matrix it
+factors; the one explicit inverse in the package is the sample-space
+solve's target weight block ``W_t^-1``, a term of the matrix
+``S = W^-1 + Z D^-1 Z'`` that the Woodbury form factors.
 
 BLAS threads.  A solve whose factored matrix has order below
 ``_PIN_BELOW`` runs single-threaded: in the solves of a fit, waking a

@@ -1,16 +1,15 @@
 """Text serialization of fitted models.
 
-Every model file is plain JSON (binary-free, diff-friendly); floats are
-written with full round-trip precision.  Multi-view models are saved as
-a directory: one ``view<i>.json`` per view, the shared weights in
-``alpha.txt`` (one value per line), and ``mveda.json`` with parameters
-and objective history.
+Every model is one plain JSON file (binary-free, diff-friendly); floats
+are written with full round-trip precision.  A multi-view file holds one
+block per view under ``views`` (hidden map, ``beta``, ``theta``, ``u``:
+the fields of a single-view file) beside the shared view weights,
+their history, the objective history and the parameters.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 
@@ -20,7 +19,7 @@ from .baselines import ElmModel
 from .errors import ParseError
 from .features import HiddenMap
 from .multiview import MvEdaModel
-from .single import EdaModel, EdaParams, _check_view
+from .single import EdaModel, EdaParams
 
 __all__ = ["load_model", "save_model"]
 
@@ -36,15 +35,8 @@ def _map_block(hm: HiddenMap) -> dict:
     }
 
 
-def _dump(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
 def _view_block(hm: HiddenMap, beta, theta, u) -> dict:
     return {
-        "kind": "eda_view",
         "hidden_map": _map_block(hm),
         "beta": np.asarray(beta).tolist(),
         "theta": np.asarray(theta).tolist(),
@@ -53,58 +45,37 @@ def _view_block(hm: HiddenMap, beta, theta, u) -> dict:
 
 
 def save_model(model, path: str) -> str:
-    """Serialize a fitted model; returns the path written.
-
-    ``ElmModel`` and ``EdaModel`` become single JSON files;
-    ``MvEdaModel`` becomes a directory (``path`` is created).
-    """
+    """Serialize a fitted model to one JSON file; returns the path written."""
     if isinstance(model, ElmModel):
-        _dump(
-            {
-                "kind": "elm",
-                "hidden_map": _map_block(model.hidden_map),
-                "beta": model.beta.tolist(),
-                "ridge": model.ridge,
-            },
-            path,
-        )
-        return path
-    if isinstance(model, EdaModel):
-        _dump(
-            {
-                **_view_block(model.hidden_map, model.beta, model.theta, model.u),
-                "kind": "eda",
-                "objective_history": model.objective_history.tolist(),
-                "params": asdict(model.params),
-            },
-            path,
-        )
-        return path
-    if isinstance(model, MvEdaModel):
-        os.makedirs(path, exist_ok=True)
-        for v in range(model.n_views):
-            _dump(
-                _view_block(
-                    model.hidden_maps[v], model.betas[v], model.thetas[v], model.us[v]
-                ),
-                os.path.join(path, f"view{v}.json"),
-            )
-        with open(os.path.join(path, "alpha.txt"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            for a in model.alpha:
-                fh.write(f"{repr(float(a))}\n")
-        _dump(
-            {
-                "kind": "mveda",
-                "n_views": model.n_views,
-                "alpha_history": model.alpha_history.tolist(),
-                "objective_history": model.objective_history.tolist(),
-                "params": asdict(model.params),
-            },
-            os.path.join(path, "mveda.json"),
-        )
-        return path
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+        d = {
+            "kind": "elm",
+            "hidden_map": _map_block(model.hidden_map),
+            "beta": model.beta.tolist(),
+            "ridge": model.ridge,
+        }
+    elif isinstance(model, EdaModel):
+        d = {
+            "kind": "eda",
+            **_view_block(model.hidden_map, model.beta, model.theta, model.u),
+            "objective_history": model.objective_history.tolist(),
+            "params": asdict(model.params),
+        }
+    elif isinstance(model, MvEdaModel):
+        d = {
+            "kind": "mveda",
+            "views": [_view_block(*view) for view in zip(
+                model.hidden_maps, model.betas, model.thetas, model.us)],
+            "alpha": model.alpha.tolist(),
+            "alpha_history": model.alpha_history.tolist(),
+            "objective_history": model.objective_history.tolist(),
+            "params": asdict(model.params),
+        }
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(d, fh, indent=1)
+        fh.write("\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +86,6 @@ def save_model(model, path: str) -> str:
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _kind(d):
-    return d.get("kind") if isinstance(d, dict) else None
 
 
 def _field(d, key: str, where: str):
@@ -139,7 +106,8 @@ def _params(d, where: str) -> EdaParams:
     unknown = sorted(set(raw) - _PARAM_NAMES)
     if unknown:
         raise ParseError(f"{where}: field 'params' has unknown keys {unknown}")
-    return EdaParams(**raw)
+    with _naming(f"{where}: params"):
+        return EdaParams(**raw)
 
 
 def _map_from_block(d, where: str) -> HiddenMap:
@@ -151,7 +119,7 @@ def _map_from_block(d, where: str) -> HiddenMap:
 
 
 def _view_fields(d, where: str) -> tuple:
-    """Hidden map, beta, theta and u of an ``eda`` file or a view file."""
+    """Hidden map, beta, theta and u of an ``eda`` file or a view block."""
     return (_map_from_block(d, where), _array(d, "beta", where),
             _array(d, "theta", where), _array(d, "u", where))
 
@@ -169,51 +137,27 @@ def _naming(where: str):
 
 
 def load_model(path: str):
-    """Load a model written by :func:`save_model` (file or directory).
+    """Load a model written by :func:`save_model`.
 
     A missing, malformed or non-finite field, an unknown parameter, or
     arrays whose shapes disagree with each other raise
     :class:`ParseError` naming the file (and the field).
     """
     with _naming(path):
-        return _load(path)
-
-
-def _load(path: str):
-    if os.path.isdir(path):
-        head_path = os.path.join(path, "mveda.json")
-        with _naming(head_path):
-            head = _read_json(head_path)
-            if _kind(head) != "mveda":
-                raise ParseError(f"{head_path}: wrong kind {_kind(head)!r}")
-            n_views = _field(head, "n_views", head_path)
-            views, c = [], None
-            for v in range(n_views):
-                where = os.path.join(path, f"view{v}.json")
-                with _naming(where):
-                    blk = _read_json(where)
-                    if _kind(blk) != "eda_view":
-                        raise ParseError(f"{where}: wrong kind {_kind(blk)!r}")
-                    views.append(_view_fields(blk, where))
-                    c = _check_view(*views[-1], c)
-            where = os.path.join(path, "alpha.txt")
-            with _naming(where), open(where, encoding="utf-8") as fh:
-                alpha = np.array([float(line) for line in fh if line.strip()])
-                if alpha.shape != (n_views,) or not np.isfinite(alpha).all():
-                    raise ParseError(f"{where}: need {n_views} finite view "
-                                     f"weights, got {alpha.tolist()}")
+        d = _read_json(path)
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind == "elm":
+            return ElmModel(_map_from_block(d, path), _array(d, "beta", path),
+                            _field(d, "ridge", path))
+        if kind == "eda":
+            return EdaModel(*_view_fields(d, path),
+                            _array(d, "objective_history", path), _params(d, path))
+        if kind == "mveda":
+            views = [_view_fields(blk, f"{path}: view {i}")
+                     for i, blk in enumerate(_field(d, "views", path))]
             return MvEdaModel(
-                *(list(col) for col in zip(*views)), alpha,
-                _array(head, "alpha_history", head_path),
-                _array(head, "objective_history", head_path),
-                _params(head, head_path),
+                *([view[j] for view in views] for j in range(4)),
+                _array(d, "alpha", path), _array(d, "alpha_history", path),
+                _array(d, "objective_history", path), _params(d, path),
             )
-    d = _read_json(path)
-    kind = _kind(d)
-    if kind == "elm":
-        return ElmModel(_map_from_block(d, path), _array(d, "beta", path),
-                        _field(d, "ridge", path))
-    if kind == "eda":
-        return EdaModel(*_view_fields(d, path), _array(d, "objective_history", path),
-                        _params(d, path))
-    raise ParseError(f"{path}: unknown model kind {kind!r}")
+        raise ParseError(f"{path}: unknown model kind {kind!r}")

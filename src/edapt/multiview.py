@@ -103,6 +103,8 @@ class MvEdaModel:
 
     def __post_init__(self):
         v = len(self.hidden_maps)
+        if v == 0:
+            raise ShapeError("a multi-view model needs at least one view")
         if not (len(self.betas) == len(self.thetas) == len(self.us) == v):
             raise ShapeError("per-view field lists disagree on view count")
         c = None

@@ -18,11 +18,12 @@ handled by iteratively reweighted least squares: with
 ``u_i = 1 / (2 (||beta_i|| + eps))`` fixed, both block updates are SPD
 solves, and alternating them descends J monotonically.
 
-The beta solve is chosen by shape, as :func:`~edapt.baselines.fit_elm`
-chooses its branch: the L x L normal equations over the hidden units,
-or, when a view stacks fewer rows n than hidden units L, an n x n
-sample-space system (Woodbury identity) that never forms an L x L
-matrix.  Both take the same single refinement pass in
+The beta solve is chosen by shape: the L x L normal equations over the
+hidden units, or, when a view stacks fewer rows n than hidden units L,
+an n x n sample-space system (Woodbury identity) that never forms an
+L x L matrix.  At n = L it takes the L x L system, whereas
+:func:`~edapt.baselines.fit_elm` takes its n x n branch there.  Both
+take the same single refinement pass in
 :func:`~edapt.linalg.solve_spd`, on the analytic gradient.
 
 The alternating loop here also runs the multi-view solver
@@ -42,7 +43,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset, DomainBundle, decode_labels, encode_labels
 from .errors import ParameterError, ShapeError
-from .features import ACTIVATIONS, HiddenMap, map_features, new_hidden_map
+from .features import ACTIVATIONS, HiddenMap, _as_int, map_features, new_hidden_map
 from .graph import LaplacianGraph, build_knn_graph, quadratic_energy
 from .linalg import _blas_threads_for, solve_spd
 
@@ -113,22 +114,23 @@ class EdaParams:
     seed: int = 0
 
     def __post_init__(self):
-        # comparisons written so that NaN fails them
+        for name in ("n_hidden", "max_iter", "n_neighbors", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        # comparisons written so that NaN and infinity fail them
         for name in ("c_source", "c_target", "fidelity_weight", "manifold_weight"):
-            if not getattr(self, name) >= 0.0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.drift_weight > 0.0:
-            raise ParameterError(f"drift_weight must be positive, got {self.drift_weight}")
-        if not self.reweight_eps > 0.0:
-            raise ParameterError(f"reweight_eps must be positive, got {self.reweight_eps}")
-        if self.n_hidden < 1:
-            raise ParameterError(f"n_hidden must be >= 1, got {self.n_hidden}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_neighbors < 1:
-            raise ParameterError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        if not self.view_exponent > 1.0:
-            raise ParameterError(f"view_exponent must exceed 1, got {self.view_exponent}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ParameterError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("drift_weight", "reweight_eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("n_hidden", "max_iter", "n_neighbors"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 1.0 < self.view_exponent < np.inf:
+            raise ParameterError(
+                f"view_exponent must be finite and exceed 1, got {self.view_exponent}")
         if self.activation not in ACTIVATIONS:
             raise ParameterError(
                 f"unknown activation {self.activation!r}; choose from {ACTIVATIONS}"
@@ -230,6 +232,22 @@ def _loss_terms(beta, theta, prob: EdaProblem):
     return src, tgt, drift, fid, smooth
 
 
+def _objective(penalty: float, beta, theta, prob: EdaProblem, params: EdaParams,
+               loss_scale: float, smooth_scale: float) -> float:
+    """``penalty`` plus the weighted loss and smoothness terms."""
+    src, tgt, drift, fid, smooth = _loss_terms(beta, theta, prob)
+    return (
+        penalty
+        + loss_scale * (
+            params.c_source * src
+            + params.c_target * tgt
+            + params.drift_weight * drift
+            + params.fidelity_weight * fid
+        )
+        + smooth_scale * params.manifold_weight * smooth
+    )
+
+
 def eda_objective(
     beta: np.ndarray,
     theta: np.ndarray,
@@ -239,17 +257,8 @@ def eda_objective(
     smooth_scale: float = 1.0,
 ) -> float:
     """The complete objective J (exact row-sparse norm, no surrogate)."""
-    src, tgt, drift, fid, smooth = _loss_terms(beta, theta, prob)
-    return (
-        l21_norm(beta)
-        + loss_scale * (
-            params.c_source * src
-            + params.c_target * tgt
-            + params.drift_weight * drift
-            + params.fidelity_weight * fid
-        )
-        + smooth_scale * params.manifold_weight * smooth
-    )
+    return _objective(l21_norm(beta), beta, theta, prob, params,
+                      loss_scale, smooth_scale)
 
 
 def surrogate_objective(
@@ -263,17 +272,8 @@ def surrogate_objective(
 ) -> float:
     """J with the row-sparse norm replaced by its quadratic majorizer
     ``tr(beta' diag(u) beta)`` for a fixed reweighting ``u``."""
-    src, tgt, drift, fid, smooth = _loss_terms(beta, theta, prob)
-    return (
-        float(np.sum(u[:, None] * beta * beta))
-        + loss_scale * (
-            params.c_source * src
-            + params.c_target * tgt
-            + params.drift_weight * drift
-            + params.fidelity_weight * fid
-        )
-        + smooth_scale * params.manifold_weight * smooth
-    )
+    return _objective(float(np.sum(u[:, None] * beta * beta)), beta, theta, prob,
+                      params, loss_scale, smooth_scale)
 
 
 def _beta_blocks(prob: EdaProblem, params: EdaParams):
@@ -295,8 +295,9 @@ def _beta_blocks(prob: EdaProblem, params: EdaParams):
 
 
 def _in_sample_space(prob: EdaProblem, params: EdaParams) -> bool:
-    """Fewer stacked rows than hidden units (``fit_elm``'s rule), and every
-    loss weight positive so that ``W`` below is invertible."""
+    """Fewer stacked rows than hidden units (strictly: ``fit_elm`` also
+    takes its n x n branch at n = L), and every loss weight positive so
+    that ``W`` below is invertible."""
     n = prob.h_source.shape[0] + prob.h_target.shape[0]
     return n < prob.n_hidden and min(
         params.c_source, params.c_target, params.fidelity_weight) > 0.0

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -118,11 +119,11 @@ def test_multiview_fit_and_predict(tmp_path, cfg_path, capsys):
     assert rc == 0
     fit_out = capsys.readouterr().out
     assert "view weights: " in fit_out
-    assert (run / "model" / "view1.json").exists()
+    assert load_model(str(run / "model.json")).n_views == 2
     assert (run / "standardizer_view0.txt").exists()
 
     pred = tmp_path / "pred"
-    rc = main(["predict", str(run / "model"),
+    rc = main(["predict", str(run / "model.json"),
                f"{data}/view0_target_test_features.csv",
                f"{data}/view1_target_test_features.csv",
                "--out-dir", str(pred)])
@@ -130,7 +131,7 @@ def test_multiview_fit_and_predict(tmp_path, cfg_path, capsys):
     capsys.readouterr()
     assert (pred / "predicted_labels.csv").exists()
     # one CSV for a two-view model is a usage error
-    rc = main(["predict", str(run / "model"),
+    rc = main(["predict", str(run / "model.json"),
                f"{data}/view0_target_test_features.csv",
                "--out-dir", str(pred)])
     assert rc == 2
@@ -144,8 +145,7 @@ def test_views_flag_limits_a_multiview_manifest(tmp_path, cfg_path, capsys):
                "--out-dir", str(run)])
     assert rc == 0
     capsys.readouterr()
-    assert (run / "model" / "view0.json").exists()
-    assert not (run / "model" / "view1.json").exists()
+    assert load_model(str(run / "model.json")).n_views == 1
     rc = main(["fit", manifest, "--config", cfg_path, "--views", "5",
                "--out-dir", str(run)])
     assert rc == 2
@@ -170,17 +170,18 @@ def test_predict_reads_standardizers_by_model_kind(tmp_path, cfg_path, capsys):
     test_csv = f"{mv_data}/view0_target_test_features.csv"
 
     def predict(out):
-        assert main(["predict", str(run / "model"), test_csv,
+        assert main(["predict", str(run / "model.json"), test_csv,
                      "--out-dir", str(out)]) == 0
         capsys.readouterr()
         return load_csv(str(out / "predicted_scores.csv")).features
 
     before = predict(tmp_path / "before")
-    # an unrelated single-view fit into the same directory leaves its own
-    # standardizer.txt beside the one-view model
+    # an unrelated single-view fit's standardizer.txt, put beside the
+    # one-view model
     _, (manifest, _) = _synth(tmp_path / "single", cfg_path, capsys, "--seed", "1")
-    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
-    assert (run / "standardizer.txt").exists()
+    single = tmp_path / "single_run"
+    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(single)]) == 0
+    shutil.copy(single / "standardizer.txt", run / "standardizer.txt")
     assert np.array_equal(predict(tmp_path / "after"), before)
 
 
@@ -263,7 +264,7 @@ def test_predict_rejects_a_standardizer_of_the_wrong_length(tmp_path, cfg_path,
     capsys.readouterr()
     wide = _one_feature_too_many(f"{mv_data}/view1_target_test_features.csv",
                                  tmp_path / "wide_view1.csv")
-    rc = main(["predict", str(mv_run / "model"),
+    rc = main(["predict", str(mv_run / "model.json"),
                f"{mv_data}/view0_target_test_features.csv", wide,
                "--out-dir", str(tmp_path / "mv_pred")])
     assert rc == 2
@@ -295,7 +296,7 @@ def test_predict_names_a_csv_of_the_wrong_width(tmp_path, cfg_path, capsys):
     os.remove(mv_run / "standardizer_view1.txt")
     wide = _one_feature_too_many(f"{mv_data}/view1_target_test_features.csv",
                                  tmp_path / "wide_view1.csv")
-    rc = main(["predict", str(mv_run / "model"),
+    rc = main(["predict", str(mv_run / "model.json"),
                f"{mv_data}/view0_target_test_features.csv", wide,
                "--out-dir", str(tmp_path / "mv_pred")])
     assert rc == 2
@@ -310,17 +311,17 @@ def test_predict_rejects_a_model_whose_shapes_disagree(tmp_path, cfg_path, capsy
     assert main(["fit", mv_manifest, "--config", cfg_path,
                  "--out-dir", str(mv_run)]) == 0
     capsys.readouterr()
-    view1 = mv_run / "model" / "view1.json"
-    d = json.loads(view1.read_text())
-    d.update(beta=d["beta"][:5], u=d["u"][:3])
-    view1.write_text(json.dumps(d))
-    rc = main(["predict", str(mv_run / "model"),
+    model = mv_run / "model.json"
+    d = json.loads(model.read_text())
+    d["views"][1].update(beta=d["views"][1]["beta"][:5], u=d["views"][1]["u"][:3])
+    model.write_text(json.dumps(d))
+    rc = main(["predict", str(mv_run / "model.json"),
                f"{mv_data}/view0_target_test_features.csv",
                f"{mv_data}/view1_target_test_features.csv",
                "--out-dir", str(tmp_path / "mv_pred")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(view1) in err and "'beta'" in err
+    assert f"{model}: view 1: field 'beta'" in err
 
 
 def test_errors_exit_with_code_2(tmp_path, cfg_path, capsys):
@@ -454,6 +455,34 @@ def test_config_geometry_errors_name_the_file_and_key(tmp_path, capsys, line, wa
     cfg.write_text(f"seeds = 0\nmethods = elm_s\n{line}\n")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert f"{cfg}: {want}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, want", [
+    ("grid = 1,nan", "grid values must be positive and finite, got (1.0, nan)"),
+    ("pre_ridge = 0", "pre_ridge must be positive and finite, got 0.0"),
+    ("scale = 0", "scale must be positive and finite, got 0.0"),
+    ("rotation_deg = nan", "rotation_deg must be finite, got nan"),
+    ("n_source = 0", "n_source must be >= 1, got 0"),
+    ("n_unlabeled = -1", "n_unlabeled must be >= 0, got -1"),
+    ("n_test = -1", "n_test must be >= 0, got -1"),
+    ("c_source = inf", "c_source must be finite and >= 0, got inf"),
+])
+def test_config_values_that_fail_mid_run_name_the_file_and_key(tmp_path, capsys,
+                                                               line, want):
+    # each used to pass load_config and fail inside the run, without the file
+    cfg = tmp_path / "values.cfg"
+    cfg.write_text(f"seeds = 0\nmethods = elm_s,eda\nn_hidden = 20\n{line}\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"{cfg}: {want}" in capsys.readouterr().err
+
+
+def test_predict_names_a_model_directory(tmp_path, capsys):
+    # multi-view models used to be saved as a directory
+    model = tmp_path / "model"
+    model.mkdir()
+    assert main(["predict", str(model), str(tmp_path / "x.csv"),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert str(model) in capsys.readouterr().err
 
 
 def test_bench_names_the_config_when_n_neighbors_exceeds_the_target_rows(

@@ -32,14 +32,8 @@ def test_vector_rhs_hand_case():
     assert np.allclose(x, np.array([1.0, 7.0]) / 11.0, rtol=0.0, atol=1e-15)
 
 
-def test_jitter_retry_recovers():
-    # zeros is not factorable; the unit-jitter retry solves (0 + I) x = b
-    b = np.array([0.0, 1.0, 2.0])
-    x = solve_spd(np.zeros((3, 3)), b, jitter=1.0)
-    assert np.array_equal(x, b)
-
-
 def test_jitter_retry_warns_once_naming_order_and_jitter():
+    # zeros is not factorable; the unit-jitter retry solves (0 + I) x = b
     b = np.array([0.0, 1.0, 2.0])
     with pytest.warns(UserWarning, match=r"order-3 .*jitter 1\.0") as caught:
         x = solve_spd(np.zeros((3, 3)), b, jitter=1.0)

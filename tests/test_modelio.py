@@ -15,6 +15,7 @@ from edapt import (
     ElmModel,
     HiddenMap,
     MvEdaModel,
+    ParameterError,
     ParseError,
     fit_elm,
     fit_eda,
@@ -66,7 +67,7 @@ def test_eda_round_trip(tmp_path):
     assert _maps_equal(back.hidden_map, model.hidden_map)
 
 
-def test_mveda_round_trip_directory_layout(tmp_path):
+def test_mveda_round_trip_one_file(tmp_path):
     b0 = blob_bundle(seed=2)
     from edapt import augment_noise_view
     b1 = augment_noise_view(b0, 2, seed=3)
@@ -74,11 +75,15 @@ def test_mveda_round_trip_directory_layout(tmp_path):
     maps = [new_hidden_map(12, 2, seed=2), new_hidden_map(12, 4, seed=3)]
     pres = [random_prelabels(b0, 2), random_prelabels(b1, 3)]
     model = fit_mveda([b0, b1], pres, params, maps)
-    out = tmp_path / "mv"
-    save_model(model, str(out))
-    assert sorted(p.name for p in out.iterdir()) == [
-        "alpha.txt", "mveda.json", "view0.json", "view1.json"]
-    back = load_model(str(out))
+    path = tmp_path / "mv.json"
+    assert save_model(model, str(path)) == str(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["mv.json"]
+    d = json.loads(path.read_text())
+    assert list(d) == ["kind", "views", "alpha", "alpha_history",
+                       "objective_history", "params"]
+    assert d["kind"] == "mveda"
+    assert [list(v) for v in d["views"]] == [["hidden_map", "beta", "theta", "u"]] * 2
+    back = load_model(str(path))
     assert back.n_views == 2
     for v in range(2):
         assert np.array_equal(back.betas[v], model.betas[v])
@@ -109,11 +114,9 @@ def test_unknown_kind_and_junk(tmp_path):
     p.write_text(json.dumps({"kind": "mystery"}))
     with pytest.raises(ParseError):
         load_model(str(p))
-    d = tmp_path / "baddir"
-    d.mkdir()
-    (d / "mveda.json").write_text(json.dumps({"kind": "elm"}))
+    p.write_text("[1, 2]")
     with pytest.raises(ParseError):
-        load_model(str(d))
+        load_model(str(p))
     with pytest.raises(TypeError):
         save_model(object(), str(tmp_path / "x.json"))
 
@@ -140,57 +143,110 @@ def test_malformed_eda_file_names_file_and_field(tmp_path, corrupt, field):
     assert str(path) in str(info.value) and field in str(info.value)
 
 
-def test_mismatched_view_file_names_file_and_field(tmp_path):
+def _two_view_file(tmp_path):
     b0 = blob_bundle(seed=6)
     from edapt import augment_noise_view
     b1 = augment_noise_view(b0, 2, seed=7)
     model = fit_mveda([b0, b1], [random_prelabels(b0, 6), random_prelabels(b1, 7)],
                       small_params(), [new_hidden_map(12, 2, seed=6),
                                        new_hidden_map(12, 4, seed=7)])
-    out = tmp_path / "mv"
-    save_model(model, str(out))
-    view1 = out / "view1.json"
-    good = view1.read_text()
-    for field, cut in [("'beta'", lambda d: d.update(beta=d["beta"][:5], u=d["u"][:3])),
-                       ("'u'", lambda d: d.update(u=d["u"][:3])),
-                       ("'theta'", lambda d: d.update(theta=[row[:2] for row in
-                                                          d["theta"][:2]]))]:
-        d = json.loads(good)
-        cut(d)
-        view1.write_text(json.dumps(d))
-        with pytest.raises(ParseError) as info:
-            load_model(str(out))
-        assert str(view1) in str(info.value) and field in str(info.value)
-    view1.write_text(good)
-    alpha = out / "alpha.txt"
-    alpha.write_text(alpha.read_text().splitlines()[0] + "\n")
+    return save_model(model, str(tmp_path / "mv.json"))
+
+
+def _assert_names(path: str, corrupt, field: str) -> None:
+    """Corrupt the saved model file; loading names the file and ``field``."""
+    with open(path, encoding="utf-8") as fh:
+        good = fh.read()
+    d = json.loads(good)
+    corrupt(d)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
     with pytest.raises(ParseError) as info:
-        load_model(str(out))
-    assert str(alpha) in str(info.value)
+        load_model(path)
+    assert path in str(info.value) and field in str(info.value)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(good)
+
+
+def test_mismatched_view_file_names_file_and_field(tmp_path):
+    path = _two_view_file(tmp_path)
+
+    def view1(**new):
+        return lambda d: d["views"][1].update(
+            {k: f(d["views"][1][k]) for k, f in new.items()})
+
+    for corrupt, field in [
+        (view1(beta=lambda a: a[:5], u=lambda a: a[:3]), "view 1: field 'beta'"),
+        (view1(u=lambda a: a[:3]), "view 1: field 'u'"),
+        (view1(theta=lambda a: [row[:2] for row in a[:2]]), "view 1: field 'theta'"),
+        (lambda d: d["views"][1].pop("theta"), "view 1: missing field 'theta'"),
+        (lambda d: d["views"].pop(), "alpha must have shape (1,)"),
+        (lambda d: d.update(views=[]), "needs at least one view"),
+        (lambda d: d.update(alpha=d["alpha"][:1]), "alpha must have shape (2,)"),
+    ]:
+        _assert_names(path, corrupt, field)
 
 
 def test_inputless_map_and_empty_history_name_file_and_field(tmp_path):
-    bundle = blob_bundle(seed=8)
-    model = fit_mveda([bundle], [random_prelabels(bundle, 8)], small_params(),
-                      [new_hidden_map(12, 2, seed=8)])
-    out = tmp_path / "mv"
-    save_model(model, str(out))
-    view0 = out / "view0.json"
-    good = view0.read_text()
-    d = json.loads(good)
-    d["hidden_map"]["weights"] = [[] for _ in d["u"]]
-    view0.write_text(json.dumps(d))
+    path = _two_view_file(tmp_path)
+    _assert_names(path, lambda d: d["views"][0]["hidden_map"].update(
+        weights=[[] for _ in d["views"][0]["u"]]), "view 0: hidden_map: weights")
+    _assert_names(path, lambda d: d.update(objective_history=[], alpha_history=[]),
+                  "'objective_history'")
+
+
+@pytest.mark.parametrize("key, value, want", [
+    ("ridge", "abc", "ridge must be a positive finite number, got 'abc'"),
+    ("ridge", -1.0, "ridge must be a positive finite number, got -1.0"),
+    ("ridge", None, "ridge must be a positive finite number, got None"),
+    ("ridge", [1, 2], "ridge must be a positive finite number, got [1, 2]"),
+    ("seed", "abc", "hidden_map: seed must be an integer, got 'abc'"),
+    ("seed", 1.5, "hidden_map: seed must be an integer, got 1.5"),
+    ("seed", None, "hidden_map: seed must be an integer, got None"),
+])
+def test_elm_ridge_and_map_seed_are_checked(tmp_path, key, value, want):
+    # each of these used to load without complaint
+    model = ElmModel(new_hidden_map(4, 2, seed=0), np.ones((4, 2)), 10.0)
+    path = tmp_path / "elm.json"
+    save_model(model, str(path))
+    d = json.loads(path.read_text())
+    (d["hidden_map"] if key == "seed" else d)[key] = value
+    path.write_text(json.dumps(d))
     with pytest.raises(ParseError) as info:
-        load_model(str(out))
-    assert str(view0) in str(info.value) and "hidden_map: weights" in str(info.value)
-    view0.write_text(good)
-    head = out / "mveda.json"
-    d = json.loads(head.read_text())
-    d.update(objective_history=[], alpha_history=[])
-    head.write_text(json.dumps(d))
+        load_model(str(path))
+    assert f"{path}: {want}" in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "abc"), ("seed", 1.5), ("seed", None), ("n_hidden", 2.5),
+    ("max_iter", float("nan")), ("n_neighbors", "5"),
+])
+def test_integer_params_are_checked(tmp_path, key, value):
+    bundle = blob_bundle(seed=9)
+    model = fit_eda(bundle, random_prelabels(bundle, 9), small_params(),
+                    new_hidden_map(12, 2, seed=9))
+    path = tmp_path / "m.json"
+    save_model(model, str(path))
+    d = json.loads(path.read_text())
+    d["params"][key] = value
+    path.write_text(json.dumps(d))
     with pytest.raises(ParseError) as info:
-        load_model(str(out))
-    assert str(head) in str(info.value) and "'objective_history'" in str(info.value)
+        load_model(str(path))
+    assert f"{path}: params: {key} must be an integer, got {value!r}" in str(info.value)
+
+
+def test_constructors_check_ridge_and_integer_fields():
+    hm = new_hidden_map(4, 2, seed=0)
+    with pytest.raises(ParameterError, match="ridge"):
+        ElmModel(hm, np.ones((4, 2)), float("inf"))
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        HiddenMap(hm.weights, hm.biases, hm.activation, "0")
+    with pytest.raises(ParameterError, match="n_hidden must be an integer"):
+        EdaParams(n_hidden=float("nan"))
+    for name in ("c_source", "drift_weight", "reweight_eps", "view_exponent"):
+        with pytest.raises(ParameterError, match=f"{name} must be .*finite"):
+            EdaParams(**{name: float("inf")})
+    assert type(EdaParams(seed=np.int64(3)).seed) is int
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +309,11 @@ def _same_map(a, b) -> bool:
             and a.activation == b.activation and a.seed == b.seed)
 
 
-def _path(tmp: str, model) -> str:
-    return os.path.join(tmp, "mv" if isinstance(model, MvEdaModel) else "m.json")
-
-
 @settings(max_examples=60, deadline=None)
 @given(models())
 def test_models_round_trip_bit_for_bit(model):
     with tempfile.TemporaryDirectory() as tmp:
-        back = load_model(save_model(model, _path(tmp, model)))
+        back = load_model(save_model(model, os.path.join(tmp, "m.json")))
     assert type(back) is type(model)
     if isinstance(model, ElmModel):
         assert _same_map(back.hidden_map, model.hidden_map)
@@ -282,34 +334,42 @@ def test_models_round_trip_bit_for_bit(model):
         assert all(_same_bits(a, b) for a, b in [(beta, beta0), (theta, theta0), (u, u0)])
 
 
-# array fields of each file kind, and those whose length other fields fix
-# (an eda file's objective history may have any non-zero length)
+# top-level array fields of each kind, of a view block (the top level of
+# an eda file) and of a hidden map
 _ARRAYS = {
     "elm": ["beta"],
     "eda": ["beta", "theta", "u", "objective_history"],
-    "eda_view": ["beta", "theta", "u"],
-    "mveda": ["alpha_history", "objective_history"],
+    "mveda": ["alpha", "alpha_history", "objective_history"],
 }
+_VIEW_ARRAYS = ["beta", "theta", "u"]
 _MAP_ARRAYS = ["weights", "biases"]
 
 
 def _corruptions(d: dict) -> list:
-    """(name, key path) pairs applicable to one parsed model file."""
+    """(name, key path) pairs applicable to one parsed model file; every
+    field of every nested block is replaced by junk and, where it is
+    numeric, given a NaN, and every field but a parameter (which has a
+    default) is dropped."""
     kind = d["kind"]
+    views = [("views", i) for i in range(len(d["views"]))] if kind == "mveda" else [()]
     arrays = [(k,) for k in _ARRAYS[kind]]
-    if "hidden_map" in d:
-        arrays += [("hidden_map", k) for k in _MAP_ARRAYS]
+    arrays += [v + (k,) for v in views if v for k in _VIEW_ARRAYS]
+    arrays += [v + ("hidden_map", k) for v in views for k in _MAP_ARRAYS]
+    # arrays whose length other fields fix (an eda file's objective
+    # history may have any non-zero length), and the view list
     fixed = [a for a in arrays if a != ("objective_history",) or kind == "mveda"]
-    out = [("drop", (k,)) for k in d] + [("drop", ("hidden_map", k))
-                                         for k in d.get("hidden_map", {})]
-    out += [("nan", a) for a in arrays] + [("truncate", a) for a in fixed]
+    fixed += [("views",)] if kind == "mveda" else []
+    blocks = [()] + [v for v in views if v] + [v + ("hidden_map",) for v in views]
+    blocks += [("params",)] if "params" in d else []
+    keys = [b + (k,) for b in blocks for k in _get(d, b)]
+    scalars = [k for k in keys if type(_get(d, k)) in (int, float)]
+    out = [("drop", k) for k in keys if k[0] != "params" or len(k) == 1]
+    out += [("junk", k) for k in keys]
+    out += [("nan", a) for a in arrays + scalars] + [("truncate", a) for a in fixed]
     out += [("ragged", a) for a in fixed if len(_get(d, a)) > 1
             and isinstance(_get(d, a)[0], list)]
     out += [("kind", ("kind",))]
-    if "params" in d:
-        out += [("param", ("params",))]
-        out += [("nan", ("params", k)) for k, v in d["params"].items()
-                if isinstance(v, float)]
+    out += [("param", ("params",))] if "params" in d else []
     return out
 
 
@@ -323,6 +383,8 @@ def _corrupt(d: dict, name: str, keys: tuple, new_kind: str) -> None:
     parent, key = _get(d, keys[:-1]), keys[-1]
     if name == "drop":
         del parent[key]
+    elif name == "junk":
+        parent[key] = "abc"
     elif name == "nan" and not isinstance(parent[key], list):
         parent[key] = float("nan")
     elif name == "nan":
@@ -344,27 +406,15 @@ def _corrupt(d: dict, name: str, keys: tuple, new_kind: str) -> None:
 @given(models(), st.data())
 def test_corrupted_model_files_raise_parse_error_naming_the_file(model, data):
     with tempfile.TemporaryDirectory() as tmp:
-        path = save_model(model, _path(tmp, model))
-        files = ([os.path.join(path, f) for f in sorted(os.listdir(path))]
-                 if os.path.isdir(path) else [path])
-        target = data.draw(st.sampled_from(files))
-        if target.endswith(".txt"):
-            lines = open(target, encoding="utf-8").read().splitlines()
-            if data.draw(st.booleans()):
-                lines = lines[:-1]
-            else:
-                lines[0] = "nan"
-            text = "".join(f"{line}\n" for line in lines)
-        else:
-            d = json.loads(open(target, encoding="utf-8").read())
-            name, keys = data.draw(st.sampled_from(_corruptions(d)))
-            new_kind = data.draw(st.sampled_from(
-                [k for k in ("elm", "eda", "eda_view", "mveda", "mystery")
-                 if k != d["kind"]]))
-            _corrupt(d, name, keys, new_kind)
-            text = json.dumps(d)
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        path = save_model(model, os.path.join(tmp, "m.json"))
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
+        name, keys = data.draw(st.sampled_from(_corruptions(d)))
+        new_kind = data.draw(st.sampled_from(
+            [k for k in ("elm", "eda", "mveda", "mystery") if k != d["kind"]]))
+        _corrupt(d, name, keys, new_kind)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh)
         with pytest.raises(ParseError) as info:
             load_model(path)
-    assert target in str(info.value)
+    assert path in str(info.value)
