@@ -13,7 +13,7 @@ the same samples, :mod:`edapt.baselines` for the reference classifiers,
 and the ``edapt`` command line for the full experiment loop.
 """
 
-from .baselines import ElmModel, fit_elm, fit_sselm
+from .baselines import fit_elm, fit_sselm
 from .bench import (
     BenchConfig,
     default_config,
@@ -64,7 +64,6 @@ __all__ = [
     "DomainBundle",
     "EdaModel",
     "EdaParams",
-    "ElmModel",
     "HiddenMap",
     "LaplacianGraph",
     "MetricError",

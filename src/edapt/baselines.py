@@ -9,18 +9,13 @@ variant; reports label it "SS-ELM (simplified)").
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Dataset
 from .errors import ParameterError, ShapeError
-from .features import HiddenMap, map_features
 from .graph import LaplacianGraph
 from .linalg import solve_spd
 
-__all__ = ["ElmModel", "fit_elm", "fit_sselm", "predict_scores"]
+__all__ = ["fit_elm", "fit_sselm"]
 
 
 def fit_elm(h: np.ndarray, t: np.ndarray, ridge: float) -> np.ndarray:
@@ -85,28 +80,3 @@ def fit_sselm(
     a += manifold_weight * (h_all.T @ (graph.sparse_laplacian @ h_all))
     return solve_spd(a, ridge * (h_lab.T @ t_labeled))
 
-
-@dataclass(frozen=True, eq=False)
-class ElmModel:
-    """A fitted hidden map + output weights pair."""
-
-    hidden_map: HiddenMap
-    beta: np.ndarray
-    ridge: float
-
-    def __post_init__(self):
-        if not (isinstance(self.ridge, numbers.Real) and 0.0 < self.ridge < np.inf):
-            raise ParameterError(
-                f"ridge must be a positive finite number, got {self.ridge!r}")
-        b = np.array(self.beta, dtype=np.float64)
-        if b.ndim != 2 or b.shape[0] != self.hidden_map.n_hidden:
-            raise ShapeError(
-                f"beta must be ({self.hidden_map.n_hidden}, c), got {b.shape}"
-            )
-        b.flags.writeable = False
-        object.__setattr__(self, "beta", b)
-
-
-def predict_scores(model: ElmModel, data: Dataset) -> np.ndarray:
-    """Per-class scores ``map(X) @ beta`` (argmax rows for hard labels)."""
-    return map_features(model.hidden_map, data, model.beta)

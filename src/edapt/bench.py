@@ -92,6 +92,10 @@ METHOD_LABELS = {
 
 METRICS = ("accuracy", "map")
 
+# the methods that build no k-NN graph; ``sselm`` builds its graph on
+# every training row, the adaptation methods on the target rows
+_NO_GRAPH = ("elm_s", "elm_t", "elm_st")
+
 _RESPLIT_STREAM = 7877  # seed stream label for manifest resplits
 
 
@@ -165,6 +169,17 @@ class BenchConfig:
             raise ParameterError(
                 f"translation must be {dim} finite values (one per means column), "
                 f"got {self.translation}")
+        graph = {m for m in self.methods if m not in _NO_GRAPH}
+        if self.data == "synth" and graph:
+            classes = len(self.means or default_class_means())
+            rows = self.m * classes + self.n_unlabeled
+            if graph == {"sselm"}:
+                rows += self.n_source
+            k = self.params.n_neighbors
+            if k >= rows:
+                raise ParameterError(
+                    f"key 'n_neighbors': {k} needs at least {k + 1} samples for "
+                    f"the k-NN graph, the synthetic scenario has {rows}")
 
 
 def default_config(**overrides) -> BenchConfig:

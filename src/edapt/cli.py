@@ -22,7 +22,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .baselines import predict_scores
 from .bench import (
     default_config,
     emit_report,
@@ -35,8 +34,6 @@ from .bench import (
 from .data import (
     Dataset,
     augment_noise_view,
-    decode_labels,
-    default_class_means,
     generate_shift,
     load_bundle,
     load_csv,
@@ -52,15 +49,13 @@ from .errors import ParameterError, ShapeError
 from .features import (
     derive_view_seed,
     fit_standardizer,
-    load_standardizer,
     new_hidden_map,
-    save_standardizer,
     standardize_bundle,
 )
 from .modelio import load_model, save_model
 from .multiview import MvEdaModel, fit_mveda, predict_mveda
 from .preclassify import BUILTINS, builtin_prelabels
-from .single import EdaModel, fit_eda, predict_eda
+from .single import fit_eda, predict_eda
 
 __all__ = ["main"]
 
@@ -71,29 +66,9 @@ def _config(args):
     return load_config(args.config) if args.config else default_config()
 
 
-# the methods that build no k-NN graph; ``sselm`` builds its graph on
-# every training row, the adaptation methods on the target rows
-_NO_GRAPH = ("elm_s", "elm_t", "elm_st")
-
-
-def _check_neighbors(k: int, rows: int, config_path: str, data: str) -> None:
-    """Name the config and the data when the k-NN graph has too few rows."""
-    if k >= rows:
-        raise ParameterError(f"{config_path}: key 'n_neighbors': {k} needs at least "
-                             f"{k + 1} samples for the k-NN graph, {data} has {rows}")
-
-
 def _bench_config(args):
     config = _config(args)
-    graph = {m for m in config.methods if m not in _NO_GRAPH}
-    if args.config and config.data == "synth" and graph:
-        classes = len(config.means or default_class_means())
-        rows = config.m * classes + config.n_unlabeled
-        if graph == {"sselm"}:
-            rows += config.n_source
-        _check_neighbors(config.params.n_neighbors, rows, args.config,
-                         "the synthetic scenario")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
     return config
 
@@ -151,11 +126,6 @@ def _resolve_prelabels(spec: str, bundle, hidden_map, ridge: float) -> np.ndarra
     return scores
 
 
-def _standardizer_name(multiview: bool, v: int) -> str:
-    """The file `fit` saves view ``v``'s standardizer to and `predict` reads."""
-    return f"standardizer_view{v}.txt" if multiview else "standardizer.txt"
-
-
 def _cmd_fit(args) -> int:
     config = _config(args)
     params = config.params
@@ -177,8 +147,9 @@ def _cmd_fit(args) -> int:
             bundles = bundles[: args.views]
         seeds = [derive_view_seed(params.seed, v) for v in range(len(bundles))]
 
-        def fit(bundles, phis, maps):
-            return fit_mveda(bundles, phis, params, hidden_maps=maps)
+        def fit(bundles, phis, maps, sts):
+            model = fit_mveda(bundles, phis, params, hidden_maps=maps)
+            return model if sts is None else replace(model, standardizers=sts)
 
         def predict(model, unlabeled):
             return predict_mveda(model, unlabeled)[:2]
@@ -188,35 +159,39 @@ def _cmd_fit(args) -> int:
         bundles = [load_bundle(args.manifest)]
         seeds = [params.seed]
 
-        def fit(bundles, phis, maps):
-            return fit_eda(bundles[0], phis[0], params, hidden_map=maps[0])
+        def fit(bundles, phis, maps, sts):
+            model = fit_eda(bundles[0], phis[0], params, hidden_map=maps[0])
+            return model if sts is None else replace(model, standardizer=sts[0])
 
         def predict(model, unlabeled):
             return predict_eda(model, unlabeled[0], detransform=args.detransform)
 
-    _check_neighbors(params.n_neighbors, bundles[0].target_all().n,
-                     args.config or "the default config", args.manifest)
+    rows = bundles[0].target_all().n
+    if params.n_neighbors >= rows:
+        raise ParameterError(
+            f"{args.config or 'the default config'}: key 'n_neighbors': "
+            f"{params.n_neighbors} needs at least {params.n_neighbors + 1} samples "
+            f"for the k-NN graph, {args.manifest} has {rows}")
     specs = [tok.strip() for tok in args.prelabels.split(",") if tok.strip()]
     if len(specs) == 1:
         specs = specs * len(bundles)
     if len(specs) != len(bundles):
         raise ParameterError(f"{len(specs)} prelabel specs for {len(bundles)} views")
     os.makedirs(args.out_dir, exist_ok=True)
+    # the model carries the rescaling it was fitted under and applies it
+    # to raw features, so the unlabeled split is scored from `bundles`
+    sts = None
+    fit_bundles = bundles
     if config.standardize:
-        # persist the rescaling so `predict` can apply it to raw CSVs
         sts = [fit_standardizer(b.source, b.target_labeled) for b in bundles]
-        bundles = [standardize_bundle(b, st) for b, st in zip(bundles, sts)]
-        for v, st in enumerate(sts):
-            save_standardizer(
-                st, os.path.join(args.out_dir, _standardizer_name(multiview, v))
-            )
+        fit_bundles = [standardize_bundle(b, st) for b, st in zip(bundles, sts)]
     maps = [new_hidden_map(params.n_hidden, b.target_dim, params.activation, seed)
-            for b, seed in zip(bundles, seeds)]
+            for b, seed in zip(fit_bundles, seeds)]
     phis = [
         _resolve_prelabels(s, b, m, config.pre_ridge)
-        for s, b, m in zip(specs, bundles, maps)
+        for s, b, m in zip(specs, fit_bundles, maps)
     ]
-    model = fit(bundles, phis, maps)
+    model = fit(fit_bundles, phis, maps, sts)
     model_path = save_model(model, os.path.join(args.out_dir, "model.json"))
     unlabeled = [b.target_unlabeled for b in bundles]
     have_unlabeled = all(d is not None for d in unlabeled)
@@ -242,35 +217,31 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_standardizers(model_path: str, multiview: bool, datasets):
-    """Rescale inputs with any standardizer files `fit` left beside the model."""
+def _refuse_stale_standardizer(model_path: str, n_views: int) -> None:
+    """Refuse a model without a standardizer that has a standardizer file
+    beside it, where fits saved it before models carried it."""
     base = os.path.dirname(os.path.abspath(model_path))
-    out = []
-    for v, ds in enumerate(datasets):
-        path = os.path.join(base, _standardizer_name(multiview, v))
-        out.append(_standardize(path, ds) if os.path.exists(path) else ds)
-    return out
-
-
-def _standardize(path: str, data: Dataset) -> Dataset:
-    st = load_standardizer(path)
-    if st.mean.shape[0] != data.dim:
-        raise ShapeError(
-            f"{path}: standardizer has {st.mean.shape[0]} features, "
-            f"the input has {data.dim}"
-        )
-    return st.apply(data)
+    names = ["standardizer.txt"] + [f"standardizer_view{v}.txt" for v in range(n_views)]
+    for name in names:
+        path = os.path.join(base, name)
+        if os.path.exists(path):
+            raise ParameterError(
+                f"{path}: standardizer file beside {model_path}, which carries "
+                "no standardizer; a fit now keeps its rescaling inside the "
+                "model file, so refit, or remove the file if the model was "
+                "fitted on unscaled features")
 
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     multiview = isinstance(model, MvEdaModel)
-    if args.detransform and not isinstance(model, EdaModel):
+    if args.detransform and multiview:
         raise ParameterError("--detransform applies to single-view adaptation models")
     if not multiview and len(args.features) != 1:
         raise ParameterError("single-view models take exactly one feature CSV")
+    if (model.standardizers if multiview else model.standardizer) is None:
+        _refuse_stale_standardizer(args.model, model.n_views if multiview else 1)
     datasets = [load_csv(p) for p in args.features]
-    datasets = _apply_standardizers(args.model, multiview, datasets)
     maps = model.hidden_maps if multiview else [model.hidden_map]
     for v, (path, hidden_map, ds) in enumerate(zip(args.features, maps, datasets)):
         if ds.dim != hidden_map.n_features:
@@ -279,11 +250,8 @@ def _cmd_predict(args) -> int:
                              f"the model's hidden map takes {hidden_map.n_features}")
     if multiview:
         labels, scores, _ = predict_mveda(model, datasets)
-    elif isinstance(model, EdaModel):
-        labels, scores = predict_eda(model, datasets[0], detransform=args.detransform)
     else:
-        scores = predict_scores(model, datasets[0])
-        labels = decode_labels(scores)
+        labels, scores = predict_eda(model, datasets[0], detransform=args.detransform)
     os.makedirs(args.out_dir, exist_ok=True)
     lab_path = os.path.join(args.out_dir, "predicted_labels.csv")
     sc_path = os.path.join(args.out_dir, "predicted_scores.csv")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DomainBundle, concat_features
-from .errors import ParameterError, ParseError, ShapeError
+from .errors import ParameterError, ShapeError
 
 ACTIVATIONS = ("radbas", "sigmoid")
 
@@ -181,12 +181,33 @@ def map_features(hidden_map: HiddenMap, data: Dataset,
 
 @dataclass(frozen=True, eq=False)
 class Standardizer:
-    """Per-feature affine rescaling fitted on source + labeled target."""
+    """Per-feature affine rescaling fitted on source + labeled target:
+    finite, read-only ``mean`` and ``std`` vectors of one length, every
+    ``std > 0``.  A fitted model carries it and applies it to raw
+    features before its hidden map."""
 
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        for name in ("mean", "std"):
+            a = np.array(getattr(self, name), dtype=np.float64)
+            if a.ndim != 1:
+                raise ShapeError(f"field {name!r} must be a vector, got shape {a.shape}")
+            if not np.isfinite(a).all():
+                raise ParameterError(f"field {name!r} has non-finite entries")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if self.mean.shape != self.std.shape:
+            raise ShapeError(f"fields 'mean' and 'std' differ in length: "
+                             f"{self.mean.size} and {self.std.size}")
+        if (self.std <= 0.0).any():
+            raise ParameterError("field 'std' has entries <= 0")
+
     def apply(self, data: Dataset) -> Dataset:
+        if data.dim != self.mean.size:
+            raise ShapeError(f"standardizer has {self.mean.size} features, "
+                             f"the input has {data.dim}")
         x = (data.features - self.mean[:, None]) / self.std[:, None]
         return Dataset(x, data.labels)
 
@@ -221,38 +242,3 @@ def standardize_bundle(
         None if bundle.target_test is None else st.apply(bundle.target_test),
     )
 
-
-def save_standardizer(standardizer: Standardizer, path: str) -> None:
-    """Write a standardizer as two comma-separated lines (mean, std)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(repr(float(v)) for v in standardizer.mean) + "\n")
-        fh.write(",".join(repr(float(v)) for v in standardizer.std) + "\n")
-
-
-def _stat_line(line: str, path: str, name: str) -> np.ndarray:
-    try:
-        values = np.array([float(tok) for tok in line.split(",")])
-    except ValueError as err:
-        raise ParseError(f"{path}: field {name!r}: {err}") from None
-    if not np.isfinite(values).all():
-        raise ParseError(f"{path}: field {name!r} has non-finite entries")
-    return values
-
-
-def load_standardizer(path: str) -> Standardizer:
-    """Read a standardizer written by :func:`save_standardizer`.
-
-    A line that does not parse, a non-finite entry or a non-positive
-    std raises :class:`ParseError` naming the file and the field.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) != 2:
-        raise ParseError(f"{path}: expected 2 lines (mean, std), got {len(lines)}")
-    mean = _stat_line(lines[0], path, "mean")
-    std = _stat_line(lines[1], path, "std")
-    if mean.shape != std.shape:
-        raise ParseError(f"{path}: mean and std lengths differ")
-    if (std <= 0.0).any():
-        raise ParseError(f"{path}: field 'std' has entries <= 0")
-    return Standardizer(mean, std)

@@ -4,8 +4,11 @@ The manifold term of the semi-supervised objectives is
 ``tr(F' L F)`` with ``L = D - A`` built over the target samples
 (labeled block first, unlabeled block second, in that fixed order).
 Adjacency is the symmetric OR of the k-nearest-neighbor relation under
-Euclidean distance in raw feature space, self-edges excluded, distance
-ties broken toward the lower sample index.
+Euclidean distance in raw feature space, self-edges excluded, equal
+computed distances broken toward the lower sample index.  Copies of a
+duplicated point are equally distant only up to the rounding of
+``|x|^2 + |y|^2 - 2 x'y``, so which copy a row nominates follows that
+rounding, not the index rule.
 
 Storage is sparse: a graph over ``n`` samples has at most ``2 k n``
 edges, so the adjacency and the Laplacian are kept as read-only CSR
@@ -102,7 +105,8 @@ def _nominations(x: np.ndarray, n_neighbors: int):
     Works through row blocks of the squared-distance matrix.  In each
     block a partition finds every row's k-th smallest distance; the
     candidates at or below it are ordered by (distance, index), so equal
-    distances resolve toward the lower index, and the first k are kept.
+    computed distances resolve toward the lower index (duplicates tie
+    only up to rounding; see the module notes), and the first k are kept.
     Returns ``(rows, cols, sq_dists)`` of the ``n * k`` nominations.
     """
     n = x.shape[1]

@@ -2,9 +2,10 @@
 
 Every model is one plain JSON file (binary-free, diff-friendly); floats
 are written with full round-trip precision.  A multi-view file holds one
-block per view under ``views`` (hidden map, ``beta``, ``theta``, ``u``:
-the fields of a single-view file) beside the shared view weights,
-their history, the objective history and the parameters.
+block per view under ``views`` (hidden map, ``beta``, ``theta``, ``u``
+and, for a standardized fit, ``standardizer``: the fields of a
+single-view file) beside the shared view weights, their history, the
+objective history and the parameters.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .baselines import ElmModel
 from .errors import ParseError
-from .features import HiddenMap
+from .features import HiddenMap, Standardizer
 from .multiview import MvEdaModel
 from .single import EdaModel, EdaParams
 
@@ -35,28 +35,26 @@ def _map_block(hm: HiddenMap) -> dict:
     }
 
 
-def _view_block(hm: HiddenMap, beta, theta, u) -> dict:
-    return {
+def _view_block(hm: HiddenMap, beta, theta, u, standardizer) -> dict:
+    block = {
         "hidden_map": _map_block(hm),
         "beta": np.asarray(beta).tolist(),
         "theta": np.asarray(theta).tolist(),
         "u": np.asarray(u).tolist(),
     }
+    if standardizer is not None:
+        block["standardizer"] = {"mean": standardizer.mean.tolist(),
+                                 "std": standardizer.std.tolist()}
+    return block
 
 
 def save_model(model, path: str) -> str:
     """Serialize a fitted model to one JSON file; returns the path written."""
-    if isinstance(model, ElmModel):
-        d = {
-            "kind": "elm",
-            "hidden_map": _map_block(model.hidden_map),
-            "beta": model.beta.tolist(),
-            "ridge": model.ridge,
-        }
-    elif isinstance(model, EdaModel):
+    if isinstance(model, EdaModel):
         d = {
             "kind": "eda",
-            **_view_block(model.hidden_map, model.beta, model.theta, model.u),
+            **_view_block(model.hidden_map, model.beta, model.theta, model.u,
+                          model.standardizer),
             "objective_history": model.objective_history.tolist(),
             "params": asdict(model.params),
         }
@@ -64,7 +62,8 @@ def save_model(model, path: str) -> str:
         d = {
             "kind": "mveda",
             "views": [_view_block(*view) for view in zip(
-                model.hidden_maps, model.betas, model.thetas, model.us)],
+                model.hidden_maps, model.betas, model.thetas, model.us,
+                model.standardizers or [None] * model.n_views)],
             "alpha": model.alpha.tolist(),
             "alpha_history": model.alpha_history.tolist(),
             "objective_history": model.objective_history.tolist(),
@@ -95,7 +94,9 @@ def _field(d, key: str, where: str):
 
 
 def _array(d, key: str, where: str) -> np.ndarray:
-    a = np.asarray(_field(d, key, where), dtype=np.float64)
+    raw = _field(d, key, where)
+    with _naming(f"{where}: field {key!r}"):
+        a = np.asarray(raw, dtype=np.float64)
     if not np.isfinite(a).all():
         raise ParseError(f"{where}: field {key!r} has non-finite entries")
     return a
@@ -118,10 +119,21 @@ def _map_from_block(d, where: str) -> HiddenMap:
                          _field(blk, "activation", where), _field(blk, "seed", where))
 
 
+def _standardizer(d, where: str) -> Standardizer | None:
+    if "standardizer" not in d:
+        return None
+    blk = d["standardizer"]
+    where = f"{where}: standardizer"
+    with _naming(where):
+        return Standardizer(_array(blk, "mean", where), _array(blk, "std", where))
+
+
 def _view_fields(d, where: str) -> tuple:
-    """Hidden map, beta, theta and u of an ``eda`` file or a view block."""
+    """Hidden map, beta, theta, u and standardizer (or None) of an ``eda``
+    file or a view block."""
     return (_map_from_block(d, where), _array(d, "beta", where),
-            _array(d, "theta", where), _array(d, "u", where))
+            _array(d, "theta", where), _array(d, "u", where),
+            _standardizer(d, where))
 
 
 @contextmanager
@@ -139,25 +151,27 @@ def _naming(where: str):
 def load_model(path: str):
     """Load a model written by :func:`save_model`.
 
-    A missing, malformed or non-finite field, an unknown parameter, or
-    arrays whose shapes disagree with each other raise
-    :class:`ParseError` naming the file (and the field).
+    A missing, malformed or non-finite field, an unknown parameter, a
+    standardizer with a ``std <= 0``, or arrays whose shapes disagree
+    with each other (a standardizer's length with its hidden map's
+    input width) raise :class:`ParseError` naming the file (and the
+    field).
     """
     with _naming(path):
         d = _read_json(path)
         kind = d.get("kind") if isinstance(d, dict) else None
-        if kind == "elm":
-            return ElmModel(_map_from_block(d, path), _array(d, "beta", path),
-                            _field(d, "ridge", path))
         if kind == "eda":
-            return EdaModel(*_view_fields(d, path),
-                            _array(d, "objective_history", path), _params(d, path))
+            hm, beta, theta, u, st = _view_fields(d, path)
+            return EdaModel(hm, beta, theta, u, _array(d, "objective_history", path),
+                            _params(d, path), st)
         if kind == "mveda":
             views = [_view_fields(blk, f"{path}: view {i}")
                      for i, blk in enumerate(_field(d, "views", path))]
+            sts = [view[4] for view in views]
             return MvEdaModel(
                 *([view[j] for view in views] for j in range(4)),
                 _array(d, "alpha", path), _array(d, "alpha_history", path),
                 _array(d, "objective_history", path), _params(d, path),
+                None if all(st is None for st in sts) else sts,
             )
         raise ParseError(f"{path}: unknown model kind {kind!r}")

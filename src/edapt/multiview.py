@@ -32,7 +32,8 @@ import numpy as np
 
 from .data import Dataset, DomainBundle, decode_labels
 from .errors import ParameterError, ShapeError
-from .features import HiddenMap, derive_view_seed, map_features, new_hidden_map
+from .features import (HiddenMap, Standardizer, derive_view_seed, map_features,
+                       new_hidden_map)
 from .single import (
     EdaParams,
     EdaProblem,
@@ -90,7 +91,9 @@ def update_theta_view(
 
 @dataclass(frozen=True, eq=False)
 class MvEdaModel:
-    """A fitted multi-view adaptation model."""
+    """A fitted multi-view adaptation model; ``standardizers`` holds the
+    rescaling of each view's features (None: none), which
+    :func:`predict_mveda` applies to raw features."""
 
     hidden_maps: list[HiddenMap]
     betas: list[np.ndarray]
@@ -100,16 +103,22 @@ class MvEdaModel:
     alpha_history: np.ndarray
     objective_history: np.ndarray
     params: EdaParams
+    standardizers: list[Standardizer] | None = None
 
     def __post_init__(self):
         v = len(self.hidden_maps)
         if v == 0:
             raise ShapeError("a multi-view model needs at least one view")
-        if not (len(self.betas) == len(self.thetas) == len(self.us) == v):
+        # every view is standardized, or none is
+        sts = [None] * v if self.standardizers is None else self.standardizers
+        if not (len(self.betas) == len(self.thetas) == len(self.us) == len(sts) == v):
             raise ShapeError("per-view field lists disagree on view count")
         c = None
-        for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas, self.us)):
+        for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas,
+                                     self.us, sts)):
             try:
+                if view[-1] is None and self.standardizers is not None:
+                    raise ShapeError("missing field 'standardizer'")
                 c = _check_view(*view, c)
             except ShapeError as err:
                 raise ShapeError(f"view {i}: {err}") from None
@@ -189,13 +198,17 @@ def fit_mveda(
         ``params.seed`` seeds view ``v``'s hidden map through a per-view
         derived seed; pass ``hidden_maps`` to override.
     hidden_maps : list of HiddenMap, optional
+        Override ``params.n_hidden``, ``.activation`` and ``.seed``; the
+        model keeps these maps, and ``params`` as passed.
 
     Notes
     -----
     With a single view the map comes from ``params.seed`` and the loop
     skips the weight step, so the fit equals
     :func:`~edapt.single.fit_eda` bit for bit.  The weight vector starts
-    uniform and every iterate stays on the simplex.
+    uniform and every iterate stays on the simplex.  A caller that
+    rescaled the bundles attaches the rescalings with
+    ``dataclasses.replace(model, standardizers=[...])``.
     """
     if not bundles:
         raise ParameterError("need at least one view")
@@ -227,13 +240,16 @@ def predict_mveda(
 
     Returns ``(labels, fused_scores, per_view_scores)`` where the fused
     scores are the weight-averaged per-view scores
-    ``sum_v alpha_v * map_v(X_v) @ beta_v``.
+    ``sum_v alpha_v * map_v(X_v) @ beta_v``, each ``X_v`` rescaled first
+    by its view's standardizer if the model has them.
     """
     if len(datasets) != model.n_views:
         raise ShapeError(f"{len(datasets)} datasets for {model.n_views} views")
     ns = {ds.n for ds in datasets}
     if len(ns) != 1:
         raise ShapeError(f"views disagree on sample count: {sorted(ns)}")
+    if model.standardizers is not None:
+        datasets = [st.apply(ds) for st, ds in zip(model.standardizers, datasets)]
     per_view = [
         map_features(hm, ds, beta)
         for hm, ds, beta in zip(model.hidden_maps, datasets, model.betas)

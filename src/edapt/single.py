@@ -43,7 +43,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset, DomainBundle, decode_labels, encode_labels
 from .errors import ParameterError, ShapeError
-from .features import ACTIVATIONS, HiddenMap, _as_int, map_features, new_hidden_map
+from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
+                       new_hidden_map)
 from .graph import LaplacianGraph, build_knn_graph, quadratic_energy
 from .linalg import _blas_threads_for, solve_spd
 
@@ -98,6 +99,11 @@ class EdaParams:
         Hidden activation, ``"radbas"`` or ``"sigmoid"``.
     seed : int
         Seed for the random hidden layer.
+
+    ``n_hidden``, ``activation`` and ``seed`` only draw a hidden map.  A
+    map passed to :func:`fit_eda` or :func:`~edapt.multiview.fit_mveda`
+    overrides all three, and a fitted model's (and its file's)
+    ``hidden_map`` is what predicts, whatever its ``params`` say.
     """
 
     c_source: float = 1.0
@@ -555,7 +561,9 @@ def _alternate(problems: list[EdaProblem], params: EdaParams):
 
 @dataclass(frozen=True, eq=False)
 class EdaModel:
-    """A fitted single-view adaptation model."""
+    """A fitted single-view adaptation model; ``standardizer`` is the
+    rescaling its features were fitted under (None: none), which
+    :func:`predict_eda` applies to raw features."""
 
     hidden_map: HiddenMap
     beta: np.ndarray
@@ -563,20 +571,24 @@ class EdaModel:
     u: np.ndarray
     objective_history: np.ndarray
     params: EdaParams
+    standardizer: Standardizer | None = None
 
     def __post_init__(self):
         for name in ("beta", "theta", "u", "objective_history"):
             a = np.array(getattr(self, name), dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        _check_view(self.hidden_map, self.beta, self.theta, self.u)
+        _check_view(self.hidden_map, self.beta, self.theta, self.u,
+                    self.standardizer)
         _check_history(self.objective_history)
 
 
-def _check_view(hidden_map: HiddenMap, beta, theta, u, n_classes=None) -> int:
+def _check_view(hidden_map: HiddenMap, beta, theta, u, standardizer,
+                n_classes=None) -> int:
     """Check one fitted view's arrays against its L-unit map and each
     other: ``beta`` (L, c), ``theta`` (c, c), ``u`` (L,), with ``c`` given
-    or read from ``beta``.  Errors name the field; returns ``c``."""
+    or read from ``beta``, and a standardizer, if any, as wide as the
+    map's input.  Errors name the field; returns ``c``."""
     n, c = hidden_map.n_hidden, n_classes
     if c is None:
         c = np.shape(beta)[1] if np.ndim(beta) == 2 else "c"
@@ -585,6 +597,9 @@ def _check_view(hidden_map: HiddenMap, beta, theta, u, n_classes=None) -> int:
         if np.shape(a) != shape:
             raise ShapeError(f"field {name!r} must have shape {shape}, "
                              f"got {np.shape(a)}")
+    if standardizer is not None and standardizer.mean.size != hidden_map.n_features:
+        raise ShapeError(f"field 'standardizer' has {standardizer.mean.size} "
+                         f"features, the hidden map takes {hidden_map.n_features}")
     return c
 
 
@@ -609,7 +624,11 @@ def fit_eda(
     moves by less than ``1e-10`` relatively.  The recorded sequence is
     non-increasing up to the reweighting floor.
 
-    ``prelabels`` is a score matrix for the unlabeled split.
+    ``prelabels`` is a score matrix for the unlabeled split.  A given
+    ``hidden_map`` overrides ``params.n_hidden``, ``.activation`` and
+    ``.seed``; the model keeps that map, and ``params`` as passed.  A
+    caller that rescaled ``bundle`` attaches the rescaling with
+    ``dataclasses.replace(model, standardizer=...)``.
     """
     prob, hidden_map = build_problem(bundle, prelabels, params, hidden_map)
     (beta,), (theta,), (u,), _, _, history = _alternate([prob], params)
@@ -621,12 +640,15 @@ def predict_eda(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score new samples; returns ``(labels, scores)``.
 
-    Scores are ``map(X) @ beta``.  With ``detransform=True`` the learned
+    Scores are ``map(X) @ beta``, ``X`` rescaled first by the model's
+    standardizer if it has one.  With ``detransform=True`` the learned
     class drift is undone (``scores @ theta^{-1}``, falling back to the
     pseudo-inverse with a ``UserWarning`` when theta is near singular);
     default is off, since the drift matrix stays near the identity in
     practice.
     """
+    if model.standardizer is not None:
+        data = model.standardizer.apply(data)
     scores = map_features(model.hidden_map, data, model.beta)
     if detransform:
         theta = model.theta

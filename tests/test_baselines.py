@@ -5,15 +5,12 @@ import pytest
 
 from edapt import (
     Dataset,
-    ElmModel,
     ParameterError,
     ShapeError,
     build_knn_graph,
     fit_elm,
     fit_sselm,
-    new_hidden_map,
 )
-from edapt.baselines import predict_scores
 
 
 def test_identity_activations_hand_case():
@@ -108,14 +105,3 @@ def test_sselm_validation():
     with pytest.raises(ShapeError):
         fit_sselm(np.ones((5, 2)), np.ones((2, 2)), 1.0, 1.0, graph)
 
-
-def test_elm_model_and_prediction():
-    hm = new_hidden_map(3, 2, seed=0)
-    beta = np.arange(6.0).reshape(3, 2)
-    model = ElmModel(hm, beta, ridge=1.0)
-    data = Dataset(np.array([[0.5, 1.5], [0.25, -0.5]]))
-    from edapt.features import map_features
-    assert np.array_equal(predict_scores(model, data),
-                          map_features(hm, data) @ beta)
-    with pytest.raises(ShapeError):
-        ElmModel(hm, np.ones((4, 2)), ridge=1.0)

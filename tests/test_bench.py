@@ -110,6 +110,20 @@ def test_config_validation():
         default_config(views=0)
 
 
+def test_config_checks_n_neighbors_against_the_synthetic_graph():
+    # 2 labeled per class x 3 classes + 12 unlabeled target rows; sselm's
+    # graph also holds the 30 source rows, and the ELM baselines build none
+    want = ("key 'n_neighbors': 18 needs at least 19 samples for the k-NN graph, "
+            "the synthetic scenario has 18")
+    base = _fast()
+    k18 = replace(base.params, n_neighbors=18)
+    with pytest.raises(ParameterError, match=want):
+        replace(base, params=k18)
+    replace(base, params=k18, methods=("sselm",))
+    replace(base, params=k18, methods=("elm_s", "elm_t"))
+    replace(base, params=k18, data="bundle/manifest.txt")
+
+
 def test_repeated_grid_values_are_rejected():
     with pytest.raises(ParameterError, match=r"repeated \[1\.0\]"):
         default_config(grid=(1.0, 10.0, 1.0))

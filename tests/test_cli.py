@@ -3,7 +3,6 @@
 import json
 import os
 import re
-import shutil
 
 import numpy as np
 import pytest
@@ -14,12 +13,13 @@ from edapt import (
     new_hidden_map,
     preclassify_elm,
     predict_eda,
+    predict_mveda,
     standardize_bundle,
 )
 from edapt.bench import load_config
 from edapt.cli import main
 from edapt.data import load_bundle, load_csv, save_csv
-from edapt.features import fit_standardizer, load_standardizer
+from edapt.features import fit_standardizer
 
 TINY_CFG = """\
 seeds = 0
@@ -74,9 +74,8 @@ def test_fit_then_predict_round_trip(tmp_path, cfg_path, capsys):
     assert rc == 0
     fit_out = capsys.readouterr().out
     assert "objective: " in fit_out
-    assert (run / "model.json").exists()
-    assert (run / "standardizer.txt").exists()
-    assert (run / "unlabeled_labels.csv").exists()
+    assert sorted(p.name for p in run.iterdir()) == [
+        "model.json", "unlabeled_labels.csv", "unlabeled_scores.csv"]
     assert (run / "unlabeled_scores.csv").exists()
 
     test_csv = f"{data}/target_test_features.csv"
@@ -85,10 +84,10 @@ def test_fit_then_predict_round_trip(tmp_path, cfg_path, capsys):
                "--out-dir", str(pred)])
     assert rc == 0
     capsys.readouterr()
-    # the standardizer saved beside the model is applied automatically
+    # the model carries its standardizer and applies it to the raw CSV
     model = load_model(str(run / "model.json"))
-    st = load_standardizer(str(run / "standardizer.txt"))
-    want_labels, want_scores = predict_eda(model, st.apply(load_csv(test_csv)))
+    assert model.standardizer is not None
+    want_labels, want_scores = predict_eda(model, load_csv(test_csv))
     got_scores = load_csv(str(pred / "predicted_scores.csv")).features.T
     with open(pred / "predicted_labels.csv") as fh:
         got_labels = np.array([int(x) for x in fh.read().split()])
@@ -119,17 +118,17 @@ def test_multiview_fit_and_predict(tmp_path, cfg_path, capsys):
     assert rc == 0
     fit_out = capsys.readouterr().out
     assert "view weights: " in fit_out
-    assert load_model(str(run / "model.json")).n_views == 2
-    assert (run / "standardizer_view0.txt").exists()
+    model = load_model(str(run / "model.json"))
+    assert model.n_views == 2 and len(model.standardizers) == 2
+    assert not list(run.glob("standardizer*"))
 
     pred = tmp_path / "pred"
-    rc = main(["predict", str(run / "model.json"),
-               f"{data}/view0_target_test_features.csv",
-               f"{data}/view1_target_test_features.csv",
-               "--out-dir", str(pred)])
+    csvs = [f"{data}/view{v}_target_test_features.csv" for v in range(2)]
+    rc = main(["predict", str(run / "model.json"), *csvs, "--out-dir", str(pred)])
     assert rc == 0
     capsys.readouterr()
-    assert (pred / "predicted_labels.csv").exists()
+    _, want, _ = predict_mveda(model, [load_csv(p) for p in csvs])
+    assert np.array_equal(load_csv(str(pred / "predicted_scores.csv")).features.T, want)
     # one CSV for a two-view model is a usage error
     rc = main(["predict", str(run / "model.json"),
                f"{data}/view0_target_test_features.csv",
@@ -162,27 +161,59 @@ def test_fit_rejects_detransform_on_a_multiview_manifest(tmp_path, cfg_path, cap
     assert not run.exists()
 
 
-def test_predict_reads_standardizers_by_model_kind(tmp_path, cfg_path, capsys):
-    mv_data, (mv_manifest, _) = _synth(tmp_path / "mv", cfg_path, capsys, "--views", "2")
+def _scores(path) -> np.ndarray:
+    return load_csv(str(path)).features.T
+
+
+def test_refit_without_standardize_predicts_with_the_refitted_model(tmp_path, cfg_path,
+                                                                   capsys):
+    # a standardized fit used to leave standardizer.txt behind, and `predict`
+    # rescaled the inputs of an unstandardized refit in the same directory
+    data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
     run = tmp_path / "run"
-    assert main(["fit", mv_manifest, "--config", cfg_path, "--views", "1",
-                 "--out-dir", str(run)]) == 0
-    test_csv = f"{mv_data}/view0_target_test_features.csv"
+    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
+    raw_cfg = tmp_path / "raw.cfg"
+    raw_cfg.write_text(TINY_CFG + "standardize = false\n")
+    assert main(["fit", manifest, "--config", str(raw_cfg), "--out-dir", str(run)]) == 0
+    test_csv = f"{data}/target_test_features.csv"
+    assert main(["predict", str(run / "model.json"), test_csv,
+                 "--out-dir", str(tmp_path / "pred")]) == 0
+    capsys.readouterr()
+    model = load_model(str(run / "model.json"))
+    assert model.standardizer is None
+    _, want = predict_eda(model, load_csv(test_csv))
+    assert np.array_equal(_scores(tmp_path / "pred" / "predicted_scores.csv"), want)
 
-    def predict(out):
-        assert main(["predict", str(run / "model.json"), test_csv,
-                     "--out-dir", str(out)]) == 0
+
+def test_predict_refuses_a_standardizer_file_beside_a_model_without_one(
+        tmp_path, cfg_path, capsys):
+    # a run directory from before models carried their standardizer
+    raw_cfg = tmp_path / "raw.cfg"
+    raw_cfg.write_text(TINY_CFG + "standardize = false\n")
+    for views, name in [("1", "standardizer.txt"), ("2", "standardizer_view1.txt")]:
+        data, (manifest, _) = _synth(tmp_path / views, cfg_path, capsys,
+                                     "--views", views)
+        run = tmp_path / views / "run"
+        assert main(["fit", manifest, "--config", str(raw_cfg),
+                     "--out-dir", str(run)]) == 0
+        (run / name).write_text("0.0,0.0\n1.0,1.0\n")
+        csvs = ([f"{data}/target_test_features.csv"] if views == "1" else
+                [f"{data}/view{v}_target_test_features.csv" for v in range(2)])
         capsys.readouterr()
-        return load_csv(str(out / "predicted_scores.csv")).features
+        assert main(["predict", str(run / "model.json"), *csvs,
+                     "--out-dir", str(tmp_path / "pred")]) == 2
+        assert f"{run / name}: standardizer file beside" in capsys.readouterr().err
 
-    before = predict(tmp_path / "before")
-    # an unrelated single-view fit's standardizer.txt, put beside the
-    # one-view model
-    _, (manifest, _) = _synth(tmp_path / "single", cfg_path, capsys, "--seed", "1")
-    single = tmp_path / "single_run"
-    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(single)]) == 0
-    shutil.copy(single / "standardizer.txt", run / "standardizer.txt")
-    assert np.array_equal(predict(tmp_path / "after"), before)
+    # beside a model that carries its standardizer, such a file is not read
+    run = tmp_path / "scaled"
+    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
+    model = load_model(str(run / "model.json"))
+    (run / "standardizer_view0.txt").write_text("0.0,0.0\n1.0,1.0\n")
+    assert main(["predict", str(run / "model.json"), *csvs,
+                 "--out-dir", str(tmp_path / "pred")]) == 0
+    capsys.readouterr()
+    _, want, _ = predict_mveda(model, [load_csv(p) for p in csvs])
+    assert np.array_equal(_scores(tmp_path / "pred" / "predicted_scores.csv"), want)
 
 
 def test_bench_prints_every_report_path(tmp_path, cfg_path, capsys):
@@ -220,20 +251,30 @@ def test_bench_rejects_a_repeated_grid_value(tmp_path, capsys):
     assert "repeated [1.0]" in capsys.readouterr().err
 
 
+def _edit_model(path, edit) -> None:
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d))
+
+
 def test_predict_rejects_a_malformed_standardizer(tmp_path, cfg_path, capsys):
     data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
-    run = tmp_path / "run"
-    assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
-    capsys.readouterr()
-    st_path = run / "standardizer.txt"
-    mean_line = st_path.read_text().splitlines()[0]
-    zero_std = ",".join("0.0" for _ in mean_line.split(","))
-    st_path.write_text(f"{mean_line}\n{zero_std}\n")
-    rc = main(["predict", str(run / "model.json"), f"{data}/target_test_features.csv",
-               "--out-dir", str(tmp_path / "pred")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(st_path) in err and "'std'" in err
+    model = tmp_path / "run" / "model.json"
+    for edit, want in [
+        (lambda st: st.update(std=[0.0 for _ in st["std"]]),
+         "standardizer: field 'std' has entries <= 0"),
+        (lambda st: st["mean"].__setitem__(0, float("nan")),
+         "standardizer: field 'mean' has non-finite entries"),
+        (lambda st: st.pop("mean"), "standardizer: missing field 'mean'"),
+    ]:
+        assert main(["fit", manifest, "--config", cfg_path,
+                     "--out-dir", str(model.parent)]) == 0
+        capsys.readouterr()
+        _edit_model(model, lambda d: edit(d["standardizer"]))
+        rc = main(["predict", str(model), f"{data}/target_test_features.csv",
+                   "--out-dir", str(tmp_path / "pred")])
+        assert rc == 2
+        assert f"{model}: {want}" in capsys.readouterr().err
 
 
 def _one_feature_too_many(src: str, dst) -> str:
@@ -248,38 +289,35 @@ def test_predict_rejects_a_standardizer_of_the_wrong_length(tmp_path, cfg_path,
     run = tmp_path / "run"
     assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
     capsys.readouterr()
-    wide = _one_feature_too_many(f"{data}/target_test_features.csv",
-                                 tmp_path / "wide.csv")
-    rc = main(["predict", str(run / "model.json"), wide,
+    _edit_model(run / "model.json", lambda d: d["standardizer"].update(
+        mean=[0.0] * 3, std=[1.0] * 3))
+    rc = main(["predict", str(run / "model.json"), f"{data}/target_test_features.csv",
                "--out-dir", str(tmp_path / "pred")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert str(run / "standardizer.txt") in err
-    assert "has 2 features, the input has 3" in err
+    assert (f"{run / 'model.json'}: field 'standardizer' has 3 features, "
+            "the hidden map takes 2") in capsys.readouterr().err
 
     mv_data, (mv_manifest, _) = _synth(tmp_path / "mv", cfg_path, capsys, "--views", "2")
     mv_run = tmp_path / "mv_run"
     assert main(["fit", mv_manifest, "--config", cfg_path,
                  "--out-dir", str(mv_run)]) == 0
     capsys.readouterr()
-    wide = _one_feature_too_many(f"{mv_data}/view1_target_test_features.csv",
-                                 tmp_path / "wide_view1.csv")
+    _edit_model(mv_run / "model.json", lambda d: d["views"][1]["standardizer"].update(
+        mean=[0.0] * 5, std=[1.0] * 5))
     rc = main(["predict", str(mv_run / "model.json"),
-               f"{mv_data}/view0_target_test_features.csv", wide,
+               f"{mv_data}/view0_target_test_features.csv",
+               f"{mv_data}/view1_target_test_features.csv",
                "--out-dir", str(tmp_path / "mv_pred")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert str(mv_run / "standardizer_view1.txt") in err
-    assert "has 4 features, the input has 5" in err
+    assert (f"{mv_run / 'model.json'}: view 1: field 'standardizer' has 5 features, "
+            "the hidden map takes 4") in capsys.readouterr().err
 
 
 def test_predict_names_a_csv_of_the_wrong_width(tmp_path, cfg_path, capsys):
-    # with no standardizer beside the model, the hidden map's width is the check
     data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
     run = tmp_path / "run"
     assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
     capsys.readouterr()
-    os.remove(run / "standardizer.txt")
     wide = _one_feature_too_many(f"{data}/target_test_features.csv",
                                  tmp_path / "wide.csv")
     rc = main(["predict", str(run / "model.json"), wide,
@@ -293,7 +331,6 @@ def test_predict_names_a_csv_of_the_wrong_width(tmp_path, cfg_path, capsys):
     assert main(["fit", mv_manifest, "--config", cfg_path,
                  "--out-dir", str(mv_run)]) == 0
     capsys.readouterr()
-    os.remove(mv_run / "standardizer_view1.txt")
     wide = _one_feature_too_many(f"{mv_data}/view1_target_test_features.csv",
                                  tmp_path / "wide_view1.csv")
     rc = main(["predict", str(mv_run / "model.json"),

@@ -1,5 +1,6 @@
 """Random hidden maps, activations, and feature standardization."""
 
+import json
 import math
 import os
 import subprocess
@@ -15,27 +16,25 @@ from edapt import (
     Dataset,
     EdaModel,
     EdaParams,
-    ElmModel,
     HiddenMap,
     MvEdaModel,
     ParameterError,
     ParseError,
     ShapeError,
     derive_view_seed,
+    load_model,
     new_hidden_map,
     predict_eda,
     predict_mveda,
+    save_model,
     standardize_bundle,
 )
-from edapt.baselines import predict_scores
 from edapt.features import (
     ACTIVATIONS,
     _BLOCK,
     Standardizer,
     fit_standardizer,
-    load_standardizer,
     map_features,
-    save_standardizer,
 )
 
 from helpers import blob_bundle, hidden_layer_reference
@@ -145,13 +144,44 @@ def test_standardize_bundle_fits_on_train_splits_only():
     assert np.array_equal(again.source.features, out.source.features)
 
 
+def test_standardizer_checks_itself():
+    st = Standardizer([0.1, -2.0], [1.5, 3.0])
+    with pytest.raises(ValueError):
+        st.mean[0] = 0.0
+    with pytest.raises(ParameterError, match="field 'mean' has non-finite"):
+        Standardizer([0.1, np.nan], [1.5, 3.0])
+    with pytest.raises(ParameterError, match="field 'std' has entries <= 0"):
+        Standardizer([0.1, -2.0], [1.5, 0.0])
+    with pytest.raises(ShapeError, match="differ in length: 2 and 3"):
+        Standardizer([0.1, -2.0], [1.5, 3.0, 1.0])
+    with pytest.raises(ShapeError, match=r"field 'mean' must be a vector, got shape \(1, 2\)"):
+        Standardizer([[0.1, -2.0]], [1.5, 3.0])
+    with pytest.raises(ShapeError, match="standardizer has 2 features, the input has 3"):
+        st.apply(Dataset(np.ones((3, 4))))
+
+
+def _model_over_two_inputs(standardizer=None) -> EdaModel:
+    return EdaModel(new_hidden_map(3, 2, seed=0), np.ones((3, 2)), np.eye(2),
+                    np.ones(3), [1.0], EdaParams(n_hidden=3), standardizer)
+
+
 def test_standardizer_file_round_trip(tmp_path):
+    # the standardizer is a block of the model file
     st = Standardizer(np.array([0.1, -2.0]), np.array([1.5, 3.0]))
-    p = str(tmp_path / "st.txt")
-    save_standardizer(st, p)
-    back = load_standardizer(p)
+    p = str(tmp_path / "m.json")
+    save_model(_model_over_two_inputs(st), p)
+    assert json.loads(open(p).read())["standardizer"] == {"mean": [0.1, -2.0],
+                                                        "std": [1.5, 3.0]}
+    back = load_model(p).standardizer
     assert np.array_equal(back.mean, st.mean)
     assert np.array_equal(back.std, st.std)
+
+
+def _number_or_text(token: str):
+    try:
+        return float(token)
+    except ValueError:
+        return token
 
 
 @pytest.mark.parametrize("lines, field, what", [
@@ -162,10 +192,16 @@ def test_standardizer_file_round_trip(tmp_path):
     ("1.0,2.0\n-1.0,2.0\n", "'std'", "<= 0"),
 ])
 def test_malformed_standardizer_names_file_and_field(tmp_path, lines, field, what):
-    p = tmp_path / "st.txt"
-    p.write_text(lines)
+    # the two lines are the block's mean and std
+    mean, std = ([_number_or_text(tok) for tok in line.split(",")]
+                 for line in lines.splitlines())
+    p = tmp_path / "m.json"
+    save_model(_model_over_two_inputs(), str(p))
+    d = json.loads(p.read_text())
+    d["standardizer"] = {"mean": mean, "std": std}
+    p.write_text(json.dumps(d))
     with pytest.raises(ParseError) as err:
-        load_standardizer(str(p))
+        load_model(str(p))
     assert str(p) in str(err.value) and field in str(err.value)
     assert what in str(err.value)
 
@@ -262,10 +298,9 @@ def test_scoring_streams_without_the_activation_matrix():
     eda = EdaModel(maps[0], betas[0], eye, ones, [1.0], params)
     mveda = MvEdaModel(maps, betas, [eye, eye], [ones, ones], [0.5, 0.5],
                        [[0.5, 0.5]], [1.0], params)
-    elm = ElmModel(maps[0], betas[0], 1.0)
     for score in (lambda: predict_eda(eda, data),
                   lambda: predict_mveda(mveda, [data, data]),
-                  lambda: predict_scores(elm, data)):
+                  lambda: map_features(maps[0], data, betas[0])):
         tracemalloc.start()
         try:
             score()
@@ -286,12 +321,3 @@ def test_import_loads_neither_scipy_special_nor_spatial():
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
-
-def test_load_standardizer_errors(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("1.0,2.0\n")
-    with pytest.raises(ParseError):
-        load_standardizer(str(p))
-    p.write_text("1.0,2.0\n0.5\n")
-    with pytest.raises(ParseError):
-        load_standardizer(str(p))

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,21 +11,22 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edapt import (
+    BenchConfig,
     EdaModel,
     EdaParams,
-    ElmModel,
     HiddenMap,
     MvEdaModel,
     ParameterError,
     ParseError,
-    fit_elm,
     fit_eda,
     fit_mveda,
     load_model,
     new_hidden_map,
+    predict_eda,
     save_model,
+    standardize_bundle,
 )
-from edapt.features import ACTIVATIONS, map_features
+from edapt.features import ACTIVATIONS, Standardizer, fit_standardizer, map_features
 
 from helpers import blob_bundle, random_prelabels, small_params
 
@@ -33,23 +35,6 @@ def _maps_equal(a, b):
     return (np.array_equal(a.weights, b.weights)
             and np.array_equal(a.biases, b.biases)
             and a.activation == b.activation and a.seed == b.seed)
-
-
-def test_elm_round_trip(tmp_path):
-    hm = new_hidden_map(8, 2, seed=0)
-    rng = np.random.default_rng(0)
-    from edapt import Dataset
-    h = map_features(hm, Dataset(rng.standard_normal((2, 6))))
-    t = rng.standard_normal((6, 3))
-    beta = fit_elm(h, t, 10.0)
-    from edapt import ElmModel
-    model = ElmModel(hm, beta, 10.0)
-    path = save_model(model, str(tmp_path / "elm.json"))
-    back = load_model(path)
-    assert isinstance(back, ElmModel)
-    assert _maps_equal(back.hidden_map, model.hidden_map)
-    assert np.array_equal(back.beta, model.beta)
-    assert back.ridge == model.ridge
 
 
 def test_eda_round_trip(tmp_path):
@@ -96,13 +81,43 @@ def test_mveda_round_trip_one_file(tmp_path):
     assert back.params == model.params
 
 
+def test_a_passed_map_overrides_the_params_and_is_what_the_file_keeps(tmp_path):
+    # a 20-unit sigmoid map with seed 7 under 24-unit radbas params with seed 0
+    bundle = blob_bundle(seed=4, per_test=3)
+    params = small_params()
+    hm = new_hidden_map(20, 2, activation="sigmoid", seed=7)
+    model = fit_eda(bundle, random_prelabels(bundle, 4), params, hm)
+    back = load_model(save_model(model, str(tmp_path / "m.json")))
+    assert back.params == params and back.params.n_hidden == 24
+    assert _maps_equal(back.hidden_map, hm)
+    labels, scores = predict_eda(back, bundle.target_test)
+    assert np.array_equal(scores, map_features(hm, bundle.target_test, model.beta))
+    assert np.array_equal(labels, predict_eda(model, bundle.target_test)[0])
+
+
+def test_a_standardized_model_predicts_raw_features_after_the_round_trip(tmp_path):
+    raw = blob_bundle(seed=4, per_test=3)
+    st0 = fit_standardizer(raw.source, raw.target_labeled)
+    scaled = standardize_bundle(raw, st0)
+    hm = new_hidden_map(12, 2, seed=4)
+    model = fit_eda(scaled, random_prelabels(scaled, 4), small_params(), hm)
+    model = replace(model, standardizer=st0)
+    path = tmp_path / "m.json"
+    back = load_model(save_model(model, str(path)))
+    assert list(json.loads(path.read_text())) == [
+        "kind", "hidden_map", "beta", "theta", "u", "standardizer",
+        "objective_history", "params"]
+    want = map_features(hm, scaled.target_test, model.beta)
+    assert np.array_equal(predict_eda(back, raw.target_test)[1], want)
+    assert np.array_equal(predict_eda(model, raw.target_test)[1], want)
+
+
 def test_predictions_survive_the_round_trip(tmp_path):
     bundle = blob_bundle(seed=4, per_test=3)
     params = small_params()
     model = fit_eda(bundle, random_prelabels(bundle, 4), params,
                     new_hidden_map(12, 2, seed=4))
     back = load_model(save_model(model, str(tmp_path / "m.json")))
-    from edapt import predict_eda
     got_l, got_s = predict_eda(back, bundle.target_test)
     want_l, want_s = predict_eda(model, bundle.target_test)
     assert np.array_equal(got_l, want_l)
@@ -187,6 +202,46 @@ def test_mismatched_view_file_names_file_and_field(tmp_path):
         _assert_names(path, corrupt, field)
 
 
+def _standardized(model):
+    if isinstance(model, EdaModel):
+        return replace(model, standardizer=Standardizer(
+            np.zeros(model.hidden_map.n_features), np.ones(model.hidden_map.n_features)))
+    return replace(model, standardizers=[
+        Standardizer(np.zeros(hm.n_features), np.ones(hm.n_features))
+        for hm in model.hidden_maps])
+
+
+def test_a_bad_standardizer_block_names_file_and_field(tmp_path):
+    path = _two_view_file(tmp_path)
+    save_model(_standardized(load_model(path)), path)
+
+    def view1(**new):
+        return lambda d: d["views"][1]["standardizer"].update(new)
+
+    for corrupt, field in [
+        (view1(mean=[0.0, float("nan"), 0.0, 0.0]),
+         "view 1: standardizer: field 'mean' has non-finite entries"),
+        (view1(std=[1.0, 0.0, 1.0, 1.0]),
+         "view 1: standardizer: field 'std' has entries <= 0"),
+        (lambda d: d["views"][1]["standardizer"].pop("mean"),
+         "view 1: standardizer: missing field 'mean'"),
+        (view1(mean=[0.0] * 3, std=[1.0] * 3),
+         "view 1: field 'standardizer' has 3 features, the hidden map takes 4"),
+        (lambda d: d["views"][0].pop("standardizer"),
+         "view 0: missing field 'standardizer'"),
+    ]:
+        _assert_names(path, corrupt, field)
+
+    bundle = blob_bundle(seed=5)
+    model = fit_eda(bundle, random_prelabels(bundle, 5), small_params(),
+                    new_hidden_map(12, 2, seed=5))
+    path = save_model(_standardized(model), str(tmp_path / "m.json"))
+    _assert_names(path, lambda d: d["standardizer"].update(mean=[0.0], std=[1.0]),
+                  "field 'standardizer' has 1 features, the hidden map takes 2")
+    _assert_names(path, lambda d: d["standardizer"].update(std=[1.0]),
+                  "standardizer: fields 'mean' and 'std' differ in length: 2 and 1")
+
+
 def test_inputless_map_and_empty_history_name_file_and_field(tmp_path):
     path = _two_view_file(tmp_path)
     _assert_names(path, lambda d: d["views"][0]["hidden_map"].update(
@@ -195,26 +250,20 @@ def test_inputless_map_and_empty_history_name_file_and_field(tmp_path):
                   "'objective_history'")
 
 
-@pytest.mark.parametrize("key, value, want", [
-    ("ridge", "abc", "ridge must be a positive finite number, got 'abc'"),
-    ("ridge", -1.0, "ridge must be a positive finite number, got -1.0"),
-    ("ridge", None, "ridge must be a positive finite number, got None"),
-    ("ridge", [1, 2], "ridge must be a positive finite number, got [1, 2]"),
-    ("seed", "abc", "hidden_map: seed must be an integer, got 'abc'"),
-    ("seed", 1.5, "hidden_map: seed must be an integer, got 1.5"),
-    ("seed", None, "hidden_map: seed must be an integer, got None"),
-])
-def test_elm_ridge_and_map_seed_are_checked(tmp_path, key, value, want):
+@pytest.mark.parametrize("value", ["abc", 1.5, None])
+def test_map_seed_is_checked(tmp_path, value):
     # each of these used to load without complaint
-    model = ElmModel(new_hidden_map(4, 2, seed=0), np.ones((4, 2)), 10.0)
-    path = tmp_path / "elm.json"
+    model = EdaModel(new_hidden_map(4, 2, seed=0), np.ones((4, 2)), np.eye(2),
+                     np.ones(4), [1.0], small_params())
+    path = tmp_path / "m.json"
     save_model(model, str(path))
     d = json.loads(path.read_text())
-    (d["hidden_map"] if key == "seed" else d)[key] = value
+    d["hidden_map"]["seed"] = value
     path.write_text(json.dumps(d))
     with pytest.raises(ParseError) as info:
         load_model(str(path))
-    assert f"{path}: {want}" in str(info.value)
+    assert (f"{path}: hidden_map: seed must be an integer, got {value!r}"
+            in str(info.value))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -237,8 +286,8 @@ def test_integer_params_are_checked(tmp_path, key, value):
 
 def test_constructors_check_ridge_and_integer_fields():
     hm = new_hidden_map(4, 2, seed=0)
-    with pytest.raises(ParameterError, match="ridge"):
-        ElmModel(hm, np.ones((4, 2)), float("inf"))
+    with pytest.raises(ParameterError, match="pre_ridge"):
+        BenchConfig(pre_ridge=float("inf"))
     with pytest.raises(ParameterError, match="seed must be an integer"):
         HiddenMap(hm.weights, hm.biases, hm.activation, "0")
     with pytest.raises(ParameterError, match="n_hidden must be an integer"):
@@ -278,25 +327,30 @@ def _hidden_map(draw, n_hidden):
                      draw(st.integers(0, 2**32 - 1)))
 
 
+def _standardizer(draw, hm):
+    return Standardizer(_array(draw, hm.n_features),
+                        draw(arrays(np.float64, hm.n_features, elements=POSITIVE)))
+
+
 @st.composite
 def models(draw):
-    kind = draw(st.sampled_from(["elm", "eda", "mveda"]))
+    kind = draw(st.sampled_from(["eda", "mveda"]))
     c = draw(st.integers(1, 3))
     rounds = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     maps = [_hidden_map(draw, n) for n in sizes]
     betas = [_array(draw, n, c) for n in sizes]
-    if kind == "elm":
-        return ElmModel(maps[0], betas[0], draw(POSITIVE))
     thetas = [_array(draw, c, c) for _ in sizes]
     us = [_array(draw, n) for n in sizes]
     history = _array(draw, rounds)
     params = draw(PARAMS)
+    sts = [_standardizer(draw, hm) for hm in maps] if draw(st.booleans()) else None
     if kind == "eda":
-        return EdaModel(maps[0], betas[0], thetas[0], us[0], history, params)
+        return EdaModel(maps[0], betas[0], thetas[0], us[0], history, params,
+                        sts and sts[0])
     v = len(sizes)
     return MvEdaModel(maps, betas, thetas, us, _array(draw, v),
-                      _array(draw, rounds, v), history, params)
+                      _array(draw, rounds, v), history, params, sts)
 
 
 def _same_bits(a, b) -> bool:
@@ -315,55 +369,63 @@ def test_models_round_trip_bit_for_bit(model):
     with tempfile.TemporaryDirectory() as tmp:
         back = load_model(save_model(model, os.path.join(tmp, "m.json")))
     assert type(back) is type(model)
-    if isinstance(model, ElmModel):
-        assert _same_map(back.hidden_map, model.hidden_map)
-        assert _same_bits(back.beta, model.beta) and back.ridge == model.ridge
-        return
     assert back.params == model.params
     assert _same_bits(back.objective_history, model.objective_history)
     if isinstance(model, EdaModel):
-        views = [(back.hidden_map, back.beta, back.theta, back.u,
-                  model.hidden_map, model.beta, model.theta, model.u)]
+        views = [(back.hidden_map, back.beta, back.theta, back.u, back.standardizer,
+                  model.hidden_map, model.beta, model.theta, model.u,
+                  model.standardizer)]
     else:
         assert _same_bits(back.alpha, model.alpha)
         assert _same_bits(back.alpha_history, model.alpha_history)
+        assert (back.standardizers is None) == (model.standardizers is None)
+        none = [None] * model.n_views
         views = list(zip(back.hidden_maps, back.betas, back.thetas, back.us,
-                         model.hidden_maps, model.betas, model.thetas, model.us))
-    for hm, beta, theta, u, hm0, beta0, theta0, u0 in views:
+                         back.standardizers or none, model.hidden_maps, model.betas,
+                         model.thetas, model.us, model.standardizers or none))
+    for hm, beta, theta, u, st_, hm0, beta0, theta0, u0, st0 in views:
         assert _same_map(hm, hm0)
         assert all(_same_bits(a, b) for a, b in [(beta, beta0), (theta, theta0), (u, u0)])
+        assert (st_ is None) == (st0 is None)
+        if st0 is not None:
+            assert _same_bits(st_.mean, st0.mean) and _same_bits(st_.std, st0.std)
 
 
 # top-level array fields of each kind, of a view block (the top level of
-# an eda file) and of a hidden map
+# an eda file), of a hidden map and of a standardizer
 _ARRAYS = {
-    "elm": ["beta"],
     "eda": ["beta", "theta", "u", "objective_history"],
     "mveda": ["alpha", "alpha_history", "objective_history"],
 }
 _VIEW_ARRAYS = ["beta", "theta", "u"]
 _MAP_ARRAYS = ["weights", "biases"]
+_STANDARDIZER_ARRAYS = ["mean", "std"]
 
 
 def _corruptions(d: dict) -> list:
     """(name, key path) pairs applicable to one parsed model file; every
     field of every nested block is replaced by junk and, where it is
     numeric, given a NaN, and every field but a parameter (which has a
-    default) is dropped."""
+    default) and a standardizer block (which a fit may lack) is
+    dropped."""
     kind = d["kind"]
     views = [("views", i) for i in range(len(d["views"]))] if kind == "mveda" else [()]
     arrays = [(k,) for k in _ARRAYS[kind]]
     arrays += [v + (k,) for v in views if v for k in _VIEW_ARRAYS]
     arrays += [v + ("hidden_map", k) for v in views for k in _MAP_ARRAYS]
+    sts = [v + ("standardizer",) for v in views if "standardizer" in _get(d, v)]
+    arrays += [b + (k,) for b in sts for k in _STANDARDIZER_ARRAYS]
     # arrays whose length other fields fix (an eda file's objective
     # history may have any non-zero length), and the view list
     fixed = [a for a in arrays if a != ("objective_history",) or kind == "mveda"]
     fixed += [("views",)] if kind == "mveda" else []
     blocks = [()] + [v for v in views if v] + [v + ("hidden_map",) for v in views]
+    blocks += sts
     blocks += [("params",)] if "params" in d else []
     keys = [b + (k,) for b in blocks for k in _get(d, b)]
     scalars = [k for k in keys if type(_get(d, k)) in (int, float)]
-    out = [("drop", k) for k in keys if k[0] != "params" or len(k) == 1]
+    out = [("drop", k) for k in keys
+           if (k[0] != "params" or len(k) == 1) and k[-1] != "standardizer"]
     out += [("junk", k) for k in keys]
     out += [("nan", a) for a in arrays + scalars] + [("truncate", a) for a in fixed]
     out += [("ragged", a) for a in fixed if len(_get(d, a)) > 1
@@ -411,7 +473,7 @@ def test_corrupted_model_files_raise_parse_error_naming_the_file(model, data):
             d = json.load(fh)
         name, keys = data.draw(st.sampled_from(_corruptions(d)))
         new_kind = data.draw(st.sampled_from(
-            [k for k in ("elm", "eda", "mveda", "mystery") if k != d["kind"]]))
+            [k for k in ("eda", "mveda", "mystery") if k != d["kind"]]))
         _corrupt(d, name, keys, new_kind)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh)

@@ -1,5 +1,7 @@
 """The multi-view solver: simplex weights, per-view updates, reductions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,13 @@ from edapt import (
     fit_mveda,
     new_hidden_map,
     predict_mveda,
+    standardize_bundle,
     update_beta,
     update_beta_view,
     update_theta,
     update_theta_view,
 )
+from edapt.features import fit_standardizer
 from edapt.multiview import mv_objective, update_alpha, view_trace
 from edapt.single import beta_gradient
 
@@ -246,6 +250,24 @@ def test_predict_mveda_fuses_with_the_learned_weights():
     assert np.array_equal(labels, np.argmax(fused, axis=1))
     with pytest.raises(ShapeError):
         predict_mveda(model, tests[:1])
+
+
+def test_a_standardized_model_rescales_each_views_raw_features():
+    raw, maps, pres = _two_view_setup(seed=13)
+    sts = [fit_standardizer(b.source, b.target_labeled) for b in raw]
+    scaled = [standardize_bundle(b, st) for b, st in zip(raw, sts)]
+    model = fit_mveda(scaled, pres, small_params(), maps)
+    attached = replace(model, standardizers=sts)
+    _, want, _ = predict_mveda(model, [b.target_test for b in scaled])
+    _, got, _ = predict_mveda(attached, [b.target_test for b in raw])
+    assert np.array_equal(got, want)
+    with pytest.raises(ShapeError, match="view 1: missing field 'standardizer'"):
+        replace(model, standardizers=[sts[0], None])
+    with pytest.raises(ShapeError, match="disagree on view count"):
+        replace(model, standardizers=sts[:1])
+    with pytest.raises(ShapeError, match="view 0: field 'standardizer' has 4 "
+                                         "features, the hidden map takes 2"):
+        replace(model, standardizers=sts[::-1])
 
 
 def test_predict_mveda_checks_sample_counts_before_mapping(monkeypatch):
