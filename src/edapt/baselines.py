@@ -4,7 +4,9 @@
 two algebraically equivalent forms chosen by whichever Gram matrix is
 smaller.  ``fit_sselm`` adds a graph-Laplacian smoothness penalty over
 labeled-plus-unlabeled rows (a deliberately simplified semi-supervised
-variant; reports label it "SS-ELM (simplified)").
+variant; reports label it "SS-ELM (simplified)").  Both add their
+ridge or identity term to the diagonal of the Gram in place, and the
+smoothness Gram comes from :func:`~edapt.graph.laplacian_gram`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .graph import LaplacianGraph
+from .graph import LaplacianGraph, laplacian_gram
 from .linalg import solve_spd
 
 __all__ = ["fit_elm", "fit_sselm"]
@@ -41,9 +43,11 @@ def fit_elm(h: np.ndarray, t: np.ndarray, ridge: float) -> np.ndarray:
         raise ShapeError(f"incompatible shapes h={h.shape}, t={t.shape}")
     n, width = h.shape
     if n > width:
-        a = h.T @ h + np.eye(width) / ridge
+        a = h.T @ h
+        a.flat[::width + 1] += 1.0 / ridge
         return solve_spd(a, h.T @ t)
-    a = h @ h.T + np.eye(n) / ridge
+    a = h @ h.T
+    a.flat[::n + 1] += 1.0 / ridge
     return h.T @ solve_spd(a, t)
 
 
@@ -76,7 +80,12 @@ def fit_sselm(
         raise ShapeError(f"graph over {graph.n} nodes, activations have {h_all.shape[0]} rows")
     h_lab = h_all[:n_labeled]
     width = h_all.shape[1]
-    a = np.eye(width) + ridge * (h_lab.T @ h_lab)
-    a += manifold_weight * (h_all.T @ (graph.sparse_laplacian @ h_all))
+    a = h_lab.T @ h_lab
+    a *= ridge
+    a.flat[::width + 1] += 1.0
+    smooth = laplacian_gram(graph, h_all)
+    smooth *= manifold_weight
+    a += smooth
+    del smooth
     return solve_spd(a, ridge * (h_lab.T @ t_labeled))
 

@@ -66,6 +66,7 @@ __all__ = [
     "BenchConfig",
     "BenchReport",
     "MethodSummary",
+    "check_synthetic_graph",
     "default_config",
     "default_shift_spec",
     "emit_report",
@@ -169,17 +170,25 @@ class BenchConfig:
             raise ParameterError(
                 f"translation must be {dim} finite values (one per means column), "
                 f"got {self.translation}")
-        graph = {m for m in self.methods if m not in _NO_GRAPH}
-        if self.data == "synth" and graph:
-            classes = len(self.means or default_class_means())
-            rows = self.m * classes + self.n_unlabeled
-            if graph == {"sselm"}:
-                rows += self.n_source
-            k = self.params.n_neighbors
-            if k >= rows:
-                raise ParameterError(
-                    f"key 'n_neighbors': {k} needs at least {k + 1} samples for "
-                    f"the k-NN graph, the synthetic scenario has {rows}")
+
+
+def check_synthetic_graph(config: BenchConfig) -> None:
+    """Refuse an ``n_neighbors`` the synthetic scenario's smallest k-NN
+    graph cannot hold, before any seed is built.  Only runs that build
+    that graph check it (``run_benchmark``, which ``run_sweep`` calls with
+    ``eda`` alone, and the ``bench`` and ``sweep`` commands); a fit on a
+    manifest checks against the manifest."""
+    graph = {m for m in config.methods if m not in _NO_GRAPH}
+    if config.data == "synth" and graph:
+        classes = len(config.means or default_class_means())
+        rows = config.m * classes + config.n_unlabeled
+        if graph == {"sselm"}:
+            rows += config.n_source
+        k = config.params.n_neighbors
+        if k >= rows:
+            raise ParameterError(
+                f"key 'n_neighbors': {k} needs at least {k + 1} samples for "
+                f"the k-NN graph, the synthetic scenario has {rows}")
 
 
 def default_config(**overrides) -> BenchConfig:
@@ -615,6 +624,7 @@ def _context(config: BenchConfig, seed: int, base: DomainBundle | None) -> _Seed
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run every configured method over every seed; see the module docs."""
+    check_synthetic_graph(config)
     base = None if config.data == "synth" else load_bundle(config.data)
     if config.data != "synth" and any(m == "mveda" for m in config.methods):
         raise ParameterError(

@@ -23,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import (
+    check_synthetic_graph,
     default_config,
     emit_report,
     emit_sweep,
@@ -66,10 +67,18 @@ def _config(args):
     return load_config(args.config) if args.config else default_config()
 
 
-def _bench_config(args):
+def _bench_config(args, methods=None):
+    """The config of ``bench``, or of ``sweep`` with the ``methods`` it
+    runs; the synthetic graph of those methods is checked here so that a
+    refusal names the config file."""
     config = _config(args)
     if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
+    try:
+        check_synthetic_graph(config if methods is None
+                              else replace(config, methods=methods))
+    except ParameterError as err:
+        raise ParameterError(f"{args.config or 'the default config'}: {err}") from None
     return config
 
 
@@ -276,7 +285,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _bench_config(args)
+    config = _bench_config(args, methods=("eda",))  # run_sweep runs eda alone
     rows = run_sweep(config)
     print(emit_sweep(rows, config, args.out_dir))
     return 0

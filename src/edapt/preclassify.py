@@ -33,17 +33,25 @@ KERNELS = ("laplacian", "inverse")
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a: d x n, b: d x m -> n x m squared Euclidean distances
+    # a: d x n, b: d x m -> n x m squared Euclidean distances, with at
+    # most two n x m arrays alive
     aa = np.einsum("ij,ij->j", a, a)
     bb = np.einsum("ij,ij->j", b, b)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a.T @ b)
-    return np.maximum(d2, 0.0)
+    d2 = np.add(aa[:, None], bb[None, :])
+    gram = a.T @ b
+    gram *= 2.0
+    d2 -= gram
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kernel(kind: str, d2: np.ndarray, sigma: float) -> np.ndarray:
+    """The kernel of squared distances ``d2``, overwriting ``d2``."""
     if kind == "laplacian":
-        return np.exp(-np.sqrt(sigma) * d2)
-    return 1.0 / (np.sqrt(sigma) * d2 + 1.0)
+        d2 *= -np.sqrt(sigma)
+        return np.exp(d2, out=d2)
+    d2 *= np.sqrt(sigma)
+    d2 += 1.0
+    return np.divide(1.0, d2, out=d2)
 
 
 def _training_block(bundle: DomainBundle) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +88,9 @@ def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",
     ``1 / (sqrt(sigma) d2 + 1)``, with the bandwidth ``sigma = 1 / A``
     for ``A`` the mean squared distance over all ordered training pairs
     (self-pairs included).  A failed factorization is retried once with
-    jitter ``1e-8 * I``.
+    jitter ``1e-8 * I``.  The kernels are built in place, so a call holds
+    at most two n x n arrays for n training samples (the kernel and its
+    Cholesky factor), then two n_u x n for the n_u unlabeled ones.
     """
     if kind not in KERNELS:
         raise ParameterError(f"unknown kernel {kind!r}; choose from {KERNELS}")
@@ -95,9 +105,10 @@ def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",
         raise ParameterError("cannot auto-scale sigma: all training points coincide")
     sigma = 1.0 / mean_sq
     k_train = _kernel(kind, d_train, sigma)
-    alpha = solve_spd(k_train + ridge * np.eye(x.shape[1]), t, jitter=1e-8)
-    d_cross = _sq_dists(bundle.target_unlabeled.features, x)
-    return _kernel(kind, d_cross, sigma) @ alpha
+    k_train.flat[::k_train.shape[0] + 1] += ridge
+    alpha = solve_spd(k_train, t, jitter=1e-8)
+    del d_train, k_train
+    return _kernel(kind, _sq_dists(bundle.target_unlabeled.features, x), sigma) @ alpha
 
 
 def average_prelabels(scores: list[np.ndarray]) -> np.ndarray:

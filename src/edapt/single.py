@@ -26,6 +26,18 @@ L x L matrix.  At n = L it takes the L x L system, whereas
 take the same single refinement pass in
 :func:`~edapt.linalg.solve_spd`, on the analytic gradient.
 
+Memory.  :func:`build_problem` builds the target graph before it maps
+the activations, so the graph's distance blocks never sit on top of
+them.  The primal system is assembled in place: ``_beta_blocks`` sums
+the loss Grams into one L x L array and takes ``H'LH`` from
+:func:`~edapt.graph.laplacian_gram`, which never forms an n x L
+product, so it holds at most three L x L arrays beyond the activations.
+A one-view fit adds the smoothness Gram into the loss Gram once; each
+solve then holds that block, the system and its Cholesky factor.  The
+sample-space solve forms no L x L array: it holds the n x n matrix
+``S`` and its factor, and, while it builds ``S``'s target block, the
+dense n_t x n_t target block, its factor, an identity and the inverse.
+
 The alternating loop here also runs the multi-view solver
 (:mod:`edapt.multiview`): it takes a list of per-view problems, scales
 each view's loss terms by ``alpha_v`` and its smoothness term by
@@ -45,7 +57,7 @@ from .data import Dataset, DomainBundle, decode_labels, encode_labels
 from .errors import ParameterError, ShapeError
 from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
                        new_hidden_map)
-from .graph import LaplacianGraph, build_knn_graph, quadratic_energy
+from .graph import LaplacianGraph, build_knn_graph, laplacian_gram, quadratic_energy
 from .linalg import _blas_threads_for, solve_spd
 
 __all__ = [
@@ -194,9 +206,13 @@ def build_problem(
             f"got {prelabels.shape}"
         )
     n_labeled = bundle.target_labeled.n
+    target = bundle.target_all()
+    # the graph first, so its distance blocks never sit on top of the
+    # activations
+    graph = build_knn_graph(target, params.n_neighbors)
     # map the target stack once and slice, so the graph energy and the
     # fitting terms see bitwise-identical activations
-    h_target = map_features(hidden_map, bundle.target_all())
+    h_target = map_features(hidden_map, target)
     problem = EdaProblem(
         h_source=map_features(hidden_map, bundle.source),
         h_labeled=h_target[:n_labeled],
@@ -205,7 +221,7 @@ def build_problem(
         t_source=encode_labels(bundle.source.labels, bundle.n_classes),
         t_labeled=encode_labels(bundle.target_labeled.labels, bundle.n_classes),
         prelabels=prelabels,
-        graph=build_knn_graph(bundle.target_all(), params.n_neighbors),
+        graph=graph,
     )
     return problem, hidden_map
 
@@ -288,13 +304,20 @@ def _beta_blocks(prob: EdaProblem, params: EdaParams):
     Returns the loss Gram ``cs Hs'Hs + ct Ht'Ht + tau Hu'Hu``, the
     smoothness Gram ``lam H'LH`` and the loss right-hand side
     ``cs Hs'Ts + tau Hu'phi``; a solve only rescales and adds them.
+    Assembled in place: beyond the activations it holds at most three
+    L x L arrays, or the smoothness Gram and one panel of
+    :func:`~edapt.graph.laplacian_gram`, never an n x L product.
     """
-    g_loss = params.c_source * (prob.h_source.T @ prob.h_source)
-    g_loss += params.c_target * (prob.h_labeled.T @ prob.h_labeled)
-    g_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.h_unlabeled)
-    g_smooth = params.manifold_weight * (
-        prob.h_target.T @ (prob.graph.sparse_laplacian @ prob.h_target)
-    )
+    g_smooth = laplacian_gram(prob.graph, prob.h_target)
+    g_smooth *= params.manifold_weight
+    g_loss = prob.h_source.T @ prob.h_source
+    g_loss *= params.c_source
+    term = prob.h_labeled.T @ prob.h_labeled
+    term *= params.c_target
+    g_loss += term
+    np.matmul(prob.h_unlabeled.T, prob.h_unlabeled, out=term)
+    term *= params.fidelity_weight
+    g_loss += term
     rhs_loss = params.c_source * (prob.h_source.T @ prob.t_source)
     rhs_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.prelabels)
     return g_loss, g_smooth, rhs_loss
@@ -313,7 +336,9 @@ def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
                 loss_scale: float, smooth_scale: float) -> np.ndarray:
     """One beta solve with one refinement pass: primal on the assembled
     ``blocks``, or in sample space when ``blocks`` is None (see
-    :func:`_in_sample_space`)."""
+    :func:`_in_sample_space`).  ``blocks`` is what :func:`_beta_blocks`
+    returns, or, for one view at unit weight, that with the smoothness
+    Gram summed into the loss Gram and None in its place."""
 
     def residual(x):
         # -grad/2, in the gradient's own association, so the refinement
@@ -325,12 +350,15 @@ def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
         return _solve_beta_in_sample_space(u, theta, prob, params, loss_scale,
                                            smooth_scale, residual)
     g_loss, g_smooth, rhs_loss = blocks
-    a = loss_scale * g_loss
-    a += smooth_scale * g_smooth
+    rhs = rhs_loss + params.c_target * (prob.h_labeled.T @ (prob.t_labeled @ theta))
+    if g_smooth is None:
+        # a scaling by 1.0 would change no bit
+        a = g_loss.copy()
+    else:
+        a = loss_scale * g_loss
+        a += smooth_scale * g_smooth
+        rhs *= loss_scale
     a[np.diag_indices_from(a)] += u
-    rhs = loss_scale * (
-        rhs_loss + params.c_target * (prob.h_labeled.T @ (prob.t_labeled @ theta))
-    )
     return solve_spd(a, rhs, jitter=1e-10, residual_fn=residual)
 
 
@@ -528,6 +556,13 @@ def _alternate(problems: list[EdaProblem], params: EdaParams):
     # them by the current view weight.  Sample-space views have none.
     blocks = [None if _in_sample_space(prob, params) else _beta_blocks(prob, params)
               for prob in problems]
+    if n_views == 1 and blocks[0] is not None:
+        # alpha stays [1], so every round adds the two Grams unscaled:
+        # add them once and drop the smoothness Gram
+        g_loss, g_smooth, rhs_loss = blocks[0]
+        g_loss += g_smooth
+        blocks = [(g_loss, None, rhs_loss)]
+        del g_smooth
     us = [np.ones(prob.n_hidden) for prob in problems]
     thetas = [np.eye(prob.n_classes) for prob in problems]
     alpha = np.full(n_views, 1.0 / n_views)

@@ -1,13 +1,18 @@
 """Small deterministic problem builders shared across the test modules."""
 
+import tracemalloc
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from edapt import Dataset, DomainBundle, EdaParams, build_problem
+from edapt.data import concat_features, encode_labels
+from edapt.linalg import solve_spd
 
-__all__ = ["beta_gradient_reference", "blob_bundle", "dense_knn_reference",
-           "hidden_layer_reference", "small_params", "small_problem",
-           "random_prelabels", "solve_spd_reference"]
+__all__ = ["beta_blocks_reference", "beta_gradient_reference", "blob_bundle",
+           "dense_knn_reference", "hidden_layer_reference", "peak_bytes",
+           "preclassify_kernel_reference", "small_params", "small_problem",
+           "random_prelabels", "solve_spd_reference", "sselm_system_reference"]
 
 
 def blob_bundle(seed=0, d=2, c=3, per_source=4, per_labeled=2, per_unlabeled=3,
@@ -158,3 +163,67 @@ def solve_spd_reference(a, b, jitter=0.0, residual_fn=None, correction_fn=None):
             break
         x, res, rn = x_new, res_new, rn_new
     return x
+
+
+def beta_blocks_reference(prob, params):
+    """The beta normal equations' constant blocks ``(g_loss, g_smooth,
+    rhs_loss)`` with a full-size temporary per term, the smoothness Gram
+    through the n x L product ``L H``: the formula ``single._beta_blocks``
+    used before it assembled in place, kept as its reference."""
+    g_loss = params.c_source * (prob.h_source.T @ prob.h_source)
+    g_loss += params.c_target * (prob.h_labeled.T @ prob.h_labeled)
+    g_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.h_unlabeled)
+    g_smooth = params.manifold_weight * (
+        prob.h_target.T @ (prob.graph.sparse_laplacian @ prob.h_target)
+    )
+    rhs_loss = params.c_source * (prob.h_source.T @ prob.t_source)
+    rhs_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.prelabels)
+    return g_loss, g_smooth, rhs_loss
+
+
+def sselm_system_reference(h_all, t_labeled, ridge, manifold_weight, graph):
+    """The system ``(a, rhs)`` that ``fit_sselm`` solves, built as it was
+    before it assembled in place, kept as its reference."""
+    n_labeled = t_labeled.shape[0]
+    h_lab = h_all[:n_labeled]
+    a = np.eye(h_all.shape[1]) + ridge * (h_lab.T @ h_lab)
+    a += manifold_weight * (h_all.T @ (graph.sparse_laplacian @ h_all))
+    return a, ridge * (h_lab.T @ t_labeled)
+
+
+def preclassify_kernel_reference(bundle, kind, ridge=1.0):
+    """Kernel ridge scores with a full-size temporary per step and the
+    ridge added through ``ridge * I``: the formula
+    ``preclassify.preclassify_kernel`` used before it built its kernels in
+    place, kept as its reference (validation left out)."""
+
+    def sq_dists(a, b):
+        aa = np.einsum("ij,ij->j", a, a)
+        bb = np.einsum("ij,ij->j", b, b)
+        return np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a.T @ b), 0.0)
+
+    def kernel(d2, sigma):
+        if kind == "laplacian":
+            return np.exp(-np.sqrt(sigma) * d2)
+        return 1.0 / (np.sqrt(sigma) * d2 + 1.0)
+
+    x = concat_features(bundle.source, bundle.target_labeled)
+    t = encode_labels(np.concatenate([bundle.source.labels,
+                                      bundle.target_labeled.labels]), bundle.n_classes)
+    d_train = sq_dists(x, x)
+    sigma = 1.0 / float(d_train.mean())
+    k_train = kernel(d_train, sigma)
+    alpha = solve_spd(k_train + ridge * np.eye(x.shape[1]), t, jitter=1e-8)
+    return kernel(sq_dists(bundle.target_unlabeled.features, x), sigma) @ alpha
+
+
+def peak_bytes(fn, *args) -> int:
+    """tracemalloc's peak during ``fn(*args)``, over what was allocated
+    before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -32,6 +32,7 @@ from edapt import (
 from edapt.bench import (
     METHOD_LABELS,
     _parse_value,
+    check_synthetic_graph,
     config_hash,
     config_text,
     parse_config,
@@ -117,11 +118,13 @@ def test_config_checks_n_neighbors_against_the_synthetic_graph():
             "the synthetic scenario has 18")
     base = _fast()
     k18 = replace(base.params, n_neighbors=18)
-    with pytest.raises(ParameterError, match=want):
-        replace(base, params=k18)
-    replace(base, params=k18, methods=("sselm",))
-    replace(base, params=k18, methods=("elm_s", "elm_t"))
-    replace(base, params=k18, data="bundle/manifest.txt")
+    config = replace(base, params=k18)  # a config alone builds no graph
+    for run in (run_benchmark, run_sweep, check_synthetic_graph):
+        with pytest.raises(ParameterError, match=want):
+            run(config)
+    check_synthetic_graph(replace(base, params=k18, methods=("sselm",)))
+    check_synthetic_graph(replace(base, params=k18, methods=("elm_s", "elm_t")))
+    check_synthetic_graph(replace(base, params=k18, data="bundle/manifest.txt"))
 
 
 def test_repeated_grid_values_are_rejected():

@@ -532,6 +532,43 @@ def test_bench_names_the_config_when_n_neighbors_exceeds_the_target_rows(
             "k-NN graph, the synthetic scenario has 18") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", ["elm_s,eda", "elm_s"])
+def test_sweep_names_the_config_when_n_neighbors_exceeds_the_target_rows(
+        tmp_path, capsys, methods):
+    # the sweep runs eda alone, whatever the config's methods; without
+    # eda among them its refusal used to name no file
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(TINY_CFG.replace("methods = elm_s,eda", f"methods = {methods}")
+                   + "n_neighbors = 18\n")
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert (f"{cfg}: key 'n_neighbors': 18 needs at least 19 samples for the "
+            "k-NN graph, the synthetic scenario has 18") in capsys.readouterr().err
+
+
+# the synthetic graph would hold 2 x 3 + 12 = 18 rows
+K18_CFG = "n_neighbors = 18\nn_unlabeled = 12\nm = 2\nn_hidden = 20\nmax_iter = 2\n"
+
+
+def test_fit_accepts_a_config_too_small_for_the_synthetic_graph(tmp_path, capsys):
+    # fit builds its graph from the manifest (159 target rows); it used to
+    # exit 2 on the synthetic check
+    k_cfg = tmp_path / "k.cfg"
+    k_cfg.write_text(K18_CFG)
+    assert main(["synth", "--seed", "0", "--out-dir", str(tmp_path / "data")]) == 0
+    manifest = capsys.readouterr().out.splitlines()[0]
+    assert main(["fit", manifest, "--config", str(k_cfg),
+                 "--out-dir", str(tmp_path / "run")]) == 0, capsys.readouterr().err
+    assert (tmp_path / "run" / "model.json").exists()
+
+
+def test_synth_accepts_a_config_too_small_for_the_synthetic_graph(tmp_path, capsys):
+    # synth builds no graph; it used to exit 2 on the synthetic check
+    k_cfg = tmp_path / "k.cfg"
+    k_cfg.write_text(K18_CFG)
+    assert main(["synth", "--seed", "0", "--config", str(k_cfg),
+                 "--out-dir", str(tmp_path)]) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("methods", ["sselm", "elm_s"])
 def test_bench_checks_n_neighbors_against_the_graph_its_methods_build(
         tmp_path, capsys, methods):

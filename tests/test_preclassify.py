@@ -24,7 +24,7 @@ from edapt.preclassify import (
     preclassify_kernel,
 )
 
-from helpers import blob_bundle
+from helpers import blob_bundle, peak_bytes, preclassify_kernel_reference
 
 
 def _two_point_bundle(unlabeled_at=0.5):
@@ -178,3 +178,22 @@ def test_builtin_names_map_to_their_producers():
         assert np.array_equal(builtin_prelabels(name, bundle, hm, 2.0), scores)
     with pytest.raises(ParameterError, match="unknown pre-classifier"):
         builtin_prelabels("rbf", bundle, hm, 2.0)
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_kernel_scores_equal_the_reference_bit_for_bit(kind):
+    # the kernels are built in place, in the old formula's operation order
+    for seed, ridge in ((0, 1.0), (1, 0.1), (2, 30.0)):
+        bundle = blob_bundle(seed, d=3, per_source=9, per_labeled=3, per_unlabeled=7)
+        assert np.array_equal(preclassify_kernel(bundle, kind, ridge),
+                              preclassify_kernel_reference(bundle, kind, ridge))
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_kernel_holds_at_most_two_training_kernels(kind):
+    # n = 3 x (180 + 20) = 600 training rows, 90 unlabeled: the kernel and
+    # its Cholesky factor (the old formula peaked at four n x n arrays)
+    bundle = blob_bundle(0, per_source=180, per_labeled=20, per_unlabeled=30)
+    bound = 2.2 * 600 * 600 * 8
+    assert peak_bytes(preclassify_kernel, bundle, kind) <= bound
+    assert peak_bytes(preclassify_kernel_reference, bundle, kind) > bound
