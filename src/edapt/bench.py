@@ -13,10 +13,13 @@ seeds - an optimistic, tuned-on-test selection) and ``fixed-default``
 (the configured parameters as they are).
 
 Each method builds its inputs once per seed.  The adaptation methods
-sweep only the loss weights ``c_source``/``c_target``, which change
-neither the hidden activations, the pre-classifier scores nor the
-target graph, so their per-view problems are built once per seed and
-each grid point only re-runs the alternating solver on them.
+differ only in their pre-classifier scores, so they share each seed's
+view problems: view v's bundle, hidden map, activations and target
+graph are built once, on first use, and each method swaps in its own
+scores.  They sweep only the loss weights ``c_source``/``c_target``,
+which change none of these, so each grid point only re-runs the
+alternating solver; it still rebuilds the normal equations.  No
+pre-classifier runs unless a configured method uses it.
 
 Reports are plain text and CSV with deterministic content and file
 names derived from a hash of the configuration, so rerunning a config
@@ -30,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,9 +61,8 @@ from .features import (
 )
 from .graph import build_knn_graph
 from .metrics import accuracy, mean_average_precision
-from .multiview import _build_views
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
-from .single import EdaParams, _alternate
+from .single import EdaParams, _alternate, build_problem
 
 __all__ = [
     "BenchConfig",
@@ -143,9 +145,8 @@ class BenchConfig:
         repeated = sorted({g for g in self.grid if self.grid.count(g) > 1})
         if repeated:
             raise ParameterError(f"grid values must be distinct; repeated {repeated}")
-        if self.views < 1:
-            raise ParameterError(f"views must be >= 1, got {self.views}")
-        for name, least in (("n_source", 1), ("n_unlabeled", 0), ("n_test", 0)):
+        for name, least in (("views", 1), ("noise_dim", 1), ("n_source", 1),
+                            ("n_unlabeled", 0), ("n_test", 0)):
             if getattr(self, name) < least:
                 raise ParameterError(
                     f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -196,26 +197,18 @@ def default_config(**overrides) -> BenchConfig:
     return replace(BenchConfig(), **overrides) if overrides else BenchConfig()
 
 
-_BENCH_KEYS = {
-    "data": str,
-    "methods": "strlist",
-    "metric": str,
-    "seeds": "intlist",
-    "m": int,
-    "grid": "floatlist",
-    "rotation_deg": float,
-    "translation": "floatlist",
-    "scale": float,
-    "n_source": int,
-    "n_unlabeled": int,
-    "n_test": int,
-    "cov_scale": float,
-    "means": "rows",
-    "views": int,
-    "noise_dim": int,
-    "pre_ridge": float,
-    "standardize": "bool",
-}
+def _kind(name: str, default):
+    # how a config value parses: as its default's type, a tuple as a list of
+    # its first element's type, ``means`` as rows
+    if name == "means":
+        return "rows"
+    if isinstance(default, tuple):
+        return f"{type(default[0]).__name__}list"
+    return "bool" if isinstance(default, bool) else type(default)
+
+
+_BENCH_KEYS = {f.name: _kind(f.name, f.default)
+               for f in fields(BenchConfig) if f.name != "params"}
 
 # solver parameters are given flat; each parses as its default's type
 _PARAM_KEYS = {f.name: type(f.default) for f in fields(EdaParams)}
@@ -241,11 +234,12 @@ def _parse_value(kind, raw: str):
     if kind == "floatlist":
         return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     if kind == "rows":
+        # empty is the default (None), as config_text writes it
         return tuple(
             tuple(float(tok) for tok in row.split(",") if tok.strip())
             for row in raw.split(";")
             if row.strip()
-        )
+        ) or None
     raise AssertionError(kind)
 
 
@@ -446,34 +440,49 @@ class _SeedContext:
     t_labeled: np.ndarray
     y_test: np.ndarray
     token: str
-    # builtin pre-classifier scores by (name, view index), filled on first
-    # use; view v's bundle and map are the same for every method of a seed
-    scores: dict = field(default_factory=dict)
+    # view inputs, view problems and builtin pre-classifier scores, each
+    # built on first use and shared by every method of the seed
+    cache: dict = field(default_factory=dict)
 
-    def prelabels(self, name: str, view: int, bundle: DomainBundle,
-                  hidden_map: HiddenMap) -> np.ndarray:
-        """Builtin pre-classifier ``name``'s scores on view ``view``, computed
-        once per seed; ``average`` is the mean of the cached kernel ridges."""
-        key = (name, view)
-        if key not in self.scores:
-            self.scores[key] = average_prelabels(
-                [self.prelabels(k, view, bundle, hidden_map) for k in KERNELS]
-            ) if name == "average" else builtin_prelabels(
-                name, bundle, hidden_map, self.config.pre_ridge)
-        return self.scores[key]
+    def _once(self, key: tuple, make):
+        if key not in self.cache:
+            self.cache[key] = make()
+        return self.cache[key]
 
-    def views(self, n_views: int):
-        """This seed's bundle and map, then ``n_views - 1`` noise-augmented
-        copies of the bundle with maps of their own."""
-        bundles, maps = [self.bundle], [self.hidden_map]
-        p = self.config.params
-        for v in range(1, n_views):
-            view_seed = derive_view_seed(self.seed, v)
-            bundles.append(augment_noise_view(self.bundle, self.config.noise_dim,
-                                              view_seed))
-            maps.append(new_hidden_map(p.n_hidden, bundles[-1].target_dim,
-                                       p.activation, view_seed))
-        return bundles, maps
+    def inputs(self, view: int) -> tuple[DomainBundle, HiddenMap]:
+        """View ``view``'s bundle and map: this seed's own for view 0, a
+        noise-augmented copy of the bundle with a map of its own after."""
+        if view == 0:
+            return self.bundle, self.hidden_map
+
+        def make():
+            view_seed = derive_view_seed(self.seed, view)
+            bundle = augment_noise_view(self.bundle, self.config.noise_dim, view_seed)
+            p = self.config.params
+            return bundle, new_hidden_map(p.n_hidden, bundle.target_dim,
+                                          p.activation, view_seed)
+        return self._once(("inputs", view), make)
+
+    def prelabels(self, name: str, view: int) -> np.ndarray:
+        """Builtin pre-classifier ``name``'s scores on view ``view``;
+        ``average`` is the mean of the cached kernel ridges."""
+        return self._once((name, view), lambda: average_prelabels(
+            [self.prelabels(k, view) for k in KERNELS]) if name == "average"
+            else builtin_prelabels(name, *self.inputs(view), self.config.pre_ridge))
+
+    def problem(self, name: str, view: int):
+        """View ``view``'s problem anchored to pre-classifier ``name``'s
+        scores, and the view's test activations.  The problem is built once
+        per seed; each pre-classifier swaps in its own scores."""
+        phi = self.prelabels(name, view)
+
+        def make():
+            bundle, hidden_map = self.inputs(view)
+            problem, _ = build_problem(bundle, phi, self.config.params, hidden_map)
+            return problem, (map_features(hidden_map, bundle.target_test) if view
+                             else self.h_test)
+        problem, h_test = self._once(("problem", view), make)
+        return replace(problem, prelabels=phi), h_test
 
 
 @dataclass(frozen=True)
@@ -516,7 +525,7 @@ def _ridge_fit(method: str, ctx: _SeedContext, p: EdaParams):
 
 
 def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
-    """Build the method's per-view problems once and return its fit:
+    """The method's fit on its seed's shared view problems:
     ``(c_source, c_target) -> (test scores, objective history, view
     weights per round or None)``.
 
@@ -526,12 +535,9 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     :func:`~edapt.multiview.predict_mveda` fuses them; one view has
     ``alpha = [1]``.
     """
-    bundles, maps = ctx.views(ctx.config.views if method == "mveda" else 1)
-    phis = [ctx.prelabels(_ADAPTATION_PRELABELS[method], v, b, m)
-            for v, (b, m) in enumerate(zip(bundles, maps))]
-    problems, _ = _build_views(bundles, phis, p, maps)
-    h_tests = [ctx.h_test] + [map_features(m, b.target_test)
-                              for b, m in zip(bundles[1:], maps[1:])]
+    n_views = ctx.config.views if method == "mveda" else 1
+    problems, h_tests = zip(*(ctx.problem(_ADAPTATION_PRELABELS[method], v)
+                              for v in range(n_views)))
 
     def fit(cs: float, ct: float):
         betas, _, _, alpha, alphas, history = _alternate(
@@ -631,7 +637,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             "mveda benchmarking on manifest data is not supported; "
             "use synthetic data or fit_mveda directly"
         )
-    values: dict[str, dict[tuple, list[float]]] = {m: {} for m in config.methods}
     defaults: dict[str, list[float]] = {m: [] for m in config.methods}
     default_points: dict[str, tuple] = {}
     per_seed, convergence, view_weights, timing, split_hashes = [], [], [], [], []
@@ -648,7 +653,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 )
             results, default, elapsed, n_fits = _run_method(method, ctx)
             for res in results:
-                values[method].setdefault(res.point, []).append(res.value)
                 per_seed.append((method, seed, res.point, res.value))
                 if res.history is not None:
                     run_id = _run_id(method, seed, res.point)
@@ -665,24 +669,12 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
 
     summaries = []
     for method in config.methods:
-        grid_means = {
-            pt: (float(np.mean(vals)), float(np.std(vals)))
-            for pt, vals in values[method].items()
-        }
-        best_point = max(grid_means, key=lambda pt: (grid_means[pt][0], _pt_key(pt)))
+        grid = _point_stats(per_seed, method)
+        best_point = max(grid, key=lambda pt: (grid[pt][0], _pt_key(pt)))
         dvals = defaults[method]
-        summaries.append(
-            MethodSummary(
-                method=method,
-                label=METHOD_LABELS[method],
-                best_point=best_point,
-                best_mean=grid_means[best_point][0],
-                best_std=grid_means[best_point][1],
-                default_point=default_points[method],
-                default_mean=float(np.mean(dvals)),
-                default_std=float(np.std(dvals)),
-            )
-        )
+        summaries.append(MethodSummary(
+            method, METHOD_LABELS[method], best_point, *grid[best_point],
+            default_points[method], float(np.mean(dvals)), float(np.std(dvals))))
     return BenchReport(
         config=config,
         config_hash=config_hash(config),
@@ -693,6 +685,16 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         timing=timing,
         split_hashes=split_hashes,
     )
+
+
+def _point_stats(per_seed: list, method: str) -> dict[tuple, tuple[float, float]]:
+    """Mean and standard deviation of ``method``'s per-seed values at each
+    grid point, points in grid order."""
+    values: dict[tuple, list[float]] = {}
+    for m, _, point, value in per_seed:
+        if m == method:
+            values.setdefault(point, []).append(value)
+    return {pt: (float(np.mean(v)), float(np.std(v))) for pt, v in values.items()}
 
 
 def _pt_key(pt: tuple) -> tuple:
@@ -723,11 +725,23 @@ _HEADER_NOTE = (
 )
 
 
-def _open_report(path: str, config_h: str, title: str):
-    fh = open(path, "w", encoding="utf-8", newline="\n")
-    fh.write(f"# {title}\n# config {config_h}\n")
-    fh.write(_HEADER_NOTE)
-    return fh
+def _write_report(out_dir: str, name: str, config_h: str, title: str,
+                  lines: list[str]) -> str:
+    """Write report file ``name``: the title line, the config line and the
+    header note, then ``lines``; returns its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {title}\n# config {config_h}\n{_HEADER_NOTE}")
+        fh.writelines(f"{line}\n" for line in lines)
+    return path
+
+
+def _csv(header: str, rows) -> list[str]:
+    # floats as repr, so they read back exactly; grid points as _fmt_point
+    return [header] + [",".join(
+        repr(x) if isinstance(x, float) else _fmt_point(x) if isinstance(x, tuple)
+        else str(x) for x in row) for row in rows]
 
 
 def emit_report(report: BenchReport, out_dir: str) -> dict[str, str]:
@@ -736,70 +750,32 @@ def emit_report(report: BenchReport, out_dir: str) -> dict[str, str]:
     ``results``/``per_seed``/``convergence``/``view_weights``/``table``/
     ``config`` are bytewise reproducible for a fixed config; ``timing``
     is not (it holds wall-clock measurements).  ``view_weights`` appears
-    only when a multi-view method ran.
+    only when a multi-view method ran.  ``config`` loads back as a config.
     """
-    os.makedirs(out_dir, exist_ok=True)
     h = report.config_hash
-    paths = {}
-
-    p = os.path.join(out_dir, f"results_{h}.csv")
-    with _open_report(p, h, "benchmark summary") as fh:
-        fh.write("method,label,best_point,best_mean,best_std,"
-                 "default_point,default_mean,default_std\n")
-        for s in report.summaries:
-            fh.write(
-                f"{s.method},{s.label},{_fmt_point(s.best_point)},"
-                f"{repr(s.best_mean)},{repr(s.best_std)},"
-                f"{_fmt_point(s.default_point)},"
-                f"{repr(s.default_mean)},{repr(s.default_std)}\n"
-            )
-    paths["results"] = p
-
-    p = os.path.join(out_dir, f"per_seed_{h}.csv")
-    with _open_report(p, h, "per-seed metric values") as fh:
-        fh.write("method,seed,point,value\n")
-        for method, seed, point, value in report.per_seed:
-            fh.write(f"{method},{seed},{_fmt_point(point)},{repr(value)}\n")
-    paths["per_seed"] = p
-
-    p = os.path.join(out_dir, f"convergence_{h}.csv")
-    with _open_report(p, h, "objective per iteration") as fh:
-        fh.write("run_id,iteration,objective\n")
-        for run_id, it, obj in report.convergence:
-            fh.write(f"{run_id},{it},{repr(obj)}\n")
-    paths["convergence"] = p
-
-    if report.view_weights:
-        p = os.path.join(out_dir, f"view_weights_{h}.csv")
-        with _open_report(p, h, "view weights per iteration") as fh:
-            fh.write("run_id,iteration,view,weight\n")
-            for run_id, it, v, w in report.view_weights:
-                fh.write(f"{run_id},{it},{v},{repr(w)}\n")
-        paths["view_weights"] = p
-
-    p = os.path.join(out_dir, f"timing_{h}.csv")
-    with _open_report(p, h, "wall-clock fit times (not reproducible)") as fh:
-        fh.write("method,seed,n_fits,fit_seconds\n")
-        for method, seed, n_fits, secs in report.timing:
-            fh.write(f"{method},{seed},{n_fits},{repr(secs)}\n")
-    paths["timing"] = p
-
-    p = os.path.join(out_dir, f"table_{h}.txt")
-    with _open_report(p, h, "benchmark table") as fh:
-        fh.write(_render_table(report))
-    paths["table"] = p
-
-    p = os.path.join(out_dir, f"config_{h}.txt")
-    with _open_report(p, h, "configuration echo") as fh:
-        fh.write(config_text(report.config))
-        fh.write("# per-seed split/map hashes\n")
-        for seed, token in report.split_hashes:
-            fh.write(f"# seed {seed}: {token}\n")
-    paths["config"] = p
-    return paths
+    files = [
+        ("results", "csv", "benchmark summary", _csv(
+            "method,label,best_point,best_mean,best_std,"
+            "default_point,default_mean,default_std", map(astuple, report.summaries))),
+        ("per_seed", "csv", "per-seed metric values",
+         _csv("method,seed,point,value", report.per_seed)),
+        ("convergence", "csv", "objective per iteration",
+         _csv("run_id,iteration,objective", report.convergence)),
+        ("view_weights", "csv", "view weights per iteration",
+         _csv("run_id,iteration,view,weight", report.view_weights)),
+        ("timing", "csv", "wall-clock fit times (not reproducible)",
+         _csv("method,seed,n_fits,fit_seconds", report.timing)),
+        ("table", "txt", "benchmark table", _render_table(report)),
+        ("config", "txt", "configuration echo", [
+            *config_text(report.config).splitlines(), "# per-seed split/map hashes",
+            *(f"# seed {seed}: {token}" for seed, token in report.split_hashes)]),
+    ]
+    return {name: _write_report(out_dir, f"{name}_{h}.{ext}", h, title, lines)
+            for name, ext, title, lines in files
+            if name != "view_weights" or report.view_weights}
 
 
-def _render_table(report: BenchReport) -> str:
+def _render_table(report: BenchReport) -> list[str]:
     headers = ("method", "best grid", "best", "default")
     rows = []
     for s in report.summaries:
@@ -814,7 +790,7 @@ def _render_table(report: BenchReport) -> str:
     out.append("  ".join("-" * w for w in widths))
     for r in rows:
         out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -829,22 +805,13 @@ def run_sweep(config: BenchConfig) -> list[tuple[float, float, float, float]]:
     per-point aggregates of the benchmark's ``eda`` method.
     """
     report = run_benchmark(replace(config, methods=("eda",)))
-    per_point: dict[tuple, list[float]] = {}
-    for _, _, point, value in report.per_seed:
-        per_point.setdefault(point, []).append(value)
-    return [
-        (cs, ct, float(np.mean(vals)), float(np.std(vals)))
-        for (cs, ct), vals in per_point.items()
-    ]
+    return [(cs, ct, mean, std)
+            for (cs, ct), (mean, std) in _point_stats(report.per_seed, "eda").items()]
 
 
 def emit_sweep(rows, config: BenchConfig, out_dir: str) -> str:
     """Write the sweep grid CSV; returns its path."""
-    os.makedirs(out_dir, exist_ok=True)
     h = config_hash(config)
-    path = os.path.join(out_dir, f"sweep_{h}.csv")
-    with _open_report(path, h, "weight-grid sweep") as fh:
-        fh.write("c_source,c_target,mean,std\n")
-        for cs, ct, mean, std in rows:
-            fh.write(f"{_num(cs)},{_num(ct)},{repr(mean)},{repr(std)}\n")
-    return path
+    return _write_report(out_dir, f"sweep_{h}.csv", h, "weight-grid sweep", _csv(
+        "c_source,c_target,mean,std",
+        [(_num(cs), _num(ct), mean, std) for cs, ct, mean, std in rows]))

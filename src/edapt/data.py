@@ -523,6 +523,12 @@ class SynthShiftSpec:
             raise ShapeError(
                 f"covariances must be {(c, d, d)}, got {cov.shape}"
             )
+        t = np.array(self.translation, dtype=np.float64)
+        if t.shape != (d,):
+            raise ShapeError(f"translation must have shape ({d},), got {t.shape}")
+        for name, a in (("means", m), ("covariances", cov), ("translation", t)):
+            if not np.isfinite(a).all():
+                raise ParameterError(f"{name} must be finite")
         chols = np.empty_like(cov)
         for i in range(c):
             try:
@@ -531,13 +537,13 @@ class SynthShiftSpec:
                 raise ParameterError(
                     f"covariance for class {i} is not positive definite"
                 ) from None
-        t = np.array(self.translation, dtype=np.float64)
-        if t.shape != (d,):
-            raise ShapeError(f"translation must have shape ({d},), got {t.shape}")
+        if not np.isfinite(self.rotation_deg):
+            raise ParameterError(f"rotation_deg must be finite, got {self.rotation_deg}")
         if self.rotation_deg != 0.0 and d < 2:
             raise ParameterError("rotation needs at least two feature dims")
-        if self.scale <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
+        # written so that NaN fails it
+        if not 0.0 < self.scale < np.inf:
+            raise ParameterError(f"scale must be positive and finite, got {self.scale}")
         if self.n_source < 1 or self.n_labeled_per_class < 1:
             raise ParameterError("n_source and n_labeled_per_class must be >= 1")
         if self.n_unlabeled < 0 or self.n_test < 0:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import Dataset, DomainBundle, decode_labels, encode_labels
+from .data import Dataset, DomainBundle, _lock, decode_labels, encode_labels
 from .errors import ParameterError, ShapeError
 from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
                        new_hidden_map)
@@ -211,15 +211,16 @@ def build_problem(
     # activations
     graph = build_knn_graph(target, params.n_neighbors)
     # map the target stack once and slice, so the graph energy and the
-    # fitting terms see bitwise-identical activations
-    h_target = map_features(hidden_map, target)
+    # fitting terms see bitwise-identical activations; every array built
+    # here is read-only, since callers may share one problem across fits
+    h_target = _lock(map_features(hidden_map, target))
     problem = EdaProblem(
-        h_source=map_features(hidden_map, bundle.source),
+        h_source=_lock(map_features(hidden_map, bundle.source)),
         h_labeled=h_target[:n_labeled],
         h_unlabeled=h_target[n_labeled:],
         h_target=h_target,
-        t_source=encode_labels(bundle.source.labels, bundle.n_classes),
-        t_labeled=encode_labels(bundle.target_labeled.labels, bundle.n_classes),
+        t_source=_lock(encode_labels(bundle.source.labels, bundle.n_classes)),
+        t_labeled=_lock(encode_labels(bundle.target_labeled.labels, bundle.n_classes)),
         prelabels=prelabels,
         graph=graph,
     )

@@ -31,10 +31,13 @@ from edapt import (
 )
 from edapt.bench import (
     METHOD_LABELS,
+    BenchReport,
+    MethodSummary,
     _parse_value,
     check_synthetic_graph,
     config_hash,
     config_text,
+    load_config,
     parse_config,
     resplit_bundle,
     split_map_hash,
@@ -313,8 +316,11 @@ def test_builtin_prelabels_are_computed_once_per_seed(monkeypatch):
 ADAPTATION = ("eda", "eda_lap", "eda_inv", "eda_avg", "mveda")
 
 
-@pytest.mark.parametrize("method", ADAPTATION)
-def test_adaptation_problems_are_built_once_per_seed(method, monkeypatch):
+# each method alone, then all five together: they differ only in their
+# pre-classifier scores, so they share each seed's view problems
+@pytest.mark.parametrize("methods", [*ADAPTATION, ",".join(ADAPTATION)])
+def test_adaptation_problems_are_built_once_per_seed(methods, monkeypatch):
+    import edapt.bench
     import edapt.multiview
     import edapt.single
     built = []
@@ -324,11 +330,11 @@ def test_adaptation_problems_are_built_once_per_seed(method, monkeypatch):
         return build_problem(bundle, *args, **kwargs)
 
     # every module binding the library builds problems through
-    for module in (edapt.single, edapt.multiview):
+    for module in (edapt.bench, edapt.single, edapt.multiview):
         monkeypatch.setattr(module, "build_problem", counting)
-    cfg = _fast(methods=(method,))
+    cfg = _fast(methods=tuple(methods.split(",")))
     run_benchmark(cfg)
-    views = cfg.views if method == "mveda" else 1
+    views = cfg.views if "mveda" in cfg.methods else 1
     assert len(built) == views * len(cfg.seeds)
     assert len({id(b) for b in built}) == len(built)
 
@@ -430,3 +436,124 @@ def test_sweep_covers_the_grid_in_order(tmp_path):
         lines = [ln for ln in fh if not ln.startswith("#")]
     assert lines[0] == "c_source,c_target,mean,std\n"
     assert len(lines) == 1 + len(rows)
+
+
+def _hand_report(cfg):
+    # fixed floats, two methods, view weights and timing; no solver runs
+    return BenchReport(
+        config=cfg,
+        config_hash=config_hash(cfg),
+        summaries=[
+            MethodSummary("elm_s", METHOD_LABELS["elm_s"], (10.0,), 0.75, 0.05,
+                          (1.0,), 0.5, 0.25),
+            MethodSummary("mveda", METHOD_LABELS["mveda"], (1.0, 10.0), 0.875, 0.0,
+                          (1.0, 1000.0), 0.1, 1e-17),
+        ],
+        per_seed=[("elm_s", 0, (1.0,), 0.25), ("elm_s", 1, (1.0,), 0.75),
+                  ("mveda", 0, (1.0, 10.0), 0.875), ("mveda", 1, (1.0, 10.0), 0.875)],
+        convergence=[("mveda_s0_1_10", 1, 12.5),
+                     ("mveda_s0_1_10", 2, 0.30000000000000004)],
+        view_weights=[("mveda_s0_1_10", 1, 0, 0.5), ("mveda_s0_1_10", 1, 1, 0.5),
+                      ("mveda_s0_1_10", 2, 0, 0.6), ("mveda_s0_1_10", 2, 1, 0.4)],
+        timing=[("elm_s", 0, 2, 0.001), ("mveda", 0, 4, 0.25)],
+        split_hashes=[(0, "00112233445566ff"), (1, "8899aabbccddeeff")],
+    )
+
+
+_NOTE = (
+    "# splits: regenerated (synthetic) or reshuffled from the labeled target pool\n"
+    "#         (manifest) per seed, m labeled target samples per class; all\n"
+    "#         methods share each seed's split and hidden map (hash-checked)\n"
+    "# selection: best-on-grid takes the grid point with the best mean test\n"
+    "#         metric (optimistic, tuned on test); fixed-default uses the\n"
+    "#         configured parameters unchanged\n"
+)
+
+_PINNED = {
+    "results": ("results_bf4749229539.csv", "benchmark summary", (
+        "method,label,best_point,best_mean,best_std,default_point,default_mean,"
+        "default_std",
+        "elm_s,ELM (source only),10,0.75,0.05,1,0.5,0.25",
+        "mveda,MvEDA,1/10,0.875,0.0,1/1000,0.1,1e-17")),
+    "per_seed": ("per_seed_bf4749229539.csv", "per-seed metric values", (
+        "method,seed,point,value",
+        "elm_s,0,1,0.25",
+        "elm_s,1,1,0.75",
+        "mveda,0,1/10,0.875",
+        "mveda,1,1/10,0.875")),
+    "convergence": ("convergence_bf4749229539.csv", "objective per iteration", (
+        "run_id,iteration,objective",
+        "mveda_s0_1_10,1,12.5",
+        "mveda_s0_1_10,2,0.30000000000000004")),
+    "view_weights": ("view_weights_bf4749229539.csv", "view weights per iteration", (
+        "run_id,iteration,view,weight",
+        "mveda_s0_1_10,1,0,0.5",
+        "mveda_s0_1_10,1,1,0.5",
+        "mveda_s0_1_10,2,0,0.6",
+        "mveda_s0_1_10,2,1,0.4")),
+    "timing": ("timing_bf4749229539.csv", "wall-clock fit times (not reproducible)", (
+        "method,seed,n_fits,fit_seconds",
+        "elm_s,0,2,0.001",
+        "mveda,0,4,0.25")),
+    "table": ("table_bf4749229539.txt", "benchmark table", (
+        "method             best grid  best              default",
+        "-----------------  ---------  ----------------  ----------------",
+        "ELM (source only)  10         0.7500 +- 0.0500  0.5000 +- 0.2500",
+        "MvEDA              1/10       0.8750 +- 0.0000  0.1000 +- 0.0000")),
+    "config": ("config_bf4749229539.txt", "configuration echo", (
+        "cov_scale = 0.16", "data = synth", "grid = 1.0,10.0", "m = 3", "means = ",
+        "methods = elm_s,mveda", "metric = accuracy", "n_source = 150",
+        "n_test = 150", "n_unlabeled = 150", "noise_dim = 2", "pre_ridge = 1.0",
+        "rotation_deg = 30.0", "scale = 1.0", "seeds = 0,1", "standardize = true",
+        "translation = 2.0,0.0", "views = 2", "activation = radbas",
+        "c_source = 1.0", "c_target = 1000.0", "drift_weight = 1.0",
+        "fidelity_weight = 20.0", "manifold_weight = 1.0", "max_iter = 5",
+        "n_hidden = 200", "n_neighbors = 5", "reweight_eps = 1e-06", "seed = 0",
+        "view_exponent = 2.0", "# per-seed split/map hashes",
+        "# seed 0: 00112233445566ff", "# seed 1: 8899aabbccddeeff")),
+    "sweep": ("sweep_bf4749229539.csv", "weight-grid sweep", (
+        "c_source,c_target,mean,std",
+        "1,1,0.5,0.0",
+        "1,10,0.875,0.125",
+        "10,1,0.6666666666666666,0.001",
+        "10,10,1.0,0.0")),
+}
+
+
+def test_report_files_have_pinned_text(tmp_path):
+    cfg = default_config(methods=("elm_s", "mveda"), seeds=(0, 1), grid=(1.0, 10.0))
+    paths = emit_report(_hand_report(cfg), str(tmp_path))
+    rows = [(1.0, 1.0, 0.5, 0.0), (1.0, 10.0, 0.875, 0.125), (10.0, 1.0, 2 / 3, 1e-3),
+            (10.0, 10.0, 1.0, 0.0)]
+    paths["sweep"] = emit_sweep(rows, cfg, str(tmp_path))
+    # same files, in the same order
+    assert list(paths) == list(_PINNED)
+    for name, (file_name, title, lines) in _PINNED.items():
+        assert paths[name] == str(tmp_path / file_name)
+        with open(paths[name], encoding="utf-8", newline="") as fh:
+            got = fh.read()
+        want = f"# {title}\n# config bf4749229539\n{_NOTE}" + "".join(
+            f"{line}\n" for line in lines)
+        assert got == want, name
+
+
+def test_report_config_echo_loads_back(tmp_path):
+    # a default config writes "means = ", which used to read back as ()
+    # and be refused
+    every_key = BenchConfig(
+        data="bundle/manifest.txt", methods=("eda", "mveda"), metric="map",
+        seeds=(3, 5), m=2, grid=(0.5, 2.0), rotation_deg=-12.5,
+        translation=(0.25, -1.0, 3.0), scale=1.5, n_source=40, n_unlabeled=0,
+        n_test=7, cov_scale=0.3, means=((0.0, 1.0, 2.0), (3.0, 4.0, 5.5)),
+        views=3, noise_dim=4, pre_ridge=0.1, standardize=False,
+        params=EdaParams(c_source=2.0, c_target=30.0, drift_weight=0.5,
+                         fidelity_weight=4.0, manifold_weight=0.0, n_hidden=17,
+                         max_iter=3, reweight_eps=1e-4, n_neighbors=6,
+                         view_exponent=3.0, activation="sigmoid", seed=9))
+    for obj, base in ((every_key, default_config()), (every_key.params, EdaParams())):
+        for f in fields(obj):
+            assert getattr(obj, f.name) != getattr(base, f.name), f.name
+    for cfg in (default_config(), every_key):
+        out = tmp_path / config_hash(cfg)
+        path = emit_report(_hand_report(cfg), str(out))["config"]
+        assert load_config(path) == cfg

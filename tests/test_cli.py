@@ -503,6 +503,7 @@ def test_config_geometry_errors_name_the_file_and_key(tmp_path, capsys, line, wa
     ("n_unlabeled = -1", "n_unlabeled must be >= 0, got -1"),
     ("n_test = -1", "n_test must be >= 0, got -1"),
     ("c_source = inf", "c_source must be finite and >= 0, got inf"),
+    ("noise_dim = 0", "noise_dim must be >= 1, got 0"),
 ])
 def test_config_values_that_fail_mid_run_name_the_file_and_key(tmp_path, capsys,
                                                                line, want):

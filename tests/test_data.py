@@ -318,6 +318,20 @@ def test_spec_validation():
         SynthShiftSpec(means, cov, scale=0.0)
     with pytest.raises(ShapeError):
         SynthShiftSpec(np.zeros(3), cov)
+    # non-finite values used to fail later, in generate_shift, naming no field
+    nan_cov = cov.copy()
+    nan_cov[1, 0, 0] = np.nan
+    for kwargs, want in [
+        (dict(scale=np.nan), "scale must be positive and finite, got nan"),
+        (dict(rotation_deg=np.nan), "rotation_deg must be finite, got nan"),
+        (dict(means=np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]])),
+         "means must be finite"),
+        (dict(covariances=nan_cov), "covariances must be finite"),
+        (dict(translation=(np.nan, 0.0)), "translation must be finite"),
+    ]:
+        kwargs = {"means": means, "covariances": cov, **kwargs}
+        with pytest.raises(ParameterError, match=want):
+            SynthShiftSpec(**kwargs)
 
 
 def test_augment_noise_view():

@@ -341,6 +341,21 @@ def test_build_problem_rejects_dim_mismatch():
         build_problem(mixed, random_prelabels(bundle), small_params())
 
 
+def test_build_problem_arrays_are_read_only():
+    # the bench shares one problem among the adaptation methods of a seed,
+    # so no fit may change its arrays; the caller's prelabels stay as given
+    bundle = blob_bundle(seed=5)
+    phi = random_prelabels(bundle)
+    prob, _ = build_problem(bundle, phi, small_params())
+    for name in ("h_source", "h_labeled", "h_unlabeled", "h_target",
+                 "t_source", "t_labeled"):
+        a = getattr(prob, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert prob.prelabels is phi and phi.flags.writeable
+
+
 def test_predict_eda_and_detransform():
     bundle = blob_bundle(seed=4, per_test=3)
     model = fit_eda(bundle, random_prelabels(bundle, 4), small_params())
