@@ -19,7 +19,7 @@ graph are built once, on first use, and each method swaps in its own
 scores.  They sweep only the loss weights ``c_source``/``c_target``,
 which change none of these, so each grid point only re-runs the
 alternating solver; it still rebuilds the normal equations.  No
-pre-classifier runs unless a configured method uses it.
+pre-classifier scores or baseline rows are made unless a method uses them.
 
 Reports are plain text and CSV with deterministic content and file
 names derived from a hash of the configuration, so rerunning a config
@@ -431,23 +431,28 @@ class _SeedContext:
 
     config: BenchConfig
     seed: int
+    params: EdaParams  # the configured parameters with this seed
     bundle: DomainBundle
     hidden_map: HiddenMap
-    h_source: np.ndarray
-    h_labeled: np.ndarray
     h_test: np.ndarray
     t_source: np.ndarray
     t_labeled: np.ndarray
     y_test: np.ndarray
     token: str
-    # view inputs, view problems and builtin pre-classifier scores, each
-    # built on first use and shared by every method of the seed
+    # view inputs and problems, pre-classifier scores and the baselines'
+    # activations: each built on first use, shared by the seed's methods
     cache: dict = field(default_factory=dict)
 
     def _once(self, key: tuple, make):
         if key not in self.cache:
             self.cache[key] = make()
         return self.cache[key]
+
+    def activations(self, part: str) -> np.ndarray:
+        """This seed's map of ``bundle.<part>``: the ELM baselines' own
+        training rows, mapped without building a graph."""
+        return self._once(("activations", part), lambda: map_features(
+            self.hidden_map, getattr(self.bundle, part)))
 
     def inputs(self, view: int) -> tuple[DomainBundle, HiddenMap]:
         """View ``view``'s bundle and map: this seed's own for view 0, a
@@ -458,7 +463,7 @@ class _SeedContext:
         def make():
             view_seed = derive_view_seed(self.seed, view)
             bundle = augment_noise_view(self.bundle, self.config.noise_dim, view_seed)
-            p = self.config.params
+            p = self.params
             return bundle, new_hidden_map(p.n_hidden, bundle.target_dim,
                                           p.activation, view_seed)
         return self._once(("inputs", view), make)
@@ -466,9 +471,11 @@ class _SeedContext:
     def prelabels(self, name: str, view: int) -> np.ndarray:
         """Builtin pre-classifier ``name``'s scores on view ``view``;
         ``average`` is the mean of the cached kernel ridges."""
-        return self._once((name, view), lambda: average_prelabels(
-            [self.prelabels(k, view) for k in KERNELS]) if name == "average"
-            else builtin_prelabels(name, *self.inputs(view), self.config.pre_ridge))
+        def make():
+            if name == "average":
+                return average_prelabels([self.prelabels(k, view) for k in KERNELS])
+            return builtin_prelabels(name, *self.inputs(view), self.config.pre_ridge)
+        return self._once((name, view), make)
 
     def problem(self, name: str, view: int):
         """View ``view``'s problem anchored to pre-classifier ``name``'s
@@ -478,7 +485,7 @@ class _SeedContext:
 
         def make():
             bundle, hidden_map = self.inputs(view)
-            problem, _ = build_problem(bundle, phi, self.config.params, hidden_map)
+            problem, _ = build_problem(bundle, phi, self.params, hidden_map)
             return problem, (map_features(hidden_map, bundle.target_test) if view
                              else self.h_test)
         problem, h_test = self._once(("problem", view), make)
@@ -501,10 +508,10 @@ def _score(config: BenchConfig, scores: np.ndarray, y_test: np.ndarray) -> float
 
 def _elm_rows(method: str, ctx: _SeedContext):
     if method == "elm_s":
-        return ctx.h_source, ctx.t_source
+        return ctx.activations("source"), ctx.t_source
     if method == "elm_t":
-        return ctx.h_labeled, ctx.t_labeled
-    h = np.vstack([ctx.h_source, ctx.h_labeled])
+        return ctx.activations("target_labeled"), ctx.t_labeled
+    h = np.vstack([ctx.activations("source"), ctx.activations("target_labeled")])
     t = np.vstack([ctx.t_source, ctx.t_labeled])
     return h, t
 
@@ -551,7 +558,7 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
 def _run_method(method: str, ctx: _SeedContext):
     """Returns (grid results, default-point result, fit seconds, n fits)."""
     config = ctx.config
-    p = replace(config.params, seed=ctx.seed)
+    p = ctx.params
     if method in _ADAPTATION_PRELABELS:
         fit = _adaptation_fit(method, ctx, p)
         points = [(float(cs), float(ct)) for cs in config.grid for ct in config.grid]
@@ -616,10 +623,9 @@ def _context(config: BenchConfig, seed: int, base: DomainBundle | None) -> _Seed
     return _SeedContext(
         config=config,
         seed=seed,
+        params=replace(p, seed=seed),
         bundle=bundle,
         hidden_map=hidden_map,
-        h_source=map_features(hidden_map, bundle.source),
-        h_labeled=map_features(hidden_map, bundle.target_labeled),
         h_test=map_features(hidden_map, bundle.target_test),
         t_source=encode_labels(bundle.source.labels, bundle.n_classes),
         t_labeled=encode_labels(bundle.target_labeled.labels, bundle.n_classes),
@@ -673,8 +679,15 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         best_point = max(grid, key=lambda pt: (grid[pt][0], _pt_key(pt)))
         dvals = defaults[method]
         summaries.append(MethodSummary(
-            method, METHOD_LABELS[method], best_point, *grid[best_point],
-            default_points[method], float(np.mean(dvals)), float(np.std(dvals))))
+            method=method,
+            label=METHOD_LABELS[method],
+            best_point=best_point,
+            best_mean=grid[best_point][0],
+            best_std=grid[best_point][1],
+            default_point=default_points[method],
+            default_mean=float(np.mean(dvals)),
+            default_std=float(np.std(dvals)),
+        ))
     return BenchReport(
         config=config,
         config_hash=config_hash(config),
@@ -754,9 +767,9 @@ def emit_report(report: BenchReport, out_dir: str) -> dict[str, str]:
     """
     h = report.config_hash
     files = [
+        # one column per MethodSummary field, header and rows in field order
         ("results", "csv", "benchmark summary", _csv(
-            "method,label,best_point,best_mean,best_std,"
-            "default_point,default_mean,default_std", map(astuple, report.summaries))),
+            ",".join(f.name for f in fields(MethodSummary)), map(astuple, report.summaries))),
         ("per_seed", "csv", "per-seed metric values",
          _csv("method,seed,point,value", report.per_seed)),
         ("convergence", "csv", "objective per iteration",

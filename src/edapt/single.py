@@ -168,6 +168,15 @@ class EdaProblem:
     prelabels: np.ndarray     # n_unlabeled x c
     graph: LaplacianGraph
 
+    def __post_init__(self):
+        # checked here, so a problem copied with new scores
+        # (``dataclasses.replace(problem, prelabels=...)``) is checked too
+        prelabels = np.asarray(self.prelabels, dtype=np.float64)
+        want = (self.h_unlabeled.shape[0], self.n_classes)
+        if prelabels.shape != want:
+            raise ShapeError(f"prelabels must be {want}, got {prelabels.shape}")
+        object.__setattr__(self, "prelabels", prelabels)
+
     @property
     def n_hidden(self) -> int:
         return self.h_source.shape[1]
@@ -198,12 +207,6 @@ def build_problem(
     if hidden_map is None:
         hidden_map = new_hidden_map(
             params.n_hidden, bundle.target_dim, params.activation, params.seed
-        )
-    prelabels = np.asarray(prelabels, dtype=np.float64)
-    if prelabels.ndim != 2 or prelabels.shape != (bundle.n_unlabeled, bundle.n_classes):
-        raise ShapeError(
-            f"prelabels must be {(bundle.n_unlabeled, bundle.n_classes)}, "
-            f"got {prelabels.shape}"
         )
     n_labeled = bundle.target_labeled.n
     target = bundle.target_all()

@@ -44,6 +44,7 @@ from edapt.bench import (
     synth_spec,
 )
 from edapt.data import decode_labels, save_bundle
+from edapt.features import map_features
 from edapt.preclassify import average_prelabels, preclassify_kernel
 
 
@@ -337,6 +338,24 @@ def test_adaptation_problems_are_built_once_per_seed(methods, monkeypatch):
     views = cfg.views if "mveda" in cfg.methods else 1
     assert len(built) == views * len(cfg.seeds)
     assert len({id(b) for b in built}) == len(built)
+
+
+# the baselines map their training rows on first use; an adaptation
+# method's problem maps its own, so no row is mapped twice without them
+@pytest.mark.parametrize("methods", ["eda", "mveda", "elm_s,elm_t,elm_st", "sselm"])
+def test_no_rows_are_mapped_twice_by_one_method_kind(methods, monkeypatch):
+    import edapt.bench
+    import edapt.single
+    mapped = []
+
+    def counting(hidden_map, data, *args, **kwargs):
+        mapped.append((id(hidden_map), id(data)))
+        return map_features(hidden_map, data, *args, **kwargs)
+
+    for module in (edapt.bench, edapt.single):
+        monkeypatch.setattr(module, "map_features", counting)
+    run_benchmark(_fast(methods=tuple(methods.split(","))))
+    assert mapped and len(set(mapped)) == len(mapped)
 
 
 @pytest.mark.parametrize("metric", ["accuracy", "map"])

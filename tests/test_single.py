@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ def test_prelabels_shape_guard():
     bundle = blob_bundle(seed=2)
     with pytest.raises(ShapeError):
         build_problem(bundle, np.zeros((2, 2)), small_params())
+    # a problem copied with new scores, as the bench does, is checked too
+    phi = random_prelabels(bundle)
+    prob, _ = build_problem(bundle, phi, small_params())
+    with pytest.raises(ShapeError, match="prelabels must be"):
+        replace(prob, prelabels=phi[:-1])
+    with pytest.raises(ShapeError):
+        replace(prob, prelabels=phi.ravel())
+    swapped = replace(prob, prelabels=phi.astype(np.float32).tolist())
+    assert swapped.prelabels.dtype == np.float64
+    assert swapped.prelabels.tobytes() == phi.astype(np.float32).astype(np.float64).tobytes()
 
 
 def test_build_problem_rejects_dim_mismatch():
