@@ -547,9 +547,9 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
                               for v in range(n_views)))
 
     def fit(cs: float, ct: float):
-        betas, _, _, alpha, alphas, history = _alternate(
+        betas, _, alphas, history = _alternate(
             problems, replace(p, c_source=cs, c_target=ct))
-        scores = sum(a * (h @ beta) for a, h, beta in zip(alpha, h_tests, betas))
+        scores = sum(a * (h @ beta) for a, h, beta in zip(alphas[-1], h_tests, betas))
         return scores, history, np.asarray(alphas) if method == "mveda" else None
 
     return fit

@@ -99,6 +99,8 @@ def _write_scores(path: str, scores: np.ndarray) -> None:
 
 
 def _cmd_synth(args) -> int:
+    if args.views < 1:
+        raise ParameterError(f"--views must be >= 1, got {args.views}")
     config = _config(args)
     seed = args.seed if args.seed is not None else config.params.seed
     spec = synth_spec(config, seed)
@@ -246,12 +248,13 @@ def _cmd_predict(args) -> int:
     multiview = isinstance(model, MvEdaModel)
     if args.detransform and multiview:
         raise ParameterError("--detransform applies to single-view adaptation models")
-    if not multiview and len(args.features) != 1:
-        raise ParameterError("single-view models take exactly one feature CSV")
-    if (model.standardizers if multiview else model.standardizer) is None:
-        _refuse_stale_standardizer(args.model, model.n_views if multiview else 1)
-    datasets = [load_csv(p) for p in args.features]
     maps = model.hidden_maps if multiview else [model.hidden_map]
+    if len(args.features) != len(maps):
+        raise ParameterError(f"{args.model}: {len(maps)} view(s), one feature CSV "
+                             f"per view, got {len(args.features)} CSV(s)")
+    if (model.standardizers if multiview else model.standardizer) is None:
+        _refuse_stale_standardizer(args.model, len(maps))
+    datasets = [load_csv(p) for p in args.features]
     for v, (path, hidden_map, ds) in enumerate(zip(args.features, maps, datasets)):
         if ds.dim != hidden_map.n_features:
             view = f" (view {v})" if multiview else ""

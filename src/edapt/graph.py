@@ -11,12 +11,14 @@ duplicated point are equally distant only up to the rounding of
 rounding, not the index rule.
 
 Storage is sparse: a graph over ``n`` samples has at most ``2 k n``
-edges, so the adjacency and the Laplacian are kept as read-only CSR
-arrays and every product with them costs O(n k) per column.  The dense
-``adjacency`` and ``laplacian`` views cost O(n**2) time and memory on
-each access; they exist for inspection and tests.  The smoothness Gram
-``H' L H`` of n x L activations ``H``, which the primal solvers add to
-their normal equations, comes from :func:`laplacian_gram` alone.
+edges, so it is kept as one read-only CSR Laplacian and every product
+with it costs O(n k) per column.  The degrees are its diagonal and,
+since there are no self-edges, the adjacency is ``diag(degrees) - L``.
+The dense ``adjacency`` and ``laplacian`` views cost O(n**2) time and
+memory on each access; they exist for inspection and tests.  The
+smoothness Gram ``H' L H`` of n x L activations ``H``, which the primal
+solvers add to their normal equations, comes from
+:func:`laplacian_gram` alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import Dataset
+from .data import Dataset, _lock
 from .errors import ParameterError
 
 __all__ = ["LaplacianGraph", "build_knn_graph", "laplacian_gram", "quadratic_energy"]
@@ -45,44 +47,43 @@ _BLOCK_ENTRIES = 1 << 20
 _PANEL_ENTRIES = 1 << 18
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class LaplacianGraph:
-    """Adjacency, degrees, and unnormalized Laplacian of a sample graph.
+    """Unnormalized Laplacian ``L = D - A`` of a sample graph.
 
-    ``sparse_adjacency`` and ``sparse_laplacian`` are read-only
-    ``scipy.sparse.csr_array`` matrices; ``adjacency`` and ``laplacian``
-    are dense float64 copies of them, built anew on every access.
+    ``sparse_laplacian`` is a read-only ``scipy.sparse.csr_array``; the
+    degrees, the adjacency and the dense Laplacian are derived from it,
+    anew and read-only on every access.
     """
 
-    sparse_adjacency: sparse.csr_array
-    degrees: np.ndarray
     sparse_laplacian: sparse.csr_array
-    n_neighbors: int
 
     def __post_init__(self):
-        _read_only(self.degrees)
-        for m in (self.sparse_adjacency, self.sparse_laplacian):
-            for a in (m.data, m.indices, m.indptr):
-                _read_only(a)
+        m = self.sparse_laplacian
+        for a in (m.data, m.indices, m.indptr):
+            _lock(a)
 
     @property
     def n(self) -> int:
-        return self.degrees.shape[0]
+        return self.sparse_laplacian.shape[0]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Weighted degrees: the Laplacian's diagonal."""
+        return _lock(self.sparse_laplacian.diagonal())
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense ``n x n`` adjacency (O(n**2); inspection and tests only)."""
-        return _read_only(self.sparse_adjacency.toarray())
+        """Dense ``n x n`` adjacency ``diag(degrees) - L`` (O(n**2))."""
+        a = self.sparse_laplacian.toarray()
+        np.subtract(0.0, a, out=a)  # 0 - 0 keeps non-edges at +0.0
+        a.flat[::self.n + 1] = 0.0  # no self-edges: d_i - L_ii = 0
+        return _lock(a)
 
     @property
     def laplacian(self) -> np.ndarray:
         """Dense ``n x n`` Laplacian (O(n**2); inspection and tests only)."""
-        return _read_only(self.sparse_laplacian.toarray())
+        return _lock(self.sparse_laplacian.toarray())
 
 
 def _sq_dist_blocks(x: np.ndarray, block: int):
@@ -189,8 +190,7 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
             weights = np.exp(-d2 / (2.0 * t))
     adjacency = sparse.csr_array((weights, (rows, cols)), shape=(n, n))
     degrees = adjacency.sum(axis=1)
-    laplacian = sparse.diags_array(degrees, format="csr") - adjacency
-    return LaplacianGraph(adjacency, degrees, laplacian, n_neighbors)
+    return LaplacianGraph(sparse.diags_array(degrees, format="csr") - adjacency)
 
 
 def quadratic_energy(graph: LaplacianGraph, f: np.ndarray) -> float:

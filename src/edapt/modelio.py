@@ -2,10 +2,11 @@
 
 Every model is one plain JSON file (binary-free, diff-friendly); floats
 are written with full round-trip precision.  A multi-view file holds one
-block per view under ``views`` (hidden map, ``beta``, ``theta``, ``u``
-and, for a standardized fit, ``standardizer``: the fields of a
-single-view file) beside the shared view weights, their history, the
-objective history and the parameters.
+block per view under ``views`` (hidden map, ``beta``, ``theta`` and, for
+a standardized fit, ``standardizer``: the fields of a single-view file)
+beside the view-weight history, the objective history and the
+parameters.  The reweighting ``u`` and the view weights ``alpha`` are
+derived, not written; :func:`load_model` ignores them in older files.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ def _map_block(hm: HiddenMap) -> dict:
     }
 
 
-def _view_block(hm: HiddenMap, beta, theta, u, standardizer) -> dict:
+def _view_block(hm: HiddenMap, beta, theta, standardizer) -> dict:
     block = {
         "hidden_map": _map_block(hm),
         "beta": np.asarray(beta).tolist(),
         "theta": np.asarray(theta).tolist(),
-        "u": np.asarray(u).tolist(),
     }
     if standardizer is not None:
         block["standardizer"] = {"mean": standardizer.mean.tolist(),
@@ -53,7 +53,7 @@ def save_model(model, path: str) -> str:
     if isinstance(model, EdaModel):
         d = {
             "kind": "eda",
-            **_view_block(model.hidden_map, model.beta, model.theta, model.u,
+            **_view_block(model.hidden_map, model.beta, model.theta,
                           model.standardizer),
             "objective_history": model.objective_history.tolist(),
             "params": asdict(model.params),
@@ -62,9 +62,8 @@ def save_model(model, path: str) -> str:
         d = {
             "kind": "mveda",
             "views": [_view_block(*view) for view in zip(
-                model.hidden_maps, model.betas, model.thetas, model.us,
+                model.hidden_maps, model.betas, model.thetas,
                 model.standardizers or [None] * model.n_views)],
-            "alpha": model.alpha.tolist(),
             "alpha_history": model.alpha_history.tolist(),
             "objective_history": model.objective_history.tolist(),
             "params": asdict(model.params),
@@ -129,11 +128,10 @@ def _standardizer(d, where: str) -> Standardizer | None:
 
 
 def _view_fields(d, where: str) -> tuple:
-    """Hidden map, beta, theta, u and standardizer (or None) of an ``eda``
+    """Hidden map, beta, theta and standardizer (or None) of an ``eda``
     file or a view block."""
     return (_map_from_block(d, where), _array(d, "beta", where),
-            _array(d, "theta", where), _array(d, "u", where),
-            _standardizer(d, where))
+            _array(d, "theta", where), _standardizer(d, where))
 
 
 @contextmanager
@@ -161,16 +159,16 @@ def load_model(path: str):
         d = _read_json(path)
         kind = d.get("kind") if isinstance(d, dict) else None
         if kind == "eda":
-            hm, beta, theta, u, st = _view_fields(d, path)
-            return EdaModel(hm, beta, theta, u, _array(d, "objective_history", path),
+            hm, beta, theta, st = _view_fields(d, path)
+            return EdaModel(hm, beta, theta, _array(d, "objective_history", path),
                             _params(d, path), st)
         if kind == "mveda":
             views = [_view_fields(blk, f"{path}: view {i}")
                      for i, blk in enumerate(_field(d, "views", path))]
-            sts = [view[4] for view in views]
+            sts = [view[3] for view in views]
             return MvEdaModel(
-                *([view[j] for view in views] for j in range(4)),
-                _array(d, "alpha", path), _array(d, "alpha_history", path),
+                *([view[j] for view in views] for j in range(3)),
+                _array(d, "alpha_history", path),
                 _array(d, "objective_history", path), _params(d, path),
                 None if all(st is None for st in sts) else sts,
             )

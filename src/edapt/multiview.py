@@ -16,7 +16,8 @@ which is exactly how it is implemented here.  That step minimizes the
 smoothness term alone, not all of ``J``, so with several views descent
 is not guaranteed: the objective falls at the stock sizes (acceptance
 criterion 2 checks it there), but it can rise on small, unevenly
-weighted problems (L=20, c_source=100, c_target=1).
+weighted problems (L=20, c_source=100, c_target=1;
+``test_multiview.py::test_known_defect_is_flagged`` pins one).
 
 One alternating loop, ``single._alternate``, serves one or many views:
 it scales each view's normal-equation blocks by ``alpha_v`` and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DomainBundle, decode_labels
+from .data import Dataset, DomainBundle, _lock, decode_labels
 from .errors import ParameterError, ShapeError
 from .features import (HiddenMap, Standardizer, derive_view_seed, map_features,
                        new_hidden_map)
@@ -45,6 +46,7 @@ from .single import (
     update_alpha,
     update_beta,
     update_theta,
+    update_u,
     view_trace,
 )
 from .single import beta_gradient  # noqa: F401  (perfbench/test_harness.py reads it here)
@@ -98,8 +100,6 @@ class MvEdaModel:
     hidden_maps: list[HiddenMap]
     betas: list[np.ndarray]
     thetas: list[np.ndarray]
-    us: list[np.ndarray]
-    alpha: np.ndarray
     alpha_history: np.ndarray
     objective_history: np.ndarray
     params: EdaParams
@@ -111,37 +111,39 @@ class MvEdaModel:
             raise ShapeError("a multi-view model needs at least one view")
         # every view is standardized, or none is
         sts = [None] * v if self.standardizers is None else self.standardizers
-        if not (len(self.betas) == len(self.thetas) == len(self.us) == len(sts) == v):
+        if not (len(self.betas) == len(self.thetas) == len(sts) == v):
             raise ShapeError("per-view field lists disagree on view count")
         c = None
-        for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas,
-                                     self.us, sts)):
+        for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas, sts)):
             try:
                 if view[-1] is None and self.standardizers is not None:
                     raise ShapeError("missing field 'standardizer'")
                 c = _check_view(*view, c)
             except ShapeError as err:
                 raise ShapeError(f"view {i}: {err}") from None
-        a = np.array(self.alpha, dtype=np.float64)
-        if a.shape != (v,):
-            raise ShapeError(f"alpha must have shape ({v},), got {a.shape}")
-        a.flags.writeable = False
-        object.__setattr__(self, "alpha", a)
-        h = np.array(self.objective_history, dtype=np.float64)
+        h = _lock(np.array(self.objective_history, dtype=np.float64))
         _check_history(h)
-        h.flags.writeable = False
         object.__setattr__(self, "objective_history", h)
-        ah = np.array(self.alpha_history, dtype=np.float64)
+        ah = _lock(np.array(self.alpha_history, dtype=np.float64))
         if ah.shape != (h.shape[0], v):
             raise ShapeError(
                 f"alpha_history must have shape {(h.shape[0], v)}, got {ah.shape}"
             )
-        ah.flags.writeable = False
         object.__setattr__(self, "alpha_history", ah)
 
     @property
     def n_views(self) -> int:
         return len(self.hidden_maps)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The view weights the fit ended on: the last round's."""
+        return self.alpha_history[-1]
+
+    @property
+    def us(self) -> list[np.ndarray]:
+        """Each view's final row reweighting, ``update_u(beta_v, eps)``."""
+        return [update_u(beta, self.params.reweight_eps) for beta in self.betas]
 
 
 def _check_aligned(bundles: list[DomainBundle]) -> None:
@@ -166,16 +168,6 @@ def _check_aligned(bundles: list[DomainBundle]) -> None:
                 f"view {i} labels differ from view 0; views must describe "
                 f"the same samples"
             )
-
-
-def _build_views(bundles: list[DomainBundle], prelabels: list, params: EdaParams,
-                 hidden_maps: list) -> tuple[list[EdaProblem], list[HiddenMap]]:
-    """Check that the views describe the same samples, then build each
-    view's problem; returns ``(problems, hidden_maps)``."""
-    _check_aligned(bundles)
-    built = [build_problem(b, phi, params, hm)
-             for b, phi, hm in zip(bundles, prelabels, hidden_maps)]
-    return [prob for prob, _ in built], [hm for _, hm in built]
 
 
 def fit_mveda(
@@ -227,9 +219,11 @@ def fit_mveda(
                            derive_view_seed(params.seed, v))
             for v, bundle in enumerate(bundles)
         ]
-    problems, maps = _build_views(bundles, prelabels, params, hidden_maps)
-    betas, thetas, us, alpha, alphas, history = _alternate(problems, params)
-    return MvEdaModel(maps, betas, thetas, us, alpha, np.asarray(alphas),
+    _check_aligned(bundles)
+    problems, maps = zip(*(build_problem(b, phi, params, hm)
+                           for b, phi, hm in zip(bundles, prelabels, hidden_maps)))
+    betas, thetas, alphas, history = _alternate(problems, params)
+    return MvEdaModel(list(maps), betas, thetas, np.asarray(alphas),
                       np.asarray(history), params)
 
 

@@ -157,11 +157,10 @@ class EdaParams:
 
 @dataclass(frozen=True, eq=False)
 class EdaProblem:
-    """Hidden activations, targets, scores, and graph for one view."""
+    """Hidden activations, targets, scores, and graph for one view; the
+    labeled and unlabeled activations are views of ``h_target``."""
 
     h_source: np.ndarray      # n_source x L
-    h_labeled: np.ndarray     # n_labeled x L
-    h_unlabeled: np.ndarray   # n_unlabeled x L
     h_target: np.ndarray      # (n_labeled + n_unlabeled) x L, labeled first
     t_source: np.ndarray      # n_source x c
     t_labeled: np.ndarray     # n_labeled x c
@@ -176,6 +175,14 @@ class EdaProblem:
         if prelabels.shape != want:
             raise ShapeError(f"prelabels must be {want}, got {prelabels.shape}")
         object.__setattr__(self, "prelabels", prelabels)
+
+    @property
+    def h_labeled(self) -> np.ndarray:
+        return self.h_target[:self.t_labeled.shape[0]]
+
+    @property
+    def h_unlabeled(self) -> np.ndarray:
+        return self.h_target[self.t_labeled.shape[0]:]
 
     @property
     def n_hidden(self) -> int:
@@ -208,19 +215,15 @@ def build_problem(
         hidden_map = new_hidden_map(
             params.n_hidden, bundle.target_dim, params.activation, params.seed
         )
-    n_labeled = bundle.target_labeled.n
     target = bundle.target_all()
     # the graph first, so its distance blocks never sit on top of the
     # activations
     graph = build_knn_graph(target, params.n_neighbors)
-    # map the target stack once and slice, so the graph energy and the
-    # fitting terms see bitwise-identical activations; every array built
-    # here is read-only, since callers may share one problem across fits
+    # every array built here is read-only, since callers may share one
+    # problem across fits
     h_target = _lock(map_features(hidden_map, target))
     problem = EdaProblem(
         h_source=_lock(map_features(hidden_map, bundle.source)),
-        h_labeled=h_target[:n_labeled],
-        h_unlabeled=h_target[n_labeled:],
         h_target=h_target,
         t_source=_lock(encode_labels(bundle.source.labels, bundle.n_classes)),
         t_labeled=_lock(encode_labels(bundle.target_labeled.labels, bundle.n_classes)),
@@ -362,7 +365,7 @@ def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
         a = loss_scale * g_loss
         a += smooth_scale * g_smooth
         rhs *= loss_scale
-    a[np.diag_indices_from(a)] += u
+    a.flat[::prob.n_hidden + 1] += u
     return solve_spd(a, rhs, jitter=1e-10, residual_fn=residual)
 
 
@@ -381,15 +384,16 @@ def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
         return np.zeros((prob.n_hidden, prob.n_classes))
     hs, ht = prob.h_source, prob.h_target
     ns, nl, nt = hs.shape[0], prob.h_labeled.shape[0], ht.shape[0]
+    n = ns + nt
     d_inv = 1.0 / u
-    z = np.empty((ns + nt, prob.n_hidden))  # Z D^-1/2, one symmetric product
+    z = np.empty((n, prob.n_hidden))  # Z D^-1/2, one symmetric product
     np.multiply(hs, np.sqrt(d_inv), out=z[:ns])
     np.multiply(ht, np.sqrt(d_inv), out=z[ns:])
     s = z @ z.T
     del z  # not held through the solve
-    s[np.diag_indices(ns)] += 1.0 / (loss_scale * params.c_source)
+    s.flat[:ns * (n + 1):n + 1] += 1.0 / (loss_scale * params.c_source)  # source block
     w_t = (smooth_scale * params.manifold_weight) * prob.graph.sparse_laplacian.toarray()
-    w_t[np.diag_indices(nt)] += loss_scale * np.repeat(
+    w_t.flat[::nt + 1] += loss_scale * np.repeat(
         [params.c_target, params.fidelity_weight], [nl, nt - nl])
     with _blas_threads_for(nt):
         # solve_spd's finiteness check on s covers this block
@@ -435,9 +439,9 @@ def update_theta(beta: np.ndarray, prob: EdaProblem, params: EdaParams) -> np.nd
     multi-view solver can call this unmodified.
     """
     a = params.c_target * (prob.t_labeled.T @ prob.t_labeled)
-    a[np.diag_indices_from(a)] += params.drift_weight
+    a.flat[::a.shape[0] + 1] += params.drift_weight
     rhs = params.c_target * (prob.t_labeled.T @ (prob.h_labeled @ beta))
-    rhs[np.diag_indices_from(rhs)] += params.drift_weight
+    rhs.flat[::a.shape[0] + 1] += params.drift_weight
     return solve_spd(a, rhs)
 
 
@@ -552,7 +556,7 @@ def _alternate(problems: list[EdaProblem], params: EdaParams):
     cycles beta -> theta -> alpha -> u, recording the joint objective
     after each round.  One view keeps ``alpha = [1]`` and skips the
     weight step, so its loop is the single-view solver exactly.
-    Returns ``(betas, thetas, us, alpha, alpha_history, history)``.
+    Returns ``(betas, thetas, alpha_history, history)``.
     """
     n_views = len(problems)
     r = params.view_exponent
@@ -590,7 +594,7 @@ def _alternate(problems: list[EdaProblem], params: EdaParams):
             1.0 + abs(history[-2])
         ):
             break
-    return betas, thetas, us, alpha, alphas, history
+    return betas, thetas, alphas, history
 
 
 # ---------------------------------------------------------------------------
@@ -607,32 +611,33 @@ class EdaModel:
     hidden_map: HiddenMap
     beta: np.ndarray
     theta: np.ndarray
-    u: np.ndarray
     objective_history: np.ndarray
     params: EdaParams
     standardizer: Standardizer | None = None
 
     def __post_init__(self):
-        for name in ("beta", "theta", "u", "objective_history"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        _check_view(self.hidden_map, self.beta, self.theta, self.u,
-                    self.standardizer)
+        for name in ("beta", "theta", "objective_history"):
+            object.__setattr__(self, name,
+                               _lock(np.array(getattr(self, name), dtype=np.float64)))
+        _check_view(self.hidden_map, self.beta, self.theta, self.standardizer)
         _check_history(self.objective_history)
 
+    @property
+    def u(self) -> np.ndarray:
+        """The row reweighting the fit ended on, ``update_u(beta, eps)``."""
+        return update_u(self.beta, self.params.reweight_eps)
 
-def _check_view(hidden_map: HiddenMap, beta, theta, u, standardizer,
+
+def _check_view(hidden_map: HiddenMap, beta, theta, standardizer,
                 n_classes=None) -> int:
     """Check one fitted view's arrays against its L-unit map and each
-    other: ``beta`` (L, c), ``theta`` (c, c), ``u`` (L,), with ``c`` given
-    or read from ``beta``, and a standardizer, if any, as wide as the
-    map's input.  Errors name the field; returns ``c``."""
+    other: ``beta`` (L, c) and ``theta`` (c, c), with ``c`` given or read
+    from ``beta``, and a standardizer, if any, as wide as the map's
+    input.  Errors name the field; returns ``c``."""
     n, c = hidden_map.n_hidden, n_classes
     if c is None:
         c = np.shape(beta)[1] if np.ndim(beta) == 2 else "c"
-    for name, a, shape in (("beta", beta, (n, c)), ("theta", theta, (c, c)),
-                           ("u", u, (n,))):
+    for name, a, shape in (("beta", beta, (n, c)), ("theta", theta, (c, c))):
         if np.shape(a) != shape:
             raise ShapeError(f"field {name!r} must have shape {shape}, "
                              f"got {np.shape(a)}")
@@ -670,8 +675,8 @@ def fit_eda(
     ``dataclasses.replace(model, standardizer=...)``.
     """
     prob, hidden_map = build_problem(bundle, prelabels, params, hidden_map)
-    (beta,), (theta,), (u,), _, _, history = _alternate([prob], params)
-    return EdaModel(hidden_map, beta, theta, u, np.asarray(history), params)
+    (beta,), (theta,), _, history = _alternate([prob], params)
+    return EdaModel(hidden_map, beta, theta, np.asarray(history), params)
 
 
 def predict_eda(

@@ -350,7 +350,7 @@ def test_predict_rejects_a_model_whose_shapes_disagree(tmp_path, cfg_path, capsy
     capsys.readouterr()
     model = mv_run / "model.json"
     d = json.loads(model.read_text())
-    d["views"][1].update(beta=d["views"][1]["beta"][:5], u=d["views"][1]["u"][:3])
+    d["views"][1].update(beta=d["views"][1]["beta"][:5])
     model.write_text(json.dumps(d))
     rc = main(["predict", str(mv_run / "model.json"),
                f"{mv_data}/view0_target_test_features.csv",
@@ -359,6 +359,30 @@ def test_predict_rejects_a_model_whose_shapes_disagree(tmp_path, cfg_path, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{model}: view 1: field 'beta'" in err
+
+
+@pytest.mark.parametrize("views", ["0", "-1"])
+def test_synth_refuses_fewer_than_one_view(tmp_path, cfg_path, capsys, views):
+    out = tmp_path / "data"
+    assert main(["synth", "--config", cfg_path, "--out-dir", str(out),
+                 "--views", views]) == 2
+    assert f"--views must be >= 1, got {views}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_checks_the_csv_count_before_loading_any(tmp_path, cfg_path, capsys):
+    # none of these CSVs exists, so only a check made before loading passes
+    missing = [str(tmp_path / f"missing{i}.csv") for i in range(3)]
+    for views, given in (("1", 2), ("2", 1), ("2", 3)):
+        _, (manifest, _) = _synth(tmp_path / views, cfg_path, capsys, "--views", views)
+        run = tmp_path / views / "run"
+        assert main(["fit", manifest, "--config", cfg_path, "--out-dir", str(run)]) == 0
+        capsys.readouterr()
+        model = run / "model.json"
+        assert main(["predict", str(model), *missing[:given],
+                     "--out-dir", str(tmp_path / "pred")]) == 2
+        assert (f"{model}: {views} view(s), one feature CSV per view, "
+                f"got {given} CSV(s)") in capsys.readouterr().err
 
 
 def test_errors_exit_with_code_2(tmp_path, cfg_path, capsys):

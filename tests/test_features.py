@@ -162,7 +162,7 @@ def test_standardizer_checks_itself():
 
 def _model_over_two_inputs(standardizer=None) -> EdaModel:
     return EdaModel(new_hidden_map(3, 2, seed=0), np.ones((3, 2)), np.eye(2),
-                    np.ones(3), [1.0], EdaParams(n_hidden=3), standardizer)
+                    [1.0], EdaParams(n_hidden=3), standardizer)
 
 
 def test_standardizer_file_round_trip(tmp_path):
@@ -293,11 +293,10 @@ def test_scoring_streams_without_the_activation_matrix():
     maps = [new_hidden_map(n_hidden, 2, seed=s) for s in (0, 1)]
     betas = [rng.standard_normal((n_hidden, c)) for _ in maps]
     data = Dataset(rng.standard_normal((2, n)))
-    eye, ones = np.eye(c), np.ones(n_hidden)
+    eye = np.eye(c)
     params = EdaParams(n_hidden=n_hidden)
-    eda = EdaModel(maps[0], betas[0], eye, ones, [1.0], params)
-    mveda = MvEdaModel(maps, betas, [eye, eye], [ones, ones], [0.5, 0.5],
-                       [[0.5, 0.5]], [1.0], params)
+    eda = EdaModel(maps[0], betas[0], eye, [1.0], params)
+    mveda = MvEdaModel(maps, betas, [eye, eye], [[0.5, 0.5]], [1.0], params)
     for score in (lambda: predict_eda(eda, data),
                   lambda: predict_mveda(mveda, [data, data]),
                   lambda: map_features(maps[0], data, betas[0])):

@@ -18,11 +18,13 @@ from edapt import (
     MvEdaModel,
     ParameterError,
     ParseError,
+    augment_noise_view,
     fit_eda,
     fit_mveda,
     load_model,
     new_hidden_map,
     predict_eda,
+    predict_mveda,
     save_model,
     standardize_bundle,
 )
@@ -54,7 +56,6 @@ def test_eda_round_trip(tmp_path):
 
 def test_mveda_round_trip_one_file(tmp_path):
     b0 = blob_bundle(seed=2)
-    from edapt import augment_noise_view
     b1 = augment_noise_view(b0, 2, seed=3)
     params = small_params()
     maps = [new_hidden_map(12, 2, seed=2), new_hidden_map(12, 4, seed=3)]
@@ -64,10 +65,10 @@ def test_mveda_round_trip_one_file(tmp_path):
     assert save_model(model, str(path)) == str(path)
     assert [p.name for p in tmp_path.iterdir()] == ["mv.json"]
     d = json.loads(path.read_text())
-    assert list(d) == ["kind", "views", "alpha", "alpha_history",
-                       "objective_history", "params"]
+    # the reweighting u and the final view weights are derived, not stored
+    assert list(d) == ["kind", "views", "alpha_history", "objective_history", "params"]
     assert d["kind"] == "mveda"
-    assert [list(v) for v in d["views"]] == [["hidden_map", "beta", "theta", "u"]] * 2
+    assert [list(v) for v in d["views"]] == [["hidden_map", "beta", "theta"]] * 2
     back = load_model(str(path))
     assert back.n_views == 2
     for v in range(2):
@@ -79,6 +80,37 @@ def test_mveda_round_trip_one_file(tmp_path):
     assert np.array_equal(back.alpha_history, model.alpha_history)
     assert np.array_equal(back.objective_history, model.objective_history)
     assert back.params == model.params
+
+
+def test_files_with_the_derived_u_and_alpha_keys_still_load(tmp_path):
+    # files written before u and alpha were derived carry both keys;
+    # new files do not, and loading ignores them, so the old files load
+    # and predict as before
+    b0 = blob_bundle(seed=3, per_test=3)
+    b1 = augment_noise_view(b0, 2, seed=4)
+    params, pre = small_params(), random_prelabels(b0, 3)
+    eda = fit_eda(b0, pre, params)
+    mveda = fit_mveda([b0, b1], pre, params)
+    path = tmp_path / "m.json"
+    for model in (eda, mveda):
+        save_model(model, str(path))
+        d = json.loads(path.read_text())
+        if model is eda:
+            assert "u" not in d
+            d["u"] = model.u.tolist()
+        else:
+            assert "alpha" not in d and all("u" not in v for v in d["views"])
+            d["alpha"] = model.alpha.tolist()
+            for view, u in zip(d["views"], model.us):
+                view["u"] = u.tolist()
+        path.write_text(json.dumps(d))
+        back = load_model(str(path))
+        if model is eda:
+            got, want = (predict_eda(m, b0.target_test) for m in (back, model))
+        else:
+            got, want = (predict_mveda(m, [b0.target_test, b1.target_test])
+                         for m in (back, model))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_a_passed_map_overrides_the_params_and_is_what_the_file_keeps(tmp_path):
@@ -105,7 +137,7 @@ def test_a_standardized_model_predicts_raw_features_after_the_round_trip(tmp_pat
     path = tmp_path / "m.json"
     back = load_model(save_model(model, str(path)))
     assert list(json.loads(path.read_text())) == [
-        "kind", "hidden_map", "beta", "theta", "u", "standardizer",
+        "kind", "hidden_map", "beta", "theta", "standardizer",
         "objective_history", "params"]
     want = map_features(hm, scaled.target_test, model.beta)
     assert np.array_equal(predict_eda(back, raw.target_test)[1], want)
@@ -140,7 +172,7 @@ def test_unknown_kind_and_junk(tmp_path):
     (lambda d: d.pop("theta"), "'theta'"),
     (lambda d: d["params"].update(mystery=1), "mystery"),
     (lambda d: d["beta"][0].__setitem__(0, float("nan")), "'beta'"),
-    (lambda d: d["hidden_map"].update(weights=[[] for _ in d["u"]]),
+    (lambda d: d["hidden_map"].update(weights=[[] for _ in d["beta"]]),
      "hidden_map: weights"),
     (lambda d: d.update(objective_history=[]), "'objective_history'"),
 ])
@@ -160,7 +192,6 @@ def test_malformed_eda_file_names_file_and_field(tmp_path, corrupt, field):
 
 def _two_view_file(tmp_path):
     b0 = blob_bundle(seed=6)
-    from edapt import augment_noise_view
     b1 = augment_noise_view(b0, 2, seed=7)
     model = fit_mveda([b0, b1], [random_prelabels(b0, 6), random_prelabels(b1, 7)],
                       small_params(), [new_hidden_map(12, 2, seed=6),
@@ -191,13 +222,13 @@ def test_mismatched_view_file_names_file_and_field(tmp_path):
             {k: f(d["views"][1][k]) for k, f in new.items()})
 
     for corrupt, field in [
-        (view1(beta=lambda a: a[:5], u=lambda a: a[:3]), "view 1: field 'beta'"),
-        (view1(u=lambda a: a[:3]), "view 1: field 'u'"),
+        (view1(beta=lambda a: a[:5]), "view 1: field 'beta'"),
         (view1(theta=lambda a: [row[:2] for row in a[:2]]), "view 1: field 'theta'"),
         (lambda d: d["views"][1].pop("theta"), "view 1: missing field 'theta'"),
-        (lambda d: d["views"].pop(), "alpha must have shape (1,)"),
+        (lambda d: d["views"].pop(), "alpha_history must have shape (5, 1)"),
         (lambda d: d.update(views=[]), "needs at least one view"),
-        (lambda d: d.update(alpha=d["alpha"][:1]), "alpha must have shape (2,)"),
+        (lambda d: d.update(alpha_history=[a[:1] for a in d["alpha_history"]]),
+         "alpha_history must have shape (5, 2)"),
     ]:
         _assert_names(path, corrupt, field)
 
@@ -245,7 +276,7 @@ def test_a_bad_standardizer_block_names_file_and_field(tmp_path):
 def test_inputless_map_and_empty_history_name_file_and_field(tmp_path):
     path = _two_view_file(tmp_path)
     _assert_names(path, lambda d: d["views"][0]["hidden_map"].update(
-        weights=[[] for _ in d["views"][0]["u"]]), "view 0: hidden_map: weights")
+        weights=[[] for _ in d["views"][0]["beta"]]), "view 0: hidden_map: weights")
     _assert_names(path, lambda d: d.update(objective_history=[], alpha_history=[]),
                   "'objective_history'")
 
@@ -254,7 +285,7 @@ def test_inputless_map_and_empty_history_name_file_and_field(tmp_path):
 def test_map_seed_is_checked(tmp_path, value):
     # each of these used to load without complaint
     model = EdaModel(new_hidden_map(4, 2, seed=0), np.ones((4, 2)), np.eye(2),
-                     np.ones(4), [1.0], small_params())
+                     [1.0], small_params())
     path = tmp_path / "m.json"
     save_model(model, str(path))
     d = json.loads(path.read_text())
@@ -341,16 +372,14 @@ def models(draw):
     maps = [_hidden_map(draw, n) for n in sizes]
     betas = [_array(draw, n, c) for n in sizes]
     thetas = [_array(draw, c, c) for _ in sizes]
-    us = [_array(draw, n) for n in sizes]
     history = _array(draw, rounds)
     params = draw(PARAMS)
     sts = [_standardizer(draw, hm) for hm in maps] if draw(st.booleans()) else None
     if kind == "eda":
-        return EdaModel(maps[0], betas[0], thetas[0], us[0], history, params,
+        return EdaModel(maps[0], betas[0], thetas[0], history, params,
                         sts and sts[0])
-    v = len(sizes)
-    return MvEdaModel(maps, betas, thetas, us, _array(draw, v),
-                      _array(draw, rounds, v), history, params, sts)
+    return MvEdaModel(maps, betas, thetas, _array(draw, rounds, len(sizes)),
+                      history, params, sts)
 
 
 def _same_bits(a, b) -> bool:
@@ -372,20 +401,18 @@ def test_models_round_trip_bit_for_bit(model):
     assert back.params == model.params
     assert _same_bits(back.objective_history, model.objective_history)
     if isinstance(model, EdaModel):
-        views = [(back.hidden_map, back.beta, back.theta, back.u, back.standardizer,
-                  model.hidden_map, model.beta, model.theta, model.u,
-                  model.standardizer)]
+        views = [(back.hidden_map, back.beta, back.theta, back.standardizer,
+                  model.hidden_map, model.beta, model.theta, model.standardizer)]
     else:
-        assert _same_bits(back.alpha, model.alpha)
         assert _same_bits(back.alpha_history, model.alpha_history)
         assert (back.standardizers is None) == (model.standardizers is None)
         none = [None] * model.n_views
-        views = list(zip(back.hidden_maps, back.betas, back.thetas, back.us,
+        views = list(zip(back.hidden_maps, back.betas, back.thetas,
                          back.standardizers or none, model.hidden_maps, model.betas,
-                         model.thetas, model.us, model.standardizers or none))
-    for hm, beta, theta, u, st_, hm0, beta0, theta0, u0, st0 in views:
+                         model.thetas, model.standardizers or none))
+    for hm, beta, theta, st_, hm0, beta0, theta0, st0 in views:
         assert _same_map(hm, hm0)
-        assert all(_same_bits(a, b) for a, b in [(beta, beta0), (theta, theta0), (u, u0)])
+        assert _same_bits(beta, beta0) and _same_bits(theta, theta0)
         assert (st_ is None) == (st0 is None)
         if st0 is not None:
             assert _same_bits(st_.mean, st0.mean) and _same_bits(st_.std, st0.std)
@@ -394,10 +421,10 @@ def test_models_round_trip_bit_for_bit(model):
 # top-level array fields of each kind, of a view block (the top level of
 # an eda file), of a hidden map and of a standardizer
 _ARRAYS = {
-    "eda": ["beta", "theta", "u", "objective_history"],
-    "mveda": ["alpha", "alpha_history", "objective_history"],
+    "eda": ["beta", "theta", "objective_history"],
+    "mveda": ["alpha_history", "objective_history"],
 }
-_VIEW_ARRAYS = ["beta", "theta", "u"]
+_VIEW_ARRAYS = ["beta", "theta"]
 _MAP_ARRAYS = ["weights", "biases"]
 _STANDARDIZER_ARRAYS = ["mean", "std"]
 

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from edapt import (
     EdaModel,
     EdaParams,
+    LaplacianGraph,
+    MvEdaModel,
     ParameterError,
     ShapeError,
     build_problem,
@@ -23,6 +25,7 @@ from edapt import (
 )
 from edapt.features import map_features
 from edapt.single import (
+    EdaProblem,
     beta_gradient,
     eda_objective,
     surrogate_objective,
@@ -367,6 +370,27 @@ def test_build_problem_arrays_are_read_only():
     assert prob.prelabels is phi and phi.flags.writeable
 
 
+def test_each_fact_is_stored_once():
+    # the degrees and adjacency come from the Laplacian, the labeled and
+    # unlabeled activations from the target stack, the reweighting from
+    # beta and the final view weights from their history
+    assert [f.name for f in fields(LaplacianGraph)] == ["sparse_laplacian"]
+    assert [f.name for f in fields(EdaProblem)] == [
+        "h_source", "h_target", "t_source", "t_labeled", "prelabels", "graph"]
+    assert [f.name for f in fields(EdaModel)] == [
+        "hidden_map", "beta", "theta", "objective_history", "params", "standardizer"]
+    assert [f.name for f in fields(MvEdaModel)] == [
+        "hidden_maps", "betas", "thetas", "alpha_history", "objective_history",
+        "params", "standardizers"]
+    bundle = blob_bundle(seed=5)
+    prob, _ = build_problem(bundle, random_prelabels(bundle), small_params())
+    n_labeled = bundle.target_labeled.n
+    for part, rows in ((prob.h_labeled, slice(None, n_labeled)),
+                       (prob.h_unlabeled, slice(n_labeled, None))):
+        assert np.shares_memory(part, prob.h_target)
+        assert np.array_equal(part, prob.h_target[rows])
+
+
 def test_predict_eda_and_detransform():
     bundle = blob_bundle(seed=4, per_test=3)
     model = fit_eda(bundle, random_prelabels(bundle, 4), small_params())
@@ -382,8 +406,7 @@ def test_predict_eda_and_detransform():
 def test_detransform_identity_theta_is_noop():
     hm = new_hidden_map(5, 2, seed=0)
     beta = np.random.default_rng(0).standard_normal((5, 3))
-    model = EdaModel(hm, beta, np.eye(3), np.ones(5), [1.0],
-                     EdaParams(n_hidden=5))
+    model = EdaModel(hm, beta, np.eye(3), [1.0], EdaParams(n_hidden=5))
     from edapt import Dataset
     data = Dataset(np.random.default_rng(1).standard_normal((2, 4)))
     _, plain = predict_eda(model, data)
@@ -395,7 +418,7 @@ def test_detransform_near_singular_theta_warns_and_uses_the_pseudo_inverse():
     hm = new_hidden_map(5, 2, seed=0)
     beta = np.random.default_rng(0).standard_normal((5, 2))
     theta = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-    model = EdaModel(hm, beta, theta, np.ones(5), [1.0], EdaParams(n_hidden=5))
+    model = EdaModel(hm, beta, theta, [1.0], EdaParams(n_hidden=5))
     from edapt import Dataset
     data = Dataset(np.random.default_rng(1).standard_normal((2, 4)))
     _, plain = predict_eda(model, data)
@@ -426,12 +449,7 @@ def test_params_validation():
 
 def test_model_validation():
     hm = new_hidden_map(4, 2, seed=0)
-    with pytest.raises(ShapeError):
-        EdaModel(hm, np.ones((5, 3)), np.eye(3), np.ones(5), [1.0],
-                 EdaParams())
-    with pytest.raises(ShapeError):
-        EdaModel(hm, np.ones((4, 3)), np.eye(2), np.ones(4), [1.0],
-                 EdaParams())
-    with pytest.raises(ShapeError, match="'u'"):
-        EdaModel(hm, np.ones((4, 3)), np.eye(3), np.ones(3), [1.0],
-                 EdaParams())
+    with pytest.raises(ShapeError, match="'beta'"):
+        EdaModel(hm, np.ones((5, 3)), np.eye(3), [1.0], EdaParams())
+    with pytest.raises(ShapeError, match="'theta'"):
+        EdaModel(hm, np.ones((4, 3)), np.eye(2), [1.0], EdaParams())

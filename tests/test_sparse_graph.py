@@ -60,8 +60,10 @@ def _pattern(m, n) -> np.ndarray:
 
 def _assert_same_graph(g, reference, weighted, compare_weights=True):
     mask, adjacency, degrees, laplacian = reference
-    assert g.sparse_adjacency.nnz == mask.sum()
-    assert np.array_equal(_pattern(g.sparse_adjacency, g.n), mask)
+    # the Laplacian stores each edge and the whole diagonal, nothing else
+    assert g.sparse_laplacian.nnz == mask.sum() + g.n
+    assert np.array_equal(_pattern(g.sparse_laplacian, g.n),
+                          mask | np.eye(g.n, dtype=bool))
     if not weighted:
         assert np.array_equal(g.adjacency, adjacency)
         assert np.array_equal(g.degrees, degrees)
@@ -104,12 +106,12 @@ def test_graph_is_stored_sparse_and_read_only():
     n, k = 50, 4
     g = build_knn_graph(Dataset(np.random.default_rng(0).standard_normal((3, n))), k)
     assert g.n == n
-    assert g.sparse_adjacency.nnz <= 2 * k * n
     assert g.sparse_laplacian.nnz <= 2 * k * n + n
-    for m in (g.sparse_adjacency, g.sparse_laplacian):
-        assert isinstance(m, sparse.csr_array)
+    assert isinstance(g.sparse_laplacian, sparse.csr_array)
+    for a in (g.sparse_laplacian.data, g.sparse_laplacian.indices,
+              g.sparse_laplacian.indptr):
         with pytest.raises(ValueError):
-            m.data[0] = 1.0
+            a[0] = 1
     for dense in (g.adjacency, g.laplacian):
         assert dense.shape == (n, n) and dense.dtype == np.float64
         assert not dense.flags.writeable
