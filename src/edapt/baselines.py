@@ -25,8 +25,8 @@ def fit_elm(h: np.ndarray, t: np.ndarray, ridge: float) -> np.ndarray:
 
     Solves ``min 0.5*||beta||**2 + (ridge/2)*||t - h @ beta||**2`` via the
     SPD system whose Gram matrix is smaller: ``(h'h + I/ridge) beta = h't``
-    when rows outnumber hidden units, otherwise
-    ``beta = h' (h h' + I/ridge)^{-1} t``.
+    unless rows are fewer than hidden units, otherwise
+    ``beta = h' (h h' + I/ridge)^{-1} t`` (the adaptation solvers' rule).
 
     Parameters
     ----------
@@ -42,7 +42,7 @@ def fit_elm(h: np.ndarray, t: np.ndarray, ridge: float) -> np.ndarray:
     if h.ndim != 2 or t.ndim != 2 or h.shape[0] != t.shape[0]:
         raise ShapeError(f"incompatible shapes h={h.shape}, t={t.shape}")
     n, width = h.shape
-    if n > width:
+    if n >= width:
         a = h.T @ h
         a.flat[::width + 1] += 1.0 / ridge
         return solve_spd(a, h.T @ t)

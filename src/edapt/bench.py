@@ -18,7 +18,9 @@ view problems: view v's bundle, hidden map, activations and target
 graph are built once, on first use, and each method swaps in its own
 scores.  They sweep only the loss weights ``c_source``/``c_target``,
 which change none of these, so each grid point only re-runs the
-alternating solver; it still rebuilds the normal equations.  No
+alternating solver; it still rebuilds the normal equations.  Every
+split of every view, the test rows among them, is mapped once, on first
+use, and shared by the methods that score or fit on it.  No
 pre-classifier scores or baseline rows are made unless a method uses them.
 
 Reports are plain text and CSV with deterministic content and file
@@ -62,7 +64,7 @@ from .features import (
 from .graph import build_knn_graph
 from .metrics import accuracy, mean_average_precision
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
-from .single import EdaParams, _alternate, build_problem
+from .single import EdaParams, EdaProblem, _alternate, build_problem
 
 __all__ = [
     "BenchConfig",
@@ -430,16 +432,14 @@ class _SeedContext:
     """Shared per-seed state every method consumes."""
 
     config: BenchConfig
-    seed: int
     params: EdaParams  # the configured parameters with this seed
     bundle: DomainBundle
     hidden_map: HiddenMap
-    h_test: np.ndarray
     t_source: np.ndarray
     t_labeled: np.ndarray
     y_test: np.ndarray
     token: str
-    # view inputs and problems, pre-classifier scores and the baselines'
+    # view inputs and problems, pre-classifier scores and split
     # activations: each built on first use, shared by the seed's methods
     cache: dict = field(default_factory=dict)
 
@@ -448,11 +448,13 @@ class _SeedContext:
             self.cache[key] = make()
         return self.cache[key]
 
-    def activations(self, part: str) -> np.ndarray:
-        """This seed's map of ``bundle.<part>``: the ELM baselines' own
-        training rows, mapped without building a graph."""
-        return self._once(("activations", part), lambda: map_features(
-            self.hidden_map, getattr(self.bundle, part)))
+    def activations(self, part: str, view: int = 0) -> np.ndarray:
+        """View ``view``'s map of its bundle's split ``part``: the test
+        rows every method scores, and the ELM baselines' training rows."""
+        def make():
+            bundle, hidden_map = self.inputs(view)
+            return map_features(hidden_map, getattr(bundle, part))
+        return self._once(("activations", part, view), make)
 
     def inputs(self, view: int) -> tuple[DomainBundle, HiddenMap]:
         """View ``view``'s bundle and map: this seed's own for view 0, a
@@ -461,7 +463,7 @@ class _SeedContext:
             return self.bundle, self.hidden_map
 
         def make():
-            view_seed = derive_view_seed(self.seed, view)
+            view_seed = derive_view_seed(self.params.seed, view)
             bundle = augment_noise_view(self.bundle, self.config.noise_dim, view_seed)
             p = self.params
             return bundle, new_hidden_map(p.n_hidden, bundle.target_dim,
@@ -477,19 +479,16 @@ class _SeedContext:
             return builtin_prelabels(name, *self.inputs(view), self.config.pre_ridge)
         return self._once((name, view), make)
 
-    def problem(self, name: str, view: int):
+    def problem(self, name: str, view: int) -> EdaProblem:
         """View ``view``'s problem anchored to pre-classifier ``name``'s
-        scores, and the view's test activations.  The problem is built once
-        per seed; each pre-classifier swaps in its own scores."""
+        scores.  The problem is built once per seed; each pre-classifier
+        swaps in its own scores."""
         phi = self.prelabels(name, view)
 
         def make():
             bundle, hidden_map = self.inputs(view)
-            problem, _ = build_problem(bundle, phi, self.params, hidden_map)
-            return problem, (map_features(hidden_map, bundle.target_test) if view
-                             else self.h_test)
-        problem, h_test = self._once(("problem", view), make)
-        return replace(problem, prelabels=phi), h_test
+            return build_problem(bundle, phi, self.params, hidden_map)[0]
+        return replace(self._once(("problem", view), make), prelabels=phi)
 
 
 @dataclass(frozen=True)
@@ -518,9 +517,10 @@ def _elm_rows(method: str, ctx: _SeedContext):
 
 def _ridge_fit(method: str, ctx: _SeedContext, p: EdaParams):
     """The ELM-like method's fit: ``ridge -> (test scores, None, None)``."""
+    h_test = ctx.activations("target_test")
     if method != "sselm":
         h, t = _elm_rows(method, ctx)
-        return lambda ridge: (ctx.h_test @ fit_elm(h, t, ridge), None, None)
+        return lambda ridge: (h_test @ fit_elm(h, t, ridge), None, None)
     b = ctx.bundle
     x_all = Dataset(concat_features(*(d for d in (
         b.source, b.target_labeled, b.target_unlabeled) if d is not None)))
@@ -528,7 +528,7 @@ def _ridge_fit(method: str, ctx: _SeedContext, p: EdaParams):
     t_lab = np.vstack([ctx.t_source, ctx.t_labeled])
     graph = build_knn_graph(x_all, p.n_neighbors)
     return lambda ridge: (
-        ctx.h_test @ fit_sselm(h_all, t_lab, ridge, p.manifold_weight, graph), None, None)
+        h_test @ fit_sselm(h_all, t_lab, ridge, p.manifold_weight, graph), None, None)
 
 
 def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
@@ -543,8 +543,8 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     ``alpha = [1]``.
     """
     n_views = ctx.config.views if method == "mveda" else 1
-    problems, h_tests = zip(*(ctx.problem(_ADAPTATION_PRELABELS[method], v)
-                              for v in range(n_views)))
+    problems = [ctx.problem(_ADAPTATION_PRELABELS[method], v) for v in range(n_views)]
+    h_tests = [ctx.activations("target_test", v) for v in range(n_views)]
 
     def fit(cs: float, ct: float):
         betas, _, alphas, history = _alternate(
@@ -622,11 +622,9 @@ def _context(config: BenchConfig, seed: int, base: DomainBundle | None) -> _Seed
     hidden_map = new_hidden_map(p.n_hidden, bundle.target_dim, p.activation, seed)
     return _SeedContext(
         config=config,
-        seed=seed,
         params=replace(p, seed=seed),
         bundle=bundle,
         hidden_map=hidden_map,
-        h_test=map_features(hidden_map, bundle.target_test),
         t_source=encode_labels(bundle.source.labels, bundle.n_classes),
         t_labeled=encode_labels(bundle.target_labeled.labels, bundle.n_classes),
         y_test=bundle.target_test.labels,

@@ -43,6 +43,7 @@ from .data import (
     read_matrix_csv,
     save_bundle,
     save_csv,
+    save_labels,
     save_multiview_bundle,
     unlabeled_truth,
 )
@@ -82,15 +83,23 @@ def _bench_config(args, methods=None):
     return config
 
 
-def _write_labels(path: str, labels: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+def _predict(model, datasets: list[Dataset], detransform: bool):
+    """``(labels, scores)`` of a model on one dataset per view."""
+    if isinstance(model, MvEdaModel):
+        return predict_mveda(model, datasets)[:2]
+    return predict_eda(model, datasets[0], detransform=detransform)
 
 
-def _write_scores(path: str, scores: np.ndarray) -> None:
-    # one row per sample, matching the feature CSV layout
-    save_csv(Dataset(np.ascontiguousarray(scores.T)), path)
+def _write_predictions(out_dir: str, stem: str, labels: np.ndarray,
+                       scores: np.ndarray) -> None:
+    """Write ``<stem>_labels.csv`` and ``<stem>_scores.csv`` (one row per
+    sample, as in the feature CSVs) and print their paths."""
+    lab_path = os.path.join(out_dir, f"{stem}_labels.csv")
+    sc_path = os.path.join(out_dir, f"{stem}_scores.csv")
+    save_labels(labels, lab_path)
+    save_csv(Dataset(np.ascontiguousarray(scores.T)), sc_path)
+    print(lab_path)
+    print(sc_path)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +125,7 @@ def _cmd_synth(args) -> int:
         manifest = save_bundle(bundle, args.out_dir)
     truth = unlabeled_truth(spec)
     truth_path = os.path.join(args.out_dir, "unlabeled_truth_labels.csv")
-    _write_labels(truth_path, truth)
+    save_labels(truth, truth_path)
     print(manifest)
     print(truth_path)
     return 0
@@ -161,9 +170,6 @@ def _cmd_fit(args) -> int:
         def fit(bundles, phis, maps, sts):
             model = fit_mveda(bundles, phis, params, hidden_maps=maps)
             return model if sts is None else replace(model, standardizers=sts)
-
-        def predict(model, unlabeled):
-            return predict_mveda(model, unlabeled)[:2]
     else:
         if args.views not in (None, 1):
             raise ParameterError("--views only applies to multi-view manifests")
@@ -174,10 +180,7 @@ def _cmd_fit(args) -> int:
             model = fit_eda(bundles[0], phis[0], params, hidden_map=maps[0])
             return model if sts is None else replace(model, standardizer=sts[0])
 
-        def predict(model, unlabeled):
-            return predict_eda(model, unlabeled[0], detransform=args.detransform)
-
-    rows = bundles[0].target_all().n
+    rows = bundles[0].target_labeled.n + bundles[0].n_unlabeled
     if params.n_neighbors >= rows:
         raise ParameterError(
             f"{args.config or 'the default config'}: key 'n_neighbors': "
@@ -207,19 +210,14 @@ def _cmd_fit(args) -> int:
     unlabeled = [b.target_unlabeled for b in bundles]
     have_unlabeled = all(d is not None for d in unlabeled)
     if have_unlabeled:
-        labels, scores = predict(model, unlabeled)
+        labels, scores = _predict(model, unlabeled, args.detransform)
     if isinstance(model, MvEdaModel):
         print("view weights: " + " ".join(f"{a:.6f}" for a in model.alpha))
     history = model.objective_history
     print("objective: " + " ".join(repr(float(v)) for v in history))
     print(model_path)
     if have_unlabeled:
-        lab_path = os.path.join(args.out_dir, "unlabeled_labels.csv")
-        sc_path = os.path.join(args.out_dir, "unlabeled_scores.csv")
-        _write_labels(lab_path, labels)
-        _write_scores(sc_path, scores)
-        print(lab_path)
-        print(sc_path)
+        _write_predictions(args.out_dir, "unlabeled", labels, scores)
     return 0
 
 
@@ -260,17 +258,9 @@ def _cmd_predict(args) -> int:
             view = f" (view {v})" if multiview else ""
             raise ShapeError(f"{path}{view}: the input has {ds.dim} features, "
                              f"the model's hidden map takes {hidden_map.n_features}")
-    if multiview:
-        labels, scores, _ = predict_mveda(model, datasets)
-    else:
-        labels, scores = predict_eda(model, datasets[0], detransform=args.detransform)
+    labels, scores = _predict(model, datasets, args.detransform)
     os.makedirs(args.out_dir, exist_ok=True)
-    lab_path = os.path.join(args.out_dir, "predicted_labels.csv")
-    sc_path = os.path.join(args.out_dir, "predicted_scores.csv")
-    _write_labels(lab_path, labels)
-    _write_scores(sc_path, scores)
-    print(lab_path)
-    print(sc_path)
+    _write_predictions(args.out_dir, "predicted", labels, scores)
     return 0
 
 

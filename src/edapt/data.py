@@ -39,6 +39,7 @@ __all__ = [
     "read_matrix_csv",
     "save_bundle",
     "save_csv",
+    "save_labels",
     "save_multiview_bundle",
     "unlabeled_truth",
 ]
@@ -294,6 +295,13 @@ def _load_labels(path: str) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
+def save_labels(labels, path: str) -> None:
+    """Write integer class ids, one per line (LF endings)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for v in labels:
+            fh.write(f"{int(v)}\n")
+
+
 def save_csv(dataset: Dataset, features_path: str, labels_path: str | None = None) -> None:
     """Write a dataset as headerless CSV (one line per sample, LF endings).
 
@@ -305,9 +313,7 @@ def save_csv(dataset: Dataset, features_path: str, labels_path: str | None = Non
     if labels_path is not None:
         if dataset.labels is None:
             raise ParameterError("dataset has no labels to save")
-        with open(labels_path, "w", encoding="utf-8", newline="\n") as fh:
-            for v in dataset.labels:
-                fh.write(f"{int(v)}\n")
+        save_labels(dataset.labels, labels_path)
 
 
 # the split keys a manifest may hold, each with a ``view<i>_`` prefix in
@@ -430,9 +436,7 @@ def load_multiview_bundles(manifest_path: str) -> list[DomainBundle]:
     return [_bundle_from_keys(keys, manifest_path, p) for p in prefixes]
 
 
-def _write_split(
-    ds: Dataset | None, out_dir: str, stem: str, with_labels: bool
-) -> dict[str, str]:
+def _write_split(ds: Dataset | None, out_dir: str, stem: str) -> dict[str, str]:
     feat = f"{stem}_features.csv"
     out: dict[str, str] = {}
     if ds is None:
@@ -440,7 +444,7 @@ def _write_split(
         open(os.path.join(out_dir, feat), "w", encoding="utf-8").close()
         out[f"{stem}_features"] = feat
         return out
-    lab = f"{stem}_labels.csv" if with_labels and ds.labels is not None else None
+    lab = None if ds.labels is None else f"{stem}_labels.csv"
     save_csv(ds, os.path.join(out_dir, feat),
              None if lab is None else os.path.join(out_dir, lab))
     out[f"{stem}_features"] = feat
@@ -456,11 +460,11 @@ def _write_views(views: list[tuple[str, DomainBundle]], out_dir: str) -> str:
     keys: dict[str, str] = {}
     for prefix, b in views:
         # the prefixed stem doubles as the manifest key prefix
-        keys.update(_write_split(b.source, out_dir, f"{prefix}source", True))
-        keys.update(_write_split(b.target_labeled, out_dir, f"{prefix}target_labeled", True))
-        keys.update(_write_split(b.target_unlabeled, out_dir, f"{prefix}target_unlabeled", False))
+        keys.update(_write_split(b.source, out_dir, f"{prefix}source"))
+        keys.update(_write_split(b.target_labeled, out_dir, f"{prefix}target_labeled"))
+        keys.update(_write_split(b.target_unlabeled, out_dir, f"{prefix}target_unlabeled"))
         if b.target_test is not None:
-            keys.update(_write_split(b.target_test, out_dir, f"{prefix}target_test", True))
+            keys.update(_write_split(b.target_test, out_dir, f"{prefix}target_test"))
     keys["classes"] = str(views[0][1].n_classes)
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w", encoding="utf-8", newline="\n") as fh:

@@ -18,7 +18,9 @@ The dense ``adjacency`` and ``laplacian`` views cost O(n**2) time and
 memory on each access; they exist for inspection and tests.  The
 smoothness Gram ``H' L H`` of n x L activations ``H``, which the primal
 solvers add to their normal equations, comes from
-:func:`laplacian_gram` alone.
+:func:`laplacian_gram` alone.  The row blocks of squared distances that
+the build walks through also give the kernel pre-classifier
+(:mod:`edapt.preclassify`) its distance matrices, one block each.
 """
 
 from __future__ import annotations
@@ -86,24 +88,26 @@ class LaplacianGraph:
         return _lock(self.sparse_laplacian.toarray())
 
 
-def _sq_dist_blocks(x: np.ndarray, block: int):
-    """Row blocks ``(start, d2)`` of the squared-distance matrix.
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray, block: int):
+    """Row blocks ``(start, d2)`` of the squared distances from the
+    columns of ``a`` to those of ``b``.
 
     ``d2`` holds rows ``start:start + len(d2)`` of ``sq_i + sq_j -
-    2 x_i'x_j`` (the association of the full-matrix formula), roundoff
+    2 a_i'b_j`` (the association of the full-matrix formula), roundoff
     negatives clamped to 0.  The buffer is reused: each block overwrites
-    the one before it.
+    the one before it.  The k-NN build passes ``x, x``; the kernel
+    pre-classifier takes one block of all rows.
     """
-    n = x.shape[1]
-    sq = np.einsum("ij,ij->j", x, x)
-    d2_buf = np.empty((min(block, n), n))
+    n, m = a.shape[1], b.shape[1]
+    sq_a, sq_b = (np.einsum("ij,ij->j", v, v) for v in (a, b))
+    d2_buf = np.empty((min(block, n), m))
     gram_buf = np.empty_like(d2_buf)
     for start in range(0, n, block):
         stop = min(start + block, n)
         d2, gram = d2_buf[:stop - start], gram_buf[:stop - start]
-        np.matmul(x[:, start:stop].T, x, out=gram)
+        np.matmul(a[:, start:stop].T, b, out=gram)
         gram *= 2.0
-        np.add(sq[start:stop, None], sq[None, :], out=d2)
+        np.add(sq_a[start:stop, None], sq_b[None, :], out=d2)
         d2 -= gram
         np.maximum(d2, 0.0, out=d2)  # clamp roundoff negatives for duplicates
         yield start, d2
@@ -124,7 +128,7 @@ def _nominations(x: np.ndarray, n_neighbors: int):
     block = max(1, _BLOCK_ENTRIES // n)
     part_buf = np.empty((min(block, n), n))
     rows, cols, dists = [], [], []
-    for start, d2 in _sq_dist_blocks(x, block):
+    for start, d2 in _sq_dist_blocks(x, x, block):
         m = d2.shape[0]
         local = np.arange(m)
         d2[local, start + local] = np.inf  # no self-edges

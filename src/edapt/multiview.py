@@ -113,6 +113,10 @@ class MvEdaModel:
         sts = [None] * v if self.standardizers is None else self.standardizers
         if not (len(self.betas) == len(self.thetas) == len(sts) == v):
             raise ShapeError("per-view field lists disagree on view count")
+        # read-only float64 copies, as EdaModel keeps its own
+        for name in ("betas", "thetas"):
+            object.__setattr__(self, name, [_lock(np.array(a, dtype=np.float64))
+                                            for a in getattr(self, name)])
         c = None
         for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas, sts)):
             try:

@@ -21,6 +21,7 @@ from .baselines import fit_elm
 from .data import Dataset, DomainBundle, concat_features, encode_labels
 from .errors import ParameterError, ShapeError
 from .features import HiddenMap, map_features
+from .graph import _sq_dist_blocks
 from .linalg import solve_spd
 
 __all__ = [
@@ -30,18 +31,6 @@ __all__ = [
 ]
 
 KERNELS = ("laplacian", "inverse")
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a: d x n, b: d x m -> n x m squared Euclidean distances, with at
-    # most two n x m arrays alive
-    aa = np.einsum("ij,ij->j", a, a)
-    bb = np.einsum("ij,ij->j", b, b)
-    d2 = np.add(aa[:, None], bb[None, :])
-    gram = a.T @ b
-    gram *= 2.0
-    d2 -= gram
-    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kernel(kind: str, d2: np.ndarray, sigma: float) -> np.ndarray:
@@ -99,7 +88,8 @@ def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",
     x, t = _training_block(bundle)
     if bundle.target_unlabeled is None:
         return np.zeros((0, bundle.n_classes))
-    d_train = _sq_dists(x, x)
+    # the distance generator's single block: all rows at once
+    _, d_train = next(_sq_dist_blocks(x, x, x.shape[1]))
     mean_sq = float(d_train.mean())
     if mean_sq <= 0.0:
         raise ParameterError("cannot auto-scale sigma: all training points coincide")
@@ -108,7 +98,9 @@ def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",
     k_train.flat[::k_train.shape[0] + 1] += ridge
     alpha = solve_spd(k_train, t, jitter=1e-8)
     del d_train, k_train
-    return _kernel(kind, _sq_dists(bundle.target_unlabeled.features, x), sigma) @ alpha
+    x_u = bundle.target_unlabeled.features
+    _, d_u = next(_sq_dist_blocks(x_u, x, x_u.shape[1]))
+    return _kernel(kind, d_u, sigma) @ alpha
 
 
 def average_prelabels(scores: list[np.ndarray]) -> np.ndarray:

@@ -21,9 +21,7 @@ solves, and alternating them descends J monotonically.
 The beta solve is chosen by shape: the L x L normal equations over the
 hidden units, or, when a view stacks fewer rows n than hidden units L,
 an n x n sample-space system (Woodbury identity) that never forms an
-L x L matrix.  At n = L it takes the L x L system, whereas
-:func:`~edapt.baselines.fit_elm` takes its n x n branch there.  Both
-take the same single refinement pass in
+L x L matrix.  Both take the same single refinement pass in
 :func:`~edapt.linalg.solve_spd`, on the analytic gradient.
 
 Memory.  :func:`build_problem` builds the target graph before it maps
@@ -331,9 +329,8 @@ def _beta_blocks(prob: EdaProblem, params: EdaParams):
 
 
 def _in_sample_space(prob: EdaProblem, params: EdaParams) -> bool:
-    """Fewer stacked rows than hidden units (strictly: ``fit_elm`` also
-    takes its n x n branch at n = L), and every loss weight positive so
-    that ``W`` below is invertible."""
+    """Fewer stacked rows than hidden units, and every loss weight
+    positive so that ``W`` below is invertible."""
     n = prob.h_source.shape[0] + prob.h_target.shape[0]
     return n < prob.n_hidden and min(
         params.c_source, params.c_target, params.fidelity_weight) > 0.0
@@ -345,7 +342,8 @@ def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
     ``blocks``, or in sample space when ``blocks`` is None (see
     :func:`_in_sample_space`).  ``blocks`` is what :func:`_beta_blocks`
     returns, or, for one view at unit weight, that with the smoothness
-    Gram summed into the loss Gram and None in its place."""
+    Gram summed into the loss Gram and None in its place (its scalings
+    by 1.0 change no bit)."""
 
     def residual(x):
         # -grad/2, in the gradient's own association, so the refinement
@@ -358,13 +356,10 @@ def _solve_beta(blocks, u, theta, prob: EdaProblem, params: EdaParams,
                                            smooth_scale, residual)
     g_loss, g_smooth, rhs_loss = blocks
     rhs = rhs_loss + params.c_target * (prob.h_labeled.T @ (prob.t_labeled @ theta))
-    if g_smooth is None:
-        # a scaling by 1.0 would change no bit
-        a = g_loss.copy()
-    else:
-        a = loss_scale * g_loss
+    rhs *= loss_scale
+    a = loss_scale * g_loss
+    if g_smooth is not None:
         a += smooth_scale * g_smooth
-        rhs *= loss_scale
     a.flat[::prob.n_hidden + 1] += u
     return solve_spd(a, rhs, jitter=1e-10, residual_fn=residual)
 

@@ -8,11 +8,13 @@ from scipy.linalg import cho_factor, cho_solve
 from edapt import Dataset, DomainBundle, EdaParams, build_problem
 from edapt.data import concat_features, encode_labels
 from edapt.linalg import solve_spd
+from edapt.single import REL_STOP, TRACE_FLOOR, mv_objective
 
 __all__ = ["beta_blocks_reference", "beta_gradient_reference", "blob_bundle",
-           "dense_knn_reference", "hidden_layer_reference", "peak_bytes",
-           "preclassify_kernel_reference", "small_params", "small_problem",
-           "random_prelabels", "solve_spd_reference", "sselm_system_reference"]
+           "dense_knn_reference", "fit_reference", "hidden_layer_reference",
+           "peak_bytes", "preclassify_kernel_reference", "small_params",
+           "small_problem", "random_prelabels", "solve_spd_reference",
+           "sselm_system_reference"]
 
 
 def blob_bundle(seed=0, d=2, c=3, per_source=4, per_labeled=2, per_unlabeled=3,
@@ -215,6 +217,59 @@ def preclassify_kernel_reference(bundle, kind, ridge=1.0):
     k_train = kernel(d_train, sigma)
     alpha = solve_spd(k_train + ridge * np.eye(x.shape[1]), t, jitter=1e-8)
     return kernel(sq_dists(bundle.target_unlabeled.features, x), sigma) @ alpha
+
+
+def fit_reference(problems, params):
+    """The alternating loop as the ``single`` and ``multiview`` docstrings
+    state it, with explicit L x L normal equations, dense Laplacians and
+    ``np.linalg.solve``; kept as the reference the whole solver is checked
+    against.
+
+    Starts from ``u = 1``, ``theta = I`` and uniform view weights ``alpha``.
+    Each round solves every view's beta (loss terms scaled by ``alpha_v``,
+    smoothness by ``alpha_v**r``), then its theta, then, with two or more
+    views, ``alpha_v ∝ (1 / q_v)**(1 / (r - 1))`` (views at or below
+    ``TRACE_FLOOR`` share all the mass), then ``u``; it records
+    ``mv_objective`` and stops once that moves by at most ``REL_STOP``
+    relatively.  Returns ``(betas, thetas, alpha_history, us, history)``.
+    """
+    p = params
+    r = p.view_exponent
+    us = [np.ones(prob.n_hidden) for prob in problems]
+    thetas = [np.eye(prob.n_classes) for prob in problems]
+    alpha = np.full(len(problems), 1.0 / len(problems))
+    alphas, history = [], []
+    for _ in range(p.max_iter):
+        betas = []
+        for prob, u, theta, a in zip(problems, us, thetas, alpha):
+            hs, hl, hu, h = prob.h_source, prob.h_labeled, prob.h_unlabeled, prob.h_target
+            lhs = np.diag(u) + a * (p.c_source * hs.T @ hs + p.c_target * hl.T @ hl
+                                    + p.fidelity_weight * hu.T @ hu)
+            lhs += a**r * p.manifold_weight * h.T @ prob.graph.laplacian @ h
+            rhs = a * (p.c_source * hs.T @ prob.t_source
+                       + p.c_target * hl.T @ prob.t_labeled @ theta
+                       + p.fidelity_weight * hu.T @ prob.prelabels)
+            betas.append(np.linalg.solve(lhs, rhs))
+        thetas = []
+        for prob, beta in zip(problems, betas):
+            tt, eye = prob.t_labeled, np.eye(prob.n_classes)
+            thetas.append(np.linalg.solve(
+                p.c_target * tt.T @ tt + p.drift_weight * eye,
+                p.c_target * tt.T @ prob.h_labeled @ beta + p.drift_weight * eye))
+        if len(problems) > 1:
+            q = np.array([np.trace(b.T @ prob.h_target.T @ prob.graph.laplacian
+                                   @ prob.h_target @ b)
+                          for b, prob in zip(betas, problems)])
+            flat = q <= TRACE_FLOOR
+            w = flat if flat.any() else q ** (-1.0 / (r - 1.0))
+            alpha = w / w.sum()
+        us = [1.0 / (2.0 * (np.linalg.norm(b, axis=1) + p.reweight_eps)) for b in betas]
+        alphas.append(alpha)
+        history.append(mv_objective(betas, thetas, alpha, problems, p))
+        if len(history) > 1 and abs(history[-2] - history[-1]) <= REL_STOP * (
+                1.0 + abs(history[-2])):
+            break
+    return betas, thetas, np.array(alphas), us, history
 
 
 def peak_bytes(fn, *args) -> int:

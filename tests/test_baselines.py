@@ -11,6 +11,7 @@ from edapt import (
     fit_elm,
     fit_sselm,
 )
+from edapt.linalg import solve_spd
 
 
 def test_identity_activations_hand_case():
@@ -40,6 +41,17 @@ def test_branches_agree_wide_problem():
         beta = fit_elm(h, t, ridge)
         primal = np.linalg.solve(h.T @ h + np.eye(6) / ridge, h.T @ t)
         assert np.linalg.norm(beta - primal) < 1e-8 * np.linalg.norm(primal)
+
+
+def test_square_problem_takes_the_primal_form():
+    # n = L: the adaptation solvers' rule, sample space only when n < L,
+    # so the solve is the L x L system, bit for bit
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((5, 5))
+    t = rng.standard_normal((5, 3))
+    a = h.T @ h
+    a.flat[::6] += 1.0 / 2.0
+    assert np.array_equal(fit_elm(h, t, 2.0), solve_spd(a, h.T @ t))
 
 
 def test_large_ridge_interpolates():

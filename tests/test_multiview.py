@@ -15,8 +15,10 @@ from edapt import (
     build_problem,
     fit_eda,
     fit_mveda,
+    load_model,
     new_hidden_map,
     predict_mveda,
+    save_model,
     standardize_bundle,
     update_beta,
     update_beta_view,
@@ -315,3 +317,20 @@ def test_model_validation():
         with pytest.raises(ShapeError, match=f"view {v}: field {field}"):
             MvEdaModel(model.hidden_maps, betas, thetas, model.alpha_history,
                        model.objective_history, model.params)
+
+
+def test_fitted_and_loaded_models_are_read_only(tmp_path):
+    # a write into a view's weights would silently change the model's
+    # predictions and its derived reweighting
+    bundles, maps, pres = _two_view_setup(seed=9)
+    model = fit_mveda(bundles, pres, small_params(), maps)
+    loaded = load_model(save_model(model, str(tmp_path / "model.json")))
+    for m in (model, loaded):
+        for a in (*m.betas, *m.thetas):
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+    # the model keeps copies: the caller's arrays stay writable
+    betas = [np.array(b) for b in model.betas]
+    replace(model, betas=betas)
+    assert all(b.flags.writeable for b in betas)

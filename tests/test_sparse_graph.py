@@ -90,8 +90,9 @@ def test_sparse_build_matches_dense_reference(case, weighted):
     exact = kind != "duplicated"
     with mock.patch.object(graph_module, "_BLOCK_ENTRIES", block_rows * n):
         g = build_knn_graph(data, k, weighted=weighted)
+        f = data.features
         blocks = np.vstack([b.copy() for _, b in
-                            graph_module._sq_dist_blocks(data.features, block_rows)])
+                            graph_module._sq_dist_blocks(f, f, block_rows)])
         _assert_same_graph(g, dense_knn_reference(x, k, weighted, blocks),
                            weighted, exact)
         if exact:
