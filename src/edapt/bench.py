@@ -18,7 +18,11 @@ view problems: view v's bundle, hidden map, activations and target
 graph are built once, on first use, and each method swaps in its own
 scores.  They sweep only the loss weights ``c_source``/``c_target``,
 which change none of these, so each grid point only re-runs the
-alternating solver; it still rebuilds the normal equations.  Every
+alternating solver.  The normal equations' weight-free Grams (``Hs'Hs``,
+``Hu'Hu``, ``H'LH`` and ``Hs'Ts``) are likewise built once per seed and
+view, on first use, and every method and grid point scales copies of
+them; only the labeled Gram ``Ht'Ht``, of rank at most ``m c``, is
+rebuilt per fit.  Every
 split of every view, the test rows among them, is mapped once, on first
 use, and shared by the methods that score or fit on it.  No
 pre-classifier scores or baseline rows are made unless a method uses them.
@@ -64,7 +68,8 @@ from .features import (
 from .graph import build_knn_graph
 from .metrics import accuracy, mean_average_precision
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
-from .single import EdaParams, EdaProblem, _alternate, build_problem
+from .single import (EdaParams, EdaProblem, _alternate, _constant_grams,
+                     _in_sample_space, build_problem)
 
 __all__ = [
     "BenchConfig",
@@ -439,7 +444,7 @@ class _SeedContext:
     t_labeled: np.ndarray
     y_test: np.ndarray
     token: str
-    # view inputs and problems, pre-classifier scores and split
+    # view inputs, problems and Grams, pre-classifier scores and split
     # activations: each built on first use, shared by the seed's methods
     cache: dict = field(default_factory=dict)
 
@@ -490,6 +495,12 @@ class _SeedContext:
             return build_problem(bundle, phi, self.params, hidden_map)[0]
         return replace(self._once(("problem", view), make), prelabels=phi)
 
+    def grams(self, view: int, prob: EdaProblem) -> dict[str, np.ndarray]:
+        """View ``view``'s normal-equation Grams that neither the loss
+        weights nor the pre-classifier scores change, built from ``prob``,
+        any of the view's problems, on first use."""
+        return self._once(("grams", view), lambda: _constant_grams(prob))
+
 
 @dataclass(frozen=True)
 class _GridResult:
@@ -537,7 +548,8 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     weights per round or None)``.
 
     The loss weights change neither the hidden activations nor the
-    graph, so each grid point only re-runs the alternating loop.  Test
+    graph, so each grid point only re-runs the alternating loop, on the
+    seed's cached Grams of each primal view.  Test
     scores are ``sum_v alpha_v (H_test_v beta_v)``, as
     :func:`~edapt.multiview.predict_mveda` fuses them; one view has
     ``alpha = [1]``.
@@ -547,8 +559,10 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     h_tests = [ctx.activations("target_test", v) for v in range(n_views)]
 
     def fit(cs: float, ct: float):
-        betas, _, alphas, history = _alternate(
-            problems, replace(p, c_source=cs, c_target=ct))
+        params = replace(p, c_source=cs, c_target=ct)
+        grams = [None if _in_sample_space(prob, params) else ctx.grams(v, prob)
+                 for v, prob in enumerate(problems)]
+        betas, _, alphas, history = _alternate(problems, params, grams)
         scores = sum(a * (h @ beta) for a, h, beta in zip(alphas[-1], h_tests, betas))
         return scores, history, np.asarray(alphas) if method == "mveda" else None
 

@@ -22,7 +22,10 @@ The beta solve is chosen by shape: the L x L normal equations over the
 hidden units, or, when a view stacks fewer rows n than hidden units L,
 an n x n sample-space system (Woodbury identity) that never forms an
 L x L matrix.  Both take the same single refinement pass in
-:func:`~edapt.linalg.solve_spd`, on the analytic gradient.
+:func:`~edapt.linalg.solve_spd`, on the analytic gradient.  The theta
+update's c x c matrix ``ct Tt'Tt + g I`` holds no beta, so a fit
+factors it once per view (:func:`~edapt.linalg.factor_spd`) and every
+round's :func:`update_theta` solves with that factor.
 
 Memory.  :func:`build_problem` builds the target graph before it maps
 the activations, so the graph's distance blocks never sit on top of
@@ -30,6 +33,11 @@ them.  The primal system is assembled in place: ``_beta_blocks`` sums
 the loss Grams into one L x L array and takes ``H'LH`` from
 :func:`~edapt.graph.laplacian_gram`, which never forms an n x L
 product, so it holds at most three L x L arrays beyond the activations.
+A caller that fits one view at many loss weights can instead keep the
+view's weight-free terms (``_constant_grams``: ``Hs'Hs``, ``Hu'Hu``,
+``H'LH`` and ``Hs'Ts``) and hand them to every fit; ``_beta_blocks``
+then scales copies of them, with the same bits.  Only the benchmark
+does: a single fit would pay for three more L x L arrays.
 A one-view fit adds the smoothness Gram into the loss Gram once; each
 solve then holds that block, the system and its Cholesky factor.  The
 sample-space solve forms no L x L array: it holds the n x n matrix
@@ -56,7 +64,7 @@ from .errors import ParameterError, ShapeError
 from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
                        new_hidden_map)
 from .graph import LaplacianGraph, build_knn_graph, laplacian_gram, quadratic_energy
-from .linalg import _blas_threads_for, solve_spd
+from .linalg import _blas_threads_for, factor_spd, solve_spd
 
 __all__ = [
     "EdaModel",
@@ -303,27 +311,51 @@ def surrogate_objective(
                       params, loss_scale, smooth_scale)
 
 
-def _beta_blocks(prob: EdaProblem, params: EdaParams):
+# the unscaled terms of the beta normal equations that neither the loss
+# weights nor the pre-classifier scores change, by name
+_CONSTANT_GRAMS = {
+    "h_l_h": lambda prob: laplacian_gram(prob.graph, prob.h_target),
+    "hs_hs": lambda prob: prob.h_source.T @ prob.h_source,
+    "hu_hu": lambda prob: prob.h_unlabeled.T @ prob.h_unlabeled,
+    "hs_ts": lambda prob: prob.h_source.T @ prob.t_source,
+}
+
+
+def _constant_grams(prob: EdaProblem) -> dict[str, np.ndarray]:
+    """The ``_CONSTANT_GRAMS`` terms of one view, read-only, for a caller
+    that solves it at many loss weights (see :func:`_beta_blocks`)."""
+    return {name: _lock(make(prob)) for name, make in _CONSTANT_GRAMS.items()}
+
+
+def _beta_blocks(prob: EdaProblem, params: EdaParams, grams=None):
     """Constant parts of the beta normal equations at unit view weight.
 
     Returns the loss Gram ``cs Hs'Hs + ct Ht'Ht + tau Hu'Hu``, the
     smoothness Gram ``lam H'LH`` and the loss right-hand side
     ``cs Hs'Ts + tau Hu'phi``; a solve only rescales and adds them.
-    Assembled in place: beyond the activations it holds at most three
-    L x L arrays, or the smoothness Gram and one panel of
+    ``grams``, if given, is what :func:`_constant_grams` returns for
+    ``prob``; its terms are scaled into new arrays.  Otherwise each term
+    is built and scaled in place: beyond the activations it holds at
+    most three L x L arrays, or the smoothness Gram and one panel of
     :func:`~edapt.graph.laplacian_gram`, never an n x L product.
+    Either way the sums take the same order and give the same bits.
     """
-    g_smooth = laplacian_gram(prob.graph, prob.h_target)
-    g_smooth *= params.manifold_weight
-    g_loss = prob.h_source.T @ prob.h_source
-    g_loss *= params.c_source
-    term = prob.h_labeled.T @ prob.h_labeled
-    term *= params.c_target
-    g_loss += term
-    np.matmul(prob.h_unlabeled.T, prob.h_unlabeled, out=term)
-    term *= params.fidelity_weight
-    g_loss += term
-    rhs_loss = params.c_source * (prob.h_source.T @ prob.t_source)
+    def term(name: str, weight: float) -> np.ndarray:
+        if grams is not None:
+            return weight * grams[name]
+        gram = _CONSTANT_GRAMS[name](prob)
+        gram *= weight
+        return gram
+
+    g_smooth = term("h_l_h", params.manifold_weight)
+    g_loss = term("hs_hs", params.c_source)
+    # rank at most m c, and cheap to rebuild: never cached
+    labeled = prob.h_labeled.T @ prob.h_labeled
+    labeled *= params.c_target
+    g_loss += labeled
+    del labeled
+    g_loss += term("hu_hu", params.fidelity_weight)
+    rhs_loss = term("hs_ts", params.c_source)
     rhs_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.prelabels)
     return g_loss, g_smooth, rhs_loss
 
@@ -426,18 +458,28 @@ def update_beta(
     return _solve_beta(blocks, u, theta, prob, params, loss_scale, smooth_scale)
 
 
-def update_theta(beta: np.ndarray, prob: EdaProblem, params: EdaParams) -> np.ndarray:
+def _theta_matrix(prob: EdaProblem, params: EdaParams) -> np.ndarray:
+    """The drift update's c x c matrix ``ct Tt'Tt + g I``; beta does not
+    enter it, so it stays the same in every round of a fit."""
+    a = params.c_target * (prob.t_labeled.T @ prob.t_labeled)
+    a.flat[::a.shape[0] + 1] += params.drift_weight
+    return a
+
+
+def update_theta(beta: np.ndarray, prob: EdaProblem, params: EdaParams,
+                 factor=None) -> np.ndarray:
     """Minimize J over the class-drift matrix (c x c SPD solve).
 
     ``theta = (ct Tt'Tt + g I)^{-1} (ct Tt'(Ht beta) + g I)``; any common
     positive scale on the two penalty weights cancels, which is why the
-    multi-view solver can call this unmodified.
+    multi-view solver can call this unmodified.  ``factor``, if given,
+    is :func:`~edapt.linalg.factor_spd` of that matrix, which the solve
+    then reuses; the result is the same bits either way.
     """
-    a = params.c_target * (prob.t_labeled.T @ prob.t_labeled)
-    a.flat[::a.shape[0] + 1] += params.drift_weight
+    a = _theta_matrix(prob, params)
     rhs = params.c_target * (prob.t_labeled.T @ (prob.h_labeled @ beta))
     rhs.flat[::a.shape[0] + 1] += params.drift_weight
-    return solve_spd(a, rhs)
+    return solve_spd(a, rhs, factor=factor)
 
 
 def beta_gradient(
@@ -486,7 +528,8 @@ def theta_gradient(
 # view weights and the alternating loop
 # ---------------------------------------------------------------------------
 
-# traces at or below this are treated as exact zeros in the weight update
+# traces at or below this fraction of the largest are treated as exact
+# zeros in the weight update
 TRACE_FLOOR = 1e-12
 
 
@@ -517,17 +560,20 @@ def update_alpha(traces, view_exponent: float) -> np.ndarray:
     """Closed-form simplex weights from per-view smoothness values.
 
     ``alpha_v ∝ (1 / q_v)**(1 / (r - 1))``, normalized to sum to one.
-    Views whose trace is at or below ``TRACE_FLOOR`` (numerically zero;
-    the traces are non-negative up to roundoff) take over the entire
-    mass, split evenly among themselves.  If every view is degenerate the
-    weights fall back to uniform with a warning.
+    Views whose trace is at or below ``TRACE_FLOOR`` times the largest
+    (numerically zero; the traces are non-negative up to roundoff) take
+    over the entire mass, split evenly among themselves.  The floor is
+    relative, so scaling every loss weight, and with it every trace,
+    leaves the weights as they were.  If every view is degenerate (all
+    traces zero or below) the weights fall back to uniform with a
+    warning.
     """
     q = np.asarray(traces, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] < 1:
         raise ShapeError("traces must be a non-empty vector")
     if view_exponent <= 1.0:
         raise ParameterError(f"view_exponent must exceed 1, got {view_exponent}")
-    degenerate = q <= TRACE_FLOOR
+    degenerate = q <= TRACE_FLOOR * q.max()
     if degenerate.all():
         warnings.warn(
             "all view smoothness traces are numerically zero; "
@@ -544,21 +590,25 @@ def update_alpha(traces, view_exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _alternate(problems: list[EdaProblem], params: EdaParams):
+def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
     """The alternating loop over one or more views.
 
     Starts from ``u = 1``, ``theta = I`` and uniform view weights, then
     cycles beta -> theta -> alpha -> u, recording the joint objective
     after each round.  One view keeps ``alpha = [1]`` and skips the
     weight step, so its loop is the single-view solver exactly.
+    ``grams``, if given, holds per view :func:`_constant_grams` of its
+    problem (None for a sample-space view), reused instead of rebuilt.
     Returns ``(betas, thetas, alpha_history, history)``.
     """
     n_views = len(problems)
     r = params.view_exponent
     # per-view constant blocks, assembled once; each round only rescales
     # them by the current view weight.  Sample-space views have none.
-    blocks = [None if _in_sample_space(prob, params) else _beta_blocks(prob, params)
-              for prob in problems]
+    blocks = [None if _in_sample_space(prob, params) else _beta_blocks(prob, params, g)
+              for prob, g in zip(problems, grams or [None] * n_views, strict=True)]
+    # each view's drift matrix, factored once; every round solves with it
+    theta_factors = [factor_spd(_theta_matrix(prob, params)) for prob in problems]
     if n_views == 1 and blocks[0] is not None:
         # alpha stays [1], so every round adds the two Grams unscaled:
         # add them once and drop the smoothness Gram
@@ -576,7 +626,8 @@ def _alternate(problems: list[EdaProblem], params: EdaParams):
             _solve_beta(blk, u, theta, prob, params, float(a), float(a) ** r)
             for blk, u, theta, prob, a in zip(blocks, us, thetas, problems, alpha)
         ]
-        thetas = [update_theta(b, prob, params) for b, prob in zip(betas, problems)]
+        thetas = [update_theta(b, prob, params, f)
+                  for b, prob, f in zip(betas, problems, theta_factors)]
         if n_views > 1:
             alpha = update_alpha(
                 [view_trace(b, prob) for b, prob in zip(betas, problems)], r

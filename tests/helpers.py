@@ -229,9 +229,10 @@ def fit_reference(problems, params):
     Each round solves every view's beta (loss terms scaled by ``alpha_v``,
     smoothness by ``alpha_v**r``), then its theta, then, with two or more
     views, ``alpha_v ∝ (1 / q_v)**(1 / (r - 1))`` (views at or below
-    ``TRACE_FLOOR`` share all the mass), then ``u``; it records
-    ``mv_objective`` and stops once that moves by at most ``REL_STOP``
-    relatively.  Returns ``(betas, thetas, alpha_history, us, history)``.
+    ``TRACE_FLOOR`` times the largest trace share all the mass), then
+    ``u``; it records ``mv_objective`` and stops once that moves by at
+    most ``REL_STOP`` relatively.  Returns
+    ``(betas, thetas, alpha_history, us, history)``.
     """
     p = params
     r = p.view_exponent
@@ -260,7 +261,7 @@ def fit_reference(problems, params):
             q = np.array([np.trace(b.T @ prob.h_target.T @ prob.graph.laplacian
                                    @ prob.h_target @ b)
                           for b, prob in zip(betas, problems)])
-            flat = q <= TRACE_FLOOR
+            flat = q <= TRACE_FLOOR * q.max()
             w = flat if flat.any() else q ** (-1.0 / (r - 1.0))
             alpha = w / w.sum()
         us = [1.0 / (2.0 * (np.linalg.norm(b, axis=1) + p.reweight_eps)) for b in betas]

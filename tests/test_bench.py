@@ -45,6 +45,7 @@ from edapt.bench import (
 )
 from edapt.data import decode_labels, save_bundle
 from edapt.features import map_features
+from edapt.graph import laplacian_gram
 from edapt.preclassify import average_prelabels, preclassify_kernel
 
 
@@ -338,6 +339,21 @@ def test_adaptation_problems_are_built_once_per_seed(methods, monkeypatch):
     views = cfg.views if "mveda" in cfg.methods else 1
     assert len(built) == views * len(cfg.seeds)
     assert len({id(b) for b in built}) == len(built)
+
+
+def test_adaptation_grams_are_built_once_per_seed_and_view(monkeypatch):
+    import edapt.single
+    built = []
+
+    def counting(graph, h):
+        built.append(h.shape)
+        return laplacian_gram(graph, h)
+
+    monkeypatch.setattr(edapt.single, "laplacian_gram", counting)
+    cfg = _fast(methods=ADAPTATION)
+    run_benchmark(cfg)
+    # every view here is primal: 30 source rows and more against L = 20
+    assert len(built) == cfg.views * len(cfg.seeds)
 
 
 # the baselines map their training rows on first use; an adaptation

@@ -1,8 +1,10 @@
-"""End-to-end runs of the command line, in process."""
+"""End-to-end runs of the command line, in process and as ``python -m edapt``."""
 
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -613,3 +615,15 @@ def test_fit_names_the_config_and_manifest_when_n_neighbors_exceeds_the_target_r
     err = _fit_error(manifest, str(big), tmp_path, capsys)
     assert (f"{big}: key 'n_neighbors': 18 needs at least 19 samples for the "
             f"k-NN graph, {manifest} has 18") in err
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-m", "edapt", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: edapt")
+    for command in ("synth", "fit", "predict", "bench", "sweep"):
+        assert command in out.stdout

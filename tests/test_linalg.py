@@ -9,7 +9,7 @@ import pytest
 from edapt import NumericError, augment_noise_view, fit_eda, fit_mveda, update_beta
 from edapt import linalg, single
 from edapt.linalg import solve_spd
-from edapt.single import beta_gradient
+from edapt.single import beta_gradient, update_theta
 
 from helpers import (blob_bundle, random_prelabels, small_params, small_problem,
                      solve_spd_reference)
@@ -315,3 +315,44 @@ def test_fits_match_with_the_context_disabled(two_threads, monkeypatch):
         assert _rel(got.betas[v], want.betas[v]) <= 1e-10
         assert _rel(got.thetas[v], want.thetas[v]) <= 1e-10
     assert _rel(got.objective_history, want.objective_history) <= 1e-10
+
+
+def test_a_fit_factors_each_views_drift_matrix_once(monkeypatch):
+    orders = []
+    original = linalg.cho_factor
+
+    def counting(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cho_factor", counting)
+    bundle = blob_bundle(1, per_source=20, per_unlabeled=20)  # 126 rows, L=40
+    params = small_params(n_hidden=40, max_iter=4)
+    c = bundle.n_classes
+    model = fit_eda(bundle, random_prelabels(bundle, 1), params)
+    assert len(model.objective_history) == 4
+    # four beta solves of order L, one factorization of the drift matrix
+    assert orders.count(c) == 1 and orders.count(40) == 4
+    orders.clear()
+    views = [bundle, augment_noise_view(bundle, 2, seed=5)]
+    model = fit_mveda(views, [random_prelabels(bundle, 1)] * 2, params)
+    assert len(model.objective_history) == 4
+    assert orders.count(c) == 2 and orders.count(40) == 8
+
+
+def test_a_given_factor_solves_the_drift_update_bit_for_bit():
+    prob, params = small_problem(seed=5)
+    beta = np.random.default_rng(7).standard_normal((prob.n_hidden, prob.n_classes))
+    factor = linalg.factor_spd(single._theta_matrix(prob, params))
+    assert np.array_equal(update_theta(beta, prob, params, factor),
+                          update_theta(beta, prob, params))
+    beta[0, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        update_theta(beta, prob, params, factor)
+
+
+def test_factor_spd_rejects_what_solve_spd_rejects():
+    with pytest.raises(NumericError, match="non-finite"):
+        linalg.factor_spd(np.full((2, 2), np.inf))
+    with pytest.raises(NumericError, match="factorization failed"):
+        linalg.factor_spd(-np.eye(2))

@@ -1,5 +1,6 @@
 """The multi-view solver: simplex weights, per-view updates, reductions."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,22 @@ def test_update_alpha_degenerate_views():
     with pytest.warns(RuntimeWarning):
         alpha = update_alpha([0.0, 0.0], 2.0)
     assert np.array_equal(alpha, [0.5, 0.5])
+
+
+def test_update_alpha_floor_is_relative_to_the_largest_trace():
+    # traces of a fit with every loss weight scaled by 1e-4: both sit under
+    # 1e-12, yet neither is zero next to the other
+    traces = np.array([2.3e-15, 2.5e-15])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (2.0, 3.0):
+            w = traces ** (-1.0 / (r - 1.0))
+            assert np.allclose(update_alpha(traces, r), w / w.sum(), rtol=1e-15)
+            assert np.allclose(update_alpha(traces, r), update_alpha(traces * 1e15, r),
+                               rtol=1e-15)
+        assert np.array_equal(update_alpha([0.0, 5.0], 2.0), [1.0, 0.0])
+    with pytest.warns(RuntimeWarning):
+        assert np.array_equal(update_alpha([0.0, 0.0], 2.0), [0.5, 0.5])
 
 
 def test_update_alpha_validation():
