@@ -22,10 +22,12 @@ alternating solver.  The normal equations' weight-free Grams (``Hs'Hs``,
 ``Hu'Hu``, ``H'LH`` and ``Hs'Ts``) are likewise built once per seed and
 view, on first use, and every method and grid point scales copies of
 them; only the labeled Gram ``Ht'Ht``, of rank at most ``m c``, is
-rebuilt per fit.  Every
-split of every view, the test rows among them, is mapped once, on first
-use, and shared by the methods that score or fit on it.  No
-pre-classifier scores or baseline rows are made unless a method uses them.
+rebuilt per fit.  The test rows of each view and the ELM baselines'
+training rows are mapped once per seed, on first use, and shared by the
+methods that score or fit on them; the view problems, the ELM
+pre-classifier and ``sselm`` map their own rows, so some rows are
+mapped more than once.  No pre-classifier scores or baseline rows are
+made unless a method uses them.
 
 Reports are plain text and CSV with deterministic content and file
 names derived from a hash of the configuration, so rerunning a config
@@ -60,6 +62,7 @@ from .data import (
 from .errors import ParameterError, ParseError
 from .features import (
     HiddenMap,
+    _as_int,
     derive_view_seed,
     map_features,
     new_hidden_map,
@@ -68,8 +71,7 @@ from .features import (
 from .graph import build_knn_graph
 from .metrics import accuracy, mean_average_precision
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
-from .single import (EdaParams, EdaProblem, _alternate, _constant_grams,
-                     _in_sample_space, build_problem)
+from .single import EdaParams, EdaProblem, _alternate, build_problem
 
 __all__ = [
     "BenchConfig",
@@ -141,17 +143,24 @@ class BenchConfig:
             raise ParameterError(
                 f"unknown methods {unknown}; choose from {sorted(METHOD_LABELS)}"
             )
-        if not self.seeds:
-            raise ParameterError("need at least one seed")
+        # a repeated method or seed would repeat report rows and weigh
+        # twice in every mean
+        for name in ("methods", "seeds", "grid"):
+            values = getattr(self, name)
+            if not values:
+                raise ParameterError(f"{name} must hold at least one value")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ParameterError(
+                    f"{name} values must be distinct; repeated {repeated}")
+        if min(_as_int("seeds", s) for s in self.seeds) < 0:
+            raise ParameterError(f"seeds must be >= 0, got {self.seeds}")
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         # comparisons written so that NaN fails them
-        if not self.grid or not all(0.0 < g < np.inf for g in self.grid):
+        if not all(0.0 < g < np.inf for g in self.grid):
             raise ParameterError(f"grid values must be positive and finite, "
                                  f"got {self.grid}")
-        repeated = sorted({g for g in self.grid if self.grid.count(g) > 1})
-        if repeated:
-            raise ParameterError(f"grid values must be distinct; repeated {repeated}")
         for name, least in (("views", 1), ("noise_dim", 1), ("n_source", 1),
                             ("n_unlabeled", 0), ("n_test", 0)):
             if getattr(self, name) < least:
@@ -495,12 +504,6 @@ class _SeedContext:
             return build_problem(bundle, phi, self.params, hidden_map)[0]
         return replace(self._once(("problem", view), make), prelabels=phi)
 
-    def grams(self, view: int, prob: EdaProblem) -> dict[str, np.ndarray]:
-        """View ``view``'s normal-equation Grams that neither the loss
-        weights nor the pre-classifier scores change, built from ``prob``,
-        any of the view's problems, on first use."""
-        return self._once(("grams", view), lambda: _constant_grams(prob))
-
 
 @dataclass(frozen=True)
 class _GridResult:
@@ -557,12 +560,12 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     n_views = ctx.config.views if method == "mveda" else 1
     problems = [ctx.problem(_ADAPTATION_PRELABELS[method], v) for v in range(n_views)]
     h_tests = [ctx.activations("target_test", v) for v in range(n_views)]
+    # each view's weight-free Grams, filled by the first primal fit
+    grams = [ctx._once(("grams", v), dict) for v in range(n_views)]
 
     def fit(cs: float, ct: float):
-        params = replace(p, c_source=cs, c_target=ct)
-        grams = [None if _in_sample_space(prob, params) else ctx.grams(v, prob)
-                 for v, prob in enumerate(problems)]
-        betas, _, alphas, history = _alternate(problems, params, grams)
+        betas, _, alphas, history = _alternate(
+            problems, replace(p, c_source=cs, c_target=ct), grams)
         scores = sum(a * (h @ beta) for a, h, beta in zip(alphas[-1], h_tests, betas))
         return scores, history, np.asarray(alphas) if method == "mveda" else None
 

@@ -289,9 +289,20 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(raw: str) -> int:
+    """A ``--seed`` value: numpy's seeding takes only integers >= 0."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _add_common(sub, seed=True, config=True, out_dir=True):
     if seed:
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", type=_seed, default=None,
                          help="override the configured seed")
     if config:
         sub.add_argument("--config", default=None,

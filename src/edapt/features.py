@@ -56,9 +56,11 @@ _ACT_FNS = {"radbas": _radbas, "sigmoid": _sigmoid}
 
 
 def _as_int(name: str, value) -> int:
-    """``value`` as an int; a string, float or None raises ParameterError
-    naming ``name``."""
+    """``value`` as an int; a string, float, bool or None raises
+    ParameterError naming ``name``."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None

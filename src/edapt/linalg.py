@@ -10,11 +10,7 @@ more passes leave the residual where the first one put it.  The factored
 matrix is either the system itself or, for the output-weight solve of a
 view with fewer samples than hidden units, the smaller sample-space
 matrix that a caller-supplied correction map goes through; both take
-the same refinement step.  A matrix that several solves share, such as
-the class-drift matrix the alternating loop solves against once per
-round, is factored once by :func:`factor_spd`; each solve takes that
-factor and returns the bits it would have computed by factoring anew.
-:func:`solve_spd` never inverts the matrix it
+the same refinement step.  :func:`solve_spd` never inverts the matrix it
 factors; the one explicit inverse in the package is the sample-space
 solve's target weight block ``W_t^-1``, a term of the matrix
 ``S = W^-1 + Z D^-1 Z'`` that the Woodbury form factors.
@@ -133,43 +129,9 @@ def _blas_threads_for(order: int):
             set_(count)
 
 
-def _factor(a: np.ndarray, jitter: float):
-    """``(a, factor)``: ``a``'s lower Cholesky factor, retried once with
-    ``jitter * I`` added to ``a`` (and that ``a`` returned) if it fails."""
-    try:
-        return a, cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        if jitter <= 0.0:
-            raise NumericError("Cholesky factorization failed") from None
-    a = a + jitter * np.eye(a.shape[0])
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            f"Cholesky factorization failed after jitter {jitter!r} retry"
-        ) from None
-    warnings.warn(
-        f"Cholesky factorization of an order-{a.shape[0]} matrix failed; "
-        f"solved with jitter {jitter!r} added to its diagonal",
-        UserWarning, stacklevel=3,
-    )
-    return a, factor
-
-
-def factor_spd(a: np.ndarray):
-    """The Cholesky factor :func:`solve_spd` takes of ``a``, for a matrix
-    that several solves share: pass it back as ``solve_spd(a, b,
-    factor=...)``.  Raises :class:`NumericError` if ``a`` is non-finite
-    or not positive definite."""
-    if not np.isfinite(a).all():
-        raise NumericError("non-finite entries in linear system")
-    with _blas_threads_for(a.shape[0]):
-        return _factor(a, 0.0)[1]
-
-
 def solve_spd(
     a: np.ndarray, b: np.ndarray, jitter: float = 0.0, residual_fn=None,
-    correction_fn=None, factor=None,
+    correction_fn=None,
 ) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
@@ -194,9 +156,6 @@ def solve_spd(
         smaller matrix the caller's system is solved through (a Woodbury
         capacitance matrix); ``b`` and ``residual_fn`` then belong to
         the caller's system.
-    factor : optional
-        ``a``'s factor from :func:`factor_spd`; the solve then takes it
-        instead of factoring ``a`` again, and returns the same bits.
 
     Returns
     -------
@@ -214,8 +173,23 @@ def solve_spd(
         raise NumericError("non-finite entries in linear system")
     # a and b are checked above; scipy's own checks would repeat that
     with _blas_threads_for(a.shape[0]):
-        if factor is None:
-            a, factor = _factor(a, jitter)
+        try:
+            factor = cho_factor(a, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            if jitter <= 0.0:
+                raise NumericError("Cholesky factorization failed") from None
+            try:
+                a = a + jitter * np.eye(a.shape[0])
+                factor = cho_factor(a, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                raise NumericError(
+                    f"Cholesky factorization failed after jitter {jitter!r} retry"
+                ) from None
+            warnings.warn(
+                f"Cholesky factorization of an order-{a.shape[0]} matrix failed; "
+                f"solved with jitter {jitter!r} added to its diagonal",
+                UserWarning, stacklevel=2,
+            )
         if residual_fn is None:
             residual_fn = lambda x: b - a @ x  # noqa: E731
         correction = correction_fn or (

@@ -22,10 +22,7 @@ The beta solve is chosen by shape: the L x L normal equations over the
 hidden units, or, when a view stacks fewer rows n than hidden units L,
 an n x n sample-space system (Woodbury identity) that never forms an
 L x L matrix.  Both take the same single refinement pass in
-:func:`~edapt.linalg.solve_spd`, on the analytic gradient.  The theta
-update's c x c matrix ``ct Tt'Tt + g I`` holds no beta, so a fit
-factors it once per view (:func:`~edapt.linalg.factor_spd`) and every
-round's :func:`update_theta` solves with that factor.
+:func:`~edapt.linalg.solve_spd`, on the analytic gradient.
 
 Memory.  :func:`build_problem` builds the target graph before it maps
 the activations, so the graph's distance blocks never sit on top of
@@ -33,11 +30,12 @@ them.  The primal system is assembled in place: ``_beta_blocks`` sums
 the loss Grams into one L x L array and takes ``H'LH`` from
 :func:`~edapt.graph.laplacian_gram`, which never forms an n x L
 product, so it holds at most three L x L arrays beyond the activations.
-A caller that fits one view at many loss weights can instead keep the
-view's weight-free terms (``_constant_grams``: ``Hs'Hs``, ``Hu'Hu``,
-``H'LH`` and ``Hs'Ts``) and hand them to every fit; ``_beta_blocks``
-then scales copies of them, with the same bits.  Only the benchmark
-does: a single fit would pay for three more L x L arrays.
+A caller that fits one view at many loss weights can instead hand
+every fit the same dict; the first primal fit stores the view's
+weight-free terms there (``_CONSTANT_GRAMS``: ``Hs'Hs``, ``Hu'Hu``,
+``H'LH`` and ``Hs'Ts``) and each fit scales copies of them, with the
+same bits.  Only the benchmark does: a single fit would pay for three
+more L x L arrays.
 A one-view fit adds the smoothness Gram into the loss Gram once; each
 solve then holds that block, the system and its Cholesky factor.  The
 sample-space solve forms no L x L array: it holds the n x n matrix
@@ -64,7 +62,7 @@ from .errors import ParameterError, ShapeError
 from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
                        new_hidden_map)
 from .graph import LaplacianGraph, build_knn_graph, laplacian_gram, quadratic_energy
-from .linalg import _blas_threads_for, factor_spd, solve_spd
+from .linalg import _blas_threads_for, solve_spd
 
 __all__ = [
     "EdaModel",
@@ -149,9 +147,11 @@ class EdaParams:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ParameterError(
                     f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("n_hidden", "max_iter", "n_neighbors"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("n_hidden", 1), ("max_iter", 1), ("n_neighbors", 1),
+                            ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ParameterError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 1.0 < self.view_exponent < np.inf:
             raise ParameterError(
                 f"view_exponent must be finite and exceed 1, got {self.view_exponent}")
@@ -321,27 +321,25 @@ _CONSTANT_GRAMS = {
 }
 
 
-def _constant_grams(prob: EdaProblem) -> dict[str, np.ndarray]:
-    """The ``_CONSTANT_GRAMS`` terms of one view, read-only, for a caller
-    that solves it at many loss weights (see :func:`_beta_blocks`)."""
-    return {name: _lock(make(prob)) for name, make in _CONSTANT_GRAMS.items()}
-
-
 def _beta_blocks(prob: EdaProblem, params: EdaParams, grams=None):
     """Constant parts of the beta normal equations at unit view weight.
 
     Returns the loss Gram ``cs Hs'Hs + ct Ht'Ht + tau Hu'Hu``, the
     smoothness Gram ``lam H'LH`` and the loss right-hand side
     ``cs Hs'Ts + tau Hu'phi``; a solve only rescales and adds them.
-    ``grams``, if given, is what :func:`_constant_grams` returns for
-    ``prob``; its terms are scaled into new arrays.  Otherwise each term
-    is built and scaled in place: beyond the activations it holds at
-    most three L x L arrays, or the smoothness Gram and one panel of
-    :func:`~edapt.graph.laplacian_gram`, never an n x L product.
+    ``grams``, if given, is a dict kept for ``prob``'s view across fits:
+    each ``_CONSTANT_GRAMS`` term is stored there, unscaled and
+    read-only, on first use, and scaled into a new array on every call.
+    Otherwise each term is built and scaled in place: beyond the
+    activations it holds at most three L x L arrays, or the smoothness
+    Gram and one panel of :func:`~edapt.graph.laplacian_gram`, never an
+    n x L product.
     Either way the sums take the same order and give the same bits.
     """
     def term(name: str, weight: float) -> np.ndarray:
         if grams is not None:
+            if name not in grams:
+                grams[name] = _lock(_CONSTANT_GRAMS[name](prob))
             return weight * grams[name]
         gram = _CONSTANT_GRAMS[name](prob)
         gram *= weight
@@ -458,28 +456,18 @@ def update_beta(
     return _solve_beta(blocks, u, theta, prob, params, loss_scale, smooth_scale)
 
 
-def _theta_matrix(prob: EdaProblem, params: EdaParams) -> np.ndarray:
-    """The drift update's c x c matrix ``ct Tt'Tt + g I``; beta does not
-    enter it, so it stays the same in every round of a fit."""
-    a = params.c_target * (prob.t_labeled.T @ prob.t_labeled)
-    a.flat[::a.shape[0] + 1] += params.drift_weight
-    return a
-
-
-def update_theta(beta: np.ndarray, prob: EdaProblem, params: EdaParams,
-                 factor=None) -> np.ndarray:
+def update_theta(beta: np.ndarray, prob: EdaProblem, params: EdaParams) -> np.ndarray:
     """Minimize J over the class-drift matrix (c x c SPD solve).
 
     ``theta = (ct Tt'Tt + g I)^{-1} (ct Tt'(Ht beta) + g I)``; any common
     positive scale on the two penalty weights cancels, which is why the
-    multi-view solver can call this unmodified.  ``factor``, if given,
-    is :func:`~edapt.linalg.factor_spd` of that matrix, which the solve
-    then reuses; the result is the same bits either way.
+    multi-view solver can call this unmodified.
     """
-    a = _theta_matrix(prob, params)
+    a = params.c_target * (prob.t_labeled.T @ prob.t_labeled)
+    a.flat[::a.shape[0] + 1] += params.drift_weight
     rhs = params.c_target * (prob.t_labeled.T @ (prob.h_labeled @ beta))
     rhs.flat[::a.shape[0] + 1] += params.drift_weight
-    return solve_spd(a, rhs, factor=factor)
+    return solve_spd(a, rhs)
 
 
 def beta_gradient(
@@ -597,8 +585,9 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
     cycles beta -> theta -> alpha -> u, recording the joint objective
     after each round.  One view keeps ``alpha = [1]`` and skips the
     weight step, so its loop is the single-view solver exactly.
-    ``grams``, if given, holds per view :func:`_constant_grams` of its
-    problem (None for a sample-space view), reused instead of rebuilt.
+    ``grams``, if given, holds one dict per view that
+    :func:`_beta_blocks` keeps that view's weight-free Grams in across
+    fits; a sample-space view's stays empty.
     Returns ``(betas, thetas, alpha_history, history)``.
     """
     n_views = len(problems)
@@ -607,8 +596,6 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
     # them by the current view weight.  Sample-space views have none.
     blocks = [None if _in_sample_space(prob, params) else _beta_blocks(prob, params, g)
               for prob, g in zip(problems, grams or [None] * n_views, strict=True)]
-    # each view's drift matrix, factored once; every round solves with it
-    theta_factors = [factor_spd(_theta_matrix(prob, params)) for prob in problems]
     if n_views == 1 and blocks[0] is not None:
         # alpha stays [1], so every round adds the two Grams unscaled:
         # add them once and drop the smoothness Gram
@@ -626,8 +613,7 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
             _solve_beta(blk, u, theta, prob, params, float(a), float(a) ** r)
             for blk, u, theta, prob, a in zip(blocks, us, thetas, problems, alpha)
         ]
-        thetas = [update_theta(b, prob, params, f)
-                  for b, prob, f in zip(betas, problems, theta_factors)]
+        thetas = [update_theta(b, prob, params) for b, prob in zip(betas, problems)]
         if n_views > 1:
             alpha = update_alpha(
                 [view_trace(b, prob) for b, prob in zip(betas, problems)], r

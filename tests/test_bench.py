@@ -47,6 +47,7 @@ from edapt.data import decode_labels, save_bundle
 from edapt.features import map_features
 from edapt.graph import laplacian_gram
 from edapt.preclassify import average_prelabels, preclassify_kernel
+from edapt.single import _alternate
 
 
 def _fast(**over):
@@ -114,6 +115,22 @@ def test_config_validation():
         default_config(grid=(1.0, -1.0))
     with pytest.raises(ParameterError):
         default_config(views=0)
+
+
+@pytest.mark.parametrize("over, want", [
+    ({"methods": ()}, "methods must hold at least one value"),
+    ({"methods": ("elm_s", "eda", "elm_s")},
+     r"methods values must be distinct; repeated \['elm_s'\]"),
+    ({"seeds": (0, 1, 0)}, r"seeds values must be distinct; repeated \[0\]"),
+    ({"seeds": (0, -1)}, r"seeds must be >= 0, got \(0, -1\)"),
+    ({"seeds": (0, 1.5)}, "seeds must be an integer, got 1.5"),
+])
+def test_config_refuses_empty_repeated_and_negative_entries(over, want):
+    # no methods crashed emit_report; a repeated method wrote its rows
+    # twice, a repeated seed counted twice in every mean and std, and a
+    # negative seed failed inside numpy's seeding
+    with pytest.raises(ParameterError, match=want):
+        default_config(**over)
 
 
 def test_config_checks_n_neighbors_against_the_synthetic_graph():
@@ -342,6 +359,7 @@ def test_adaptation_problems_are_built_once_per_seed(methods, monkeypatch):
 
 
 def test_adaptation_grams_are_built_once_per_seed_and_view(monkeypatch):
+    import edapt.bench
     import edapt.single
     built = []
 
@@ -349,11 +367,23 @@ def test_adaptation_grams_are_built_once_per_seed_and_view(monkeypatch):
         built.append(h.shape)
         return laplacian_gram(graph, h)
 
+    def fresh(problems, params, grams):
+        return _alternate(problems, params)
+
     monkeypatch.setattr(edapt.single, "laplacian_gram", counting)
-    cfg = _fast(methods=ADAPTATION)
-    run_benchmark(cfg)
-    # every view here is primal: 30 source rows and more against L = 20
-    assert len(built) == cfg.views * len(cfg.seeds)
+    # 48 stacked rows: every view primal at L = 20, in sample space at
+    # L = 60, where no fit builds a Gram
+    for n_hidden, grams in ((20, 2 * 2), (60, 0)):
+        cfg = _fast(methods=ADAPTATION)  # 2 seeds x 2 views
+        cfg = replace(cfg, params=replace(cfg.params, n_hidden=n_hidden))
+        built.clear()
+        cached = run_benchmark(cfg)
+        assert len(built) == grams
+        with monkeypatch.context() as m:
+            m.setattr(edapt.bench, "_alternate", fresh)
+            report = run_benchmark(cfg)
+        assert report.per_seed == cached.per_seed
+        assert report.convergence == cached.convergence
 
 
 # the baselines map their training rows on first use; an adaptation
@@ -363,8 +393,10 @@ def test_no_rows_are_mapped_twice_by_one_method_kind(methods, monkeypatch):
     import edapt.bench
     import edapt.single
     mapped = []
+    alive = []  # ids name distinct objects only while those objects live
 
     def counting(hidden_map, data, *args, **kwargs):
+        alive.append(data)
         mapped.append((id(hidden_map), id(data)))
         return map_features(hidden_map, data, *args, **kwargs)
 

@@ -540,6 +540,38 @@ def test_config_values_that_fail_mid_run_name_the_file_and_key(tmp_path, capsys,
     assert f"{cfg}: {want}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, want", [
+    ("seeds = 0\nmethods =", "methods must hold at least one value"),
+    ("seeds = 0\nmethods = elm_s,elm_s",
+     "methods values must be distinct; repeated ['elm_s']"),
+    ("methods = elm_s\nseeds = 0,1,0", "seeds values must be distinct; repeated [0]"),
+    ("methods = elm_s\nseeds = -1", "seeds must be >= 0, got (-1,)"),
+    ("methods = elm_s\nseeds = 0\nseed = -1", "seed must be >= 0, got -1"),
+])
+def test_bench_refuses_empty_repeated_and_negative_entries(tmp_path, capsys,
+                                                          text, want):
+    # no methods used to crash emit_report with a traceback, and a
+    # negative seed to fail inside numpy without naming the file
+    cfg = tmp_path / "entries.cfg"
+    cfg.write_text(f"{text}\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"{cfg}: {want}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "bench", "sweep"])
+@pytest.mark.parametrize("value, want", [("-1", "must be >= 0, got -1"),
+                                         ("1.5", "expected an integer, got '1.5'")])
+def test_a_bad_seed_flag_is_refused_naming_it(tmp_path, capsys, command, value, want):
+    # a negative seed used to fail late with numpy's bare message
+    argv = [command, "--seed", value, "--out-dir", str(tmp_path)]
+    if command == "fit":
+        argv.insert(1, str(tmp_path / "manifest.txt"))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument --seed: {want}" in capsys.readouterr().err
+
+
 def test_predict_names_a_model_directory(tmp_path, capsys):
     # multi-view models used to be saved as a directory
     model = tmp_path / "model"

@@ -9,7 +9,7 @@ import pytest
 from edapt import NumericError, augment_noise_view, fit_eda, fit_mveda, update_beta
 from edapt import linalg, single
 from edapt.linalg import solve_spd
-from edapt.single import beta_gradient, update_theta
+from edapt.single import beta_gradient
 
 from helpers import (blob_bundle, random_prelabels, small_params, small_problem,
                      solve_spd_reference)
@@ -317,7 +317,7 @@ def test_fits_match_with_the_context_disabled(two_threads, monkeypatch):
     assert _rel(got.objective_history, want.objective_history) <= 1e-10
 
 
-def test_a_fit_factors_each_views_drift_matrix_once(monkeypatch):
+def test_a_fit_factors_once_per_beta_and_theta_solve(monkeypatch):
     orders = []
     original = linalg.cho_factor
 
@@ -331,28 +331,10 @@ def test_a_fit_factors_each_views_drift_matrix_once(monkeypatch):
     c = bundle.n_classes
     model = fit_eda(bundle, random_prelabels(bundle, 1), params)
     assert len(model.objective_history) == 4
-    # four beta solves of order L, one factorization of the drift matrix
-    assert orders.count(c) == 1 and orders.count(40) == 4
+    # each round: one beta solve of order L, one theta solve of order c
+    assert orders == [40, c] * 4
     orders.clear()
     views = [bundle, augment_noise_view(bundle, 2, seed=5)]
     model = fit_mveda(views, [random_prelabels(bundle, 1)] * 2, params)
     assert len(model.objective_history) == 4
-    assert orders.count(c) == 2 and orders.count(40) == 8
-
-
-def test_a_given_factor_solves_the_drift_update_bit_for_bit():
-    prob, params = small_problem(seed=5)
-    beta = np.random.default_rng(7).standard_normal((prob.n_hidden, prob.n_classes))
-    factor = linalg.factor_spd(single._theta_matrix(prob, params))
-    assert np.array_equal(update_theta(beta, prob, params, factor),
-                          update_theta(beta, prob, params))
-    beta[0, 0] = np.nan
-    with pytest.raises(NumericError, match="non-finite"):
-        update_theta(beta, prob, params, factor)
-
-
-def test_factor_spd_rejects_what_solve_spd_rejects():
-    with pytest.raises(NumericError, match="non-finite"):
-        linalg.factor_spd(np.full((2, 2), np.inf))
-    with pytest.raises(NumericError, match="factorization failed"):
-        linalg.factor_spd(-np.eye(2))
+    assert orders == [40, 40, c, c] * 4

@@ -299,7 +299,7 @@ def test_map_seed_is_checked(tmp_path, value):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", "abc"), ("seed", 1.5), ("seed", None), ("n_hidden", 2.5),
-    ("max_iter", float("nan")), ("n_neighbors", "5"),
+    ("max_iter", float("nan")), ("n_neighbors", "5"), ("max_iter", True),
 ])
 def test_integer_params_are_checked(tmp_path, key, value):
     bundle = blob_bundle(seed=9)

@@ -441,6 +441,11 @@ def test_params_validation():
         EdaParams(activation="relu")
     with pytest.raises(ParameterError):
         EdaParams(reweight_eps=0.0)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        EdaParams(seed=-1)
+    # operator.index takes a bool as 0 or 1
+    with pytest.raises(ParameterError, match="max_iter must be an integer, got True"):
+        EdaParams(max_iter=True)
     for name in ("c_source", "c_target", "drift_weight", "fidelity_weight",
                  "manifold_weight", "reweight_eps", "view_exponent"):
         with pytest.raises(ParameterError, match=name):
