@@ -187,16 +187,24 @@ class BenchConfig:
             raise ParameterError(
                 f"translation must be {dim} finite values (one per means column), "
                 f"got {self.translation}")
+        if self.rotation_deg != 0.0 and dim < 2:
+            raise ParameterError(f"rotation_deg must be 0 with one means column, "
+                                 f"got {self.rotation_deg}")
 
 
 def check_synthetic_graph(config: BenchConfig) -> None:
-    """Refuse an ``n_neighbors`` the synthetic scenario's smallest k-NN
-    graph cannot hold, before any seed is built.  Only runs that build
-    that graph check it (``run_benchmark``, which ``run_sweep`` calls with
-    ``eda`` alone, and the ``bench`` and ``sweep`` commands); a fit on a
-    manifest checks against the manifest."""
+    """Refuse, before any seed is built, a synthetic scenario with no test
+    rows to score or whose smallest k-NN graph cannot hold
+    ``n_neighbors``.  Only benchmark runs check it (``run_benchmark``,
+    which ``run_sweep`` calls with ``eda`` alone, and the ``bench`` and
+    ``sweep`` commands); a fit on a manifest checks against the manifest."""
+    if config.data != "synth":
+        return
+    if config.n_test < 1:
+        raise ParameterError(f"key 'n_test': the bench scores target_test rows, "
+                             f"so n_test must be >= 1, got {config.n_test}")
     graph = {m for m in config.methods if m not in _NO_GRAPH}
-    if config.data == "synth" and graph:
+    if graph:
         classes = len(config.means or default_class_means())
         rows = config.m * classes + config.n_unlabeled
         if graph == {"sselm"}:

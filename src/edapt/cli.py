@@ -165,7 +165,6 @@ def _cmd_fit(args) -> int:
                     f"--views {args.views} out of range; manifest has {len(bundles)}"
                 )
             bundles = bundles[: args.views]
-        seeds = [derive_view_seed(params.seed, v) for v in range(len(bundles))]
 
         def fit(bundles, phis, maps, sts):
             model = fit_mveda(bundles, phis, params, hidden_maps=maps)
@@ -174,7 +173,6 @@ def _cmd_fit(args) -> int:
         if args.views not in (None, 1):
             raise ParameterError("--views only applies to multi-view manifests")
         bundles = [load_bundle(args.manifest)]
-        seeds = [params.seed]
 
         def fit(bundles, phis, maps, sts):
             model = fit_eda(bundles[0], phis[0], params, hidden_map=maps[0])
@@ -199,8 +197,9 @@ def _cmd_fit(args) -> int:
     if config.standardize:
         sts = [fit_standardizer(b.source, b.target_labeled) for b in bundles]
         fit_bundles = [standardize_bundle(b, st) for b, st in zip(bundles, sts)]
-    maps = [new_hidden_map(params.n_hidden, b.target_dim, params.activation, seed)
-            for b, seed in zip(fit_bundles, seeds)]
+    maps = [new_hidden_map(params.n_hidden, b.target_dim, params.activation,
+                           derive_view_seed(params.seed, v))
+            for v, b in enumerate(fit_bundles)]
     phis = [
         _resolve_prelabels(s, b, m, config.pre_ridge)
         for s, b, m in zip(specs, fit_bundles, maps)

@@ -131,7 +131,11 @@ def new_hidden_map(
 
 
 def derive_view_seed(seed: int, view: int) -> int:
-    """Deterministic per-view seed (SeedSequence entropy ``[seed, view]``)."""
+    """Deterministic per-view seed: view 0 keeps ``seed`` itself, so a
+    multi-view fit's first view draws the map a single-view fit draws;
+    view ``v >= 1`` draws from SeedSequence entropy ``[seed, v]``."""
+    if view == 0:
+        return seed
     return int(np.random.SeedSequence([seed, view]).generate_state(1)[0])
 
 

@@ -22,9 +22,10 @@ below 3000.  :func:`_blas_threads_for` sets the thread count of every
 OpenBLAS library numpy and scipy have loaded through its own
 set-num-threads symbol (``ctypes``), and restores the inherited count
 on exit.  Larger solves, and every product outside a solve, keep the
-inherited count.  The symbols are looked up on the first pinned solve;
-if none is found, solves keep the inherited count and a ``UserWarning``
-says so once per process.  The setting is process-global, so solves
+inherited count.  The libraries are found in ``/proc/self/maps`` and
+their symbols looked up on the first pinned solve; if none is found,
+solves keep the inherited count and a ``UserWarning`` says so once per
+process.  The setting is process-global, so solves
 running in several Python threads at once may see each other's count;
 that changes speed, never results.
 """
@@ -55,31 +56,15 @@ _SYMBOLS = tuple(
 _controls: list | None = None  # [(get, set)] once looked up
 
 
-class _PhdrInfo(ctypes.Structure):
-    # leading fields of the dl_phdr_info the dynamic loader reports
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-
 def _loaded_libraries() -> list[str]:
-    """Paths of the shared libraries loaded in this process (dl_iterate_phdr)."""
-    paths: list[str] = []
-
-    def visit(info, _size, _data):
-        if info.contents.name:
-            paths.append(os.fsdecode(info.contents.name))
-        return 0
-
-    callback_type = ctypes.CFUNCTYPE(
-        ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
-    )
+    """Paths of the files mapped into this process (``/proc/self/maps``),
+    each once; none where there is no such file."""
     try:
-        walk = ctypes.CDLL(None).dl_iterate_phdr
-    except (AttributeError, OSError):  # no dynamic loader walk on this platform
+        with open("/proc/self/maps") as fh:
+            fields = [line.strip().split(maxsplit=5) for line in fh]
+    except OSError:
         return []
-    walk.argtypes = [callback_type, ctypes.c_void_p]
-    walk.restype = ctypes.c_int
-    walk(callback_type(visit), None)
-    return paths
+    return list(dict.fromkeys(f[5] for f in fields if len(f) == 6 and f[5][0] == "/"))
 
 
 def _find_controls() -> list:

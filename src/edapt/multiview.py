@@ -191,17 +191,19 @@ def fit_mveda(
         Per-view list of score matrices, or a single one shared by every
         view.
     params : EdaParams
-        ``params.seed`` seeds view ``v``'s hidden map through a per-view
-        derived seed; pass ``hidden_maps`` to override.
+        View ``v``'s hidden map is drawn from
+        ``derive_view_seed(params.seed, v)``; pass ``hidden_maps`` to
+        override.
     hidden_maps : list of HiddenMap, optional
         Override ``params.n_hidden``, ``.activation`` and ``.seed``; the
         model keeps these maps, and ``params`` as passed.
 
     Notes
     -----
-    With a single view the map comes from ``params.seed`` and the loop
-    skips the weight step, so the fit equals
-    :func:`~edapt.single.fit_eda` bit for bit.  The weight vector starts
+    View 0's default map is the one :func:`~edapt.single.fit_eda` draws
+    (``derive_view_seed(seed, 0)`` is ``seed``).  With a single view the
+    loop also skips the weight step, so the fit equals ``fit_eda`` bit
+    for bit.  The weight vector starts
     uniform and every iterate stays on the simplex.  A caller that
     rescaled the bundles attaches the rescalings with
     ``dataclasses.replace(model, standardizers=[...])``.
@@ -217,8 +219,7 @@ def fit_mveda(
         raise ShapeError(f"{len(hidden_maps)} hidden maps for {n_views} views")
 
     if hidden_maps is None:
-        # one view draws its map from params.seed, exactly as fit_eda does
-        hidden_maps = [None] if n_views == 1 else [
+        hidden_maps = [
             new_hidden_map(params.n_hidden, bundle.target_dim, params.activation,
                            derive_view_seed(params.seed, v))
             for v, bundle in enumerate(bundles)

@@ -153,6 +153,24 @@ def test_views_flag_limits_a_multiview_manifest(tmp_path, cfg_path, capsys):
     capsys.readouterr()
 
 
+def test_first_view_of_a_multiview_manifest_fits_as_the_single_view_manifest(
+        tmp_path, cfg_path, capsys):
+    # view 0 of a multi-view manifest is the single-view bundle of the same
+    # seed, and its map is drawn from the same seed
+    _, (one, _) = _synth(tmp_path / "one", cfg_path, capsys)
+    _, (two, _) = _synth(tmp_path / "two", cfg_path, capsys, "--views", "2")
+    outputs = []
+    for manifest, extra in ((one, []), (two, ["--views", "1"])):
+        run = tmp_path / f"run{len(outputs)}"
+        assert main(["fit", manifest, "--config", cfg_path, "--seed", "3",
+                     "--out-dir", str(run), *extra]) == 0
+        objective = [ln for ln in capsys.readouterr().out.splitlines()
+                     if ln.startswith("objective: ")]
+        outputs.append((objective, (run / "unlabeled_scores.csv").read_bytes()))
+    assert len(outputs[0][0]) == 1
+    assert outputs[0] == outputs[1]
+
+
 def test_fit_rejects_detransform_on_a_multiview_manifest(tmp_path, cfg_path, capsys):
     _, (manifest, _) = _synth(tmp_path, cfg_path, capsys, "--views", "2")
     run = tmp_path / "run"
@@ -511,6 +529,10 @@ def test_config_rejects_a_repeated_key(tmp_path, capsys):
                       "got row lengths [2, 1]"),
     ("translation = 1,2,3", "translation must be 2 finite values"),
     ("cov_scale = 0", "cov_scale must be positive and finite, got 0.0"),
+    # one means column under the default 30 degree rotation
+    pytest.param("means = 0; 1\ntranslation = 2",
+                 "rotation_deg must be 0 with one means column, got 30.0",
+                 id="rotation_deg-one-column"),
 ])
 def test_config_geometry_errors_name_the_file_and_key(tmp_path, capsys, line, want):
     # they used to pass load_config and fail inside run_benchmark unnamed
@@ -518,6 +540,23 @@ def test_config_geometry_errors_name_the_file_and_key(tmp_path, capsys, line, wa
     cfg.write_text(f"seeds = 0\nmethods = elm_s\n{line}\n")
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert f"{cfg}: {want}" in capsys.readouterr().err
+
+
+def test_a_bench_without_test_rows_is_refused_naming_the_file_and_key(
+        tmp_path, capsys):
+    # synth and fit take n_test = 0; bench and sweep used to exit 2 with
+    # "benchmarking needs a labeled target_test split", unnamed
+    cfg = tmp_path / "no_test.cfg"
+    cfg.write_text(TINY_CFG.replace("n_test = 12", "n_test = 0"))
+    for cmd in ("bench", "sweep"):
+        assert main([cmd, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: key 'n_test': " in err and "got 0" in err
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["fit", str(data / "manifest.txt"), "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("line, want", [

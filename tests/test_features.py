@@ -108,7 +108,13 @@ def test_derive_view_seed():
     seeds = [derive_view_seed(3, v) for v in range(6)]
     assert len(set(seeds)) == 6
     assert seeds == [derive_view_seed(3, v) for v in range(6)]
-    assert derive_view_seed(4, 0) != seeds[0]
+    assert derive_view_seed(4, 1) != seeds[1]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40])
+def test_view_0_keeps_the_seed(seed):
+    # view 0 of a multi-view fit draws the map a single-view fit draws
+    assert derive_view_seed(seed, 0) == seed
 
 
 def test_standardizer_hand_case():

@@ -1,6 +1,7 @@
 """solve_spd against dense references and its former refinement loop,
 its failure modes, and the BLAS thread context small solves run in."""
 
+import os
 import warnings
 
 import numpy as np
@@ -280,6 +281,27 @@ def test_missing_thread_control_warns_once_and_solves_the_same(monkeypatch):
     assert all(np.array_equal(g, want) for g in got)
     assert [w.category for w in caught] == [UserWarning]
     assert "thread control" in str(caught[0].message)
+
+
+def test_without_a_process_map_no_library_is_found_and_solves_warn(monkeypatch):
+    def no_file(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(linalg, "open", no_file, raising=False)
+    monkeypatch.setattr(linalg, "_controls", None)
+    assert linalg._loaded_libraries() == []
+    a, b = _spd(8)
+    with pytest.warns(UserWarning, match="thread control"):
+        solve_spd(a, b)
+
+
+def test_loaded_libraries_are_listed_once_by_path():
+    paths = linalg._loaded_libraries()
+    if not paths:
+        pytest.skip("no process map on this platform")
+    assert len(set(paths)) == len(paths)
+    assert all(os.path.isabs(p) for p in paths)
+    assert os.path.realpath(np.linalg._umath_linalg.__file__) in paths
 
 
 def _rel(got, want):

@@ -14,6 +14,7 @@ from edapt import (
     ShapeError,
     augment_noise_view,
     build_problem,
+    derive_view_seed,
     fit_eda,
     fit_mveda,
     load_model,
@@ -189,6 +190,19 @@ def test_single_view_dispatch_is_bitwise():
                               np.ones((len(single.objective_history), 1)))
 
 
+def test_default_view_0_map_is_the_one_fit_eda_draws():
+    bundle = blob_bundle(seed=5)
+    params = small_params(seed=7)
+    pre = random_prelabels(bundle, 5)
+    single = fit_eda(bundle, pre, params)
+    multi = fit_mveda([bundle, augment_noise_view(bundle, 2, 1)], pre, params)
+    want, got = single.hidden_map, multi.hidden_maps[0]
+    assert got.seed == want.seed == 7
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.biases, want.biases)
+    assert multi.hidden_maps[1].seed == derive_view_seed(7, 1)
+
+
 def test_identical_views_share_the_weight_evenly():
     bundle = blob_bundle(seed=6)
     params = small_params()
@@ -216,11 +230,16 @@ def test_known_defect_is_flagged():
     # the alpha step minimizes the smoothness term alone, so with two views
     # the recorded objective can rise (module notes): here one round rises
     # by 3.5 % relative.  An alpha step that minimizes the whole objective
-    # would turn this into a descent check.
+    # would turn this into a descent check.  The maps are pinned: view 0's
+    # is drawn from SeedSequence([0, 0]), which shows the rise (under the
+    # default maps one round rises by only 1.4 %)
     bundle = blob_bundle(6)
+    view0_seed = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
+    maps = [new_hidden_map(20, 2, "radbas", view0_seed),
+            new_hidden_map(20, 4, "radbas", derive_view_seed(0, 1))]
     model = fit_mveda([bundle, augment_noise_view(bundle, 2, 1)],
                       random_prelabels(bundle, 6),
-                      small_params(n_hidden=20, c_source=100.0, c_target=1.0))
+                      small_params(n_hidden=20, c_source=100.0, c_target=1.0), maps)
     h = model.objective_history
     assert np.max(np.diff(h) / np.abs(h[:-1])) > 0.03
 
