@@ -9,8 +9,9 @@ manifold.  Every update in the alternating solver is closed form.
 
 Entry points: :func:`fit_eda` / :func:`predict_eda` for a single feature
 space, :func:`fit_mveda` / :func:`predict_mveda` for several views of
-the same samples, :mod:`edapt.baselines` for the reference classifiers,
-and the ``edapt`` command line for the full experiment loop.
+the same samples (both fits return an :class:`EdaModel`),
+:mod:`edapt.baselines` for the reference classifiers, and the ``edapt``
+command line for the full experiment loop.
 """
 
 from .baselines import fit_elm, fit_sselm
@@ -36,7 +37,6 @@ from .graph import LaplacianGraph, build_knn_graph, quadratic_energy
 from .metrics import accuracy, mean_average_precision
 from .modelio import load_model, save_model
 from .multiview import (
-    MvEdaModel,
     fit_mveda,
     predict_mveda,
     update_beta_view,
@@ -67,7 +67,6 @@ __all__ = [
     "HiddenMap",
     "LaplacianGraph",
     "MetricError",
-    "MvEdaModel",
     "NumericError",
     "ParameterError",
     "ParseError",

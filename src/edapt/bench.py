@@ -641,8 +641,6 @@ class BenchReport:
 
 def _context(config: BenchConfig, seed: int, base: DomainBundle | None) -> _SeedContext:
     bundle = _seed_bundle(config, seed, base)
-    if bundle.target_test is None or bundle.target_test.labels is None:
-        raise ParameterError("benchmarking needs a labeled target_test split")
     p = config.params
     hidden_map = new_hidden_map(p.n_hidden, bundle.target_dim, p.activation, seed)
     return _SeedContext(
@@ -661,6 +659,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run every configured method over every seed; see the module docs."""
     check_synthetic_graph(config)
     base = None if config.data == "synth" else load_bundle(config.data)
+    if base is not None and (base.target_test is None
+                             or base.target_test.labels is None):
+        raise ParameterError(f"key 'data': {config.data} has no labeled target_test "
+                             "split, which the bench resplits and scores")
     if config.data != "synth" and any(m == "mveda" for m in config.methods):
         raise ParameterError(
             "mveda benchmarking on manifest data is not supported; "

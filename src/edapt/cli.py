@@ -55,9 +55,9 @@ from .features import (
     standardize_bundle,
 )
 from .modelio import load_model, save_model
-from .multiview import MvEdaModel, fit_mveda, predict_mveda
+from .multiview import fit_mveda, predict_mveda
 from .preclassify import BUILTINS, builtin_prelabels
-from .single import fit_eda, predict_eda
+from .single import predict_eda
 
 __all__ = ["main"]
 
@@ -84,10 +84,11 @@ def _bench_config(args, methods=None):
 
 
 def _predict(model, datasets: list[Dataset], detransform: bool):
-    """``(labels, scores)`` of a model on one dataset per view."""
-    if isinstance(model, MvEdaModel):
-        return predict_mveda(model, datasets)[:2]
-    return predict_eda(model, datasets[0], detransform=detransform)
+    """``(labels, scores)`` of a model on one dataset per view; undoing
+    the class drift takes a one-view model."""
+    if detransform:
+        return predict_eda(model, datasets[0], detransform=True)
+    return predict_mveda(model, datasets)[:2]
 
 
 def _write_predictions(out_dir: str, stem: str, labels: np.ndarray,
@@ -153,8 +154,8 @@ def _cmd_fit(args) -> int:
         params = replace(params, seed=args.seed)
     multiview = any(k.startswith("view0_") for k in read_keyvalues(args.manifest))
 
-    # the choices that depend on the manifest kind; the pipeline below
-    # runs once over the view list for either kind
+    # the views depend on the manifest kind; the pipeline below runs
+    # once over the view list for either kind
     if multiview:
         if args.detransform:
             raise ParameterError("--detransform applies to single-view fits")
@@ -165,18 +166,10 @@ def _cmd_fit(args) -> int:
                     f"--views {args.views} out of range; manifest has {len(bundles)}"
                 )
             bundles = bundles[: args.views]
-
-        def fit(bundles, phis, maps, sts):
-            model = fit_mveda(bundles, phis, params, hidden_maps=maps)
-            return model if sts is None else replace(model, standardizers=sts)
     else:
         if args.views not in (None, 1):
             raise ParameterError("--views only applies to multi-view manifests")
         bundles = [load_bundle(args.manifest)]
-
-        def fit(bundles, phis, maps, sts):
-            model = fit_eda(bundles[0], phis[0], params, hidden_map=maps[0])
-            return model if sts is None else replace(model, standardizer=sts[0])
 
     rows = bundles[0].target_labeled.n + bundles[0].n_unlabeled
     if params.n_neighbors >= rows:
@@ -204,13 +197,14 @@ def _cmd_fit(args) -> int:
         _resolve_prelabels(s, b, m, config.pre_ridge)
         for s, b, m in zip(specs, fit_bundles, maps)
     ]
-    model = fit(fit_bundles, phis, maps, sts)
+    model = replace(fit_mveda(fit_bundles, phis, params, hidden_maps=maps),
+                    standardizers=sts)
     model_path = save_model(model, os.path.join(args.out_dir, "model.json"))
     unlabeled = [b.target_unlabeled for b in bundles]
     have_unlabeled = all(d is not None for d in unlabeled)
     if have_unlabeled:
         labels, scores = _predict(model, unlabeled, args.detransform)
-    if isinstance(model, MvEdaModel):
+    if model.n_views > 1:
         print("view weights: " + " ".join(f"{a:.6f}" for a in model.alpha))
     history = model.objective_history
     print("objective: " + " ".join(repr(float(v)) for v in history))
@@ -242,14 +236,14 @@ def _refuse_stale_standardizer(model_path: str, n_views: int) -> None:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    multiview = isinstance(model, MvEdaModel)
+    multiview = model.n_views > 1
     if args.detransform and multiview:
         raise ParameterError("--detransform applies to single-view adaptation models")
-    maps = model.hidden_maps if multiview else [model.hidden_map]
+    maps = model.hidden_maps
     if len(args.features) != len(maps):
         raise ParameterError(f"{args.model}: {len(maps)} view(s), one feature CSV "
                              f"per view, got {len(args.features)} CSV(s)")
-    if (model.standardizers if multiview else model.standardizer) is None:
+    if model.standardizers is None:
         _refuse_stale_standardizer(args.model, len(maps))
     datasets = [load_csv(p) for p in args.features]
     for v, (path, hidden_map, ds) in enumerate(zip(args.features, maps, datasets)):

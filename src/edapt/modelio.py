@@ -1,11 +1,14 @@
 """Text serialization of fitted models.
 
 Every model is one plain JSON file (binary-free, diff-friendly); floats
-are written with full round-trip precision.  A multi-view file holds one
-block per view under ``views`` (hidden map, ``beta``, ``theta`` and, for
-a standardized fit, ``standardizer``: the fields of a single-view file)
-beside the view-weight history, the objective history and the
-parameters.  The reweighting ``u`` and the view weights ``alpha`` are
+are written with full round-trip precision.  A one-view model is an
+``eda`` file: its hidden map, ``beta``, ``theta`` and, for a
+standardized fit, ``standardizer`` sit at the top level.  A model with
+two or more views is an ``mveda`` file, which holds one such block per
+view under ``views`` beside the view-weight history.  Both kinds hold
+the objective history and the parameters, and both load as one
+:class:`~edapt.single.EdaModel`; an ``eda`` file's view weights are all
+ones.  The reweighting ``u`` and the view weights ``alpha`` are
 derived, not written; :func:`load_model` ignores them in older files.
 """
 
@@ -19,7 +22,6 @@ import numpy as np
 
 from .errors import ParseError
 from .features import HiddenMap, Standardizer
-from .multiview import MvEdaModel
 from .single import EdaModel, EdaParams
 
 __all__ = ["load_model", "save_model"]
@@ -50,26 +52,19 @@ def _view_block(hm: HiddenMap, beta, theta, standardizer) -> dict:
 
 def save_model(model, path: str) -> str:
     """Serialize a fitted model to one JSON file; returns the path written."""
-    if isinstance(model, EdaModel):
-        d = {
-            "kind": "eda",
-            **_view_block(model.hidden_map, model.beta, model.theta,
-                          model.standardizer),
-            "objective_history": model.objective_history.tolist(),
-            "params": asdict(model.params),
-        }
-    elif isinstance(model, MvEdaModel):
-        d = {
-            "kind": "mveda",
-            "views": [_view_block(*view) for view in zip(
-                model.hidden_maps, model.betas, model.thetas,
-                model.standardizers or [None] * model.n_views)],
-            "alpha_history": model.alpha_history.tolist(),
-            "objective_history": model.objective_history.tolist(),
-            "params": asdict(model.params),
-        }
+    try:
+        per_view = zip(model.hidden_maps, model.betas, model.thetas,
+                       model.standardizers or [None] * model.n_views)
+    except AttributeError:
+        raise TypeError(f"cannot serialize {type(model).__name__}") from None
+    views = [_view_block(*view) for view in per_view]
+    if len(views) == 1:
+        d = {"kind": "eda", **views[0]}
     else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+        d = {"kind": "mveda", "views": views,
+             "alpha_history": model.alpha_history.tolist()}
+    d["objective_history"] = model.objective_history.tolist()
+    d["params"] = asdict(model.params)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(d, fh, indent=1)
         fh.write("\n")
@@ -146,30 +141,32 @@ def _naming(where: str):
         raise ParseError(f"{where}: {err}") from None
 
 
-def load_model(path: str):
+def load_model(path: str) -> EdaModel:
     """Load a model written by :func:`save_model`.
 
     A missing, malformed or non-finite field, an unknown parameter, a
     standardizer with a ``std <= 0``, or arrays whose shapes disagree
     with each other (a standardizer's length with its hidden map's
-    input width) raise :class:`ParseError` naming the file (and the
+    input width), or a one-view ``mveda`` file whose ``alpha_history``
+    is not all ones raise :class:`ParseError` naming the file (and the
     field).
     """
     with _naming(path):
         d = _read_json(path)
         kind = d.get("kind") if isinstance(d, dict) else None
         if kind == "eda":
-            hm, beta, theta, st = _view_fields(d, path)
-            return EdaModel(hm, beta, theta, _array(d, "objective_history", path),
-                            _params(d, path), st)
-        if kind == "mveda":
+            views = [_view_fields(d, path)]
+        elif kind == "mveda":
             views = [_view_fields(blk, f"{path}: view {i}")
                      for i, blk in enumerate(_field(d, "views", path))]
-            sts = [view[3] for view in views]
-            return MvEdaModel(
-                *([view[j] for view in views] for j in range(3)),
-                _array(d, "alpha_history", path),
-                _array(d, "objective_history", path), _params(d, path),
-                None if all(st is None for st in sts) else sts,
-            )
-        raise ParseError(f"{path}: unknown model kind {kind!r}")
+        else:
+            raise ParseError(f"{path}: unknown model kind {kind!r}")
+        history = _array(d, "objective_history", path)
+        # a one-view fit weighs its view by 1 in every round
+        alphas = (np.ones((history.size, 1)) if kind == "eda"
+                  else _array(d, "alpha_history", path))
+        sts = [view[3] for view in views]
+        return EdaModel(
+            *([view[j] for view in views] for j in range(3)), alphas, history,
+            _params(d, path), None if all(st is None for st in sts) else sts,
+        )

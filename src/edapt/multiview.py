@@ -23,36 +23,32 @@ One alternating loop, ``single._alternate``, serves one or many views:
 it scales each view's normal-equation blocks by ``alpha_v`` and
 ``alpha_v**r`` and skips the weight step when there is only one view,
 so a one-view fit matches :func:`~edapt.single.fit_eda` bit for bit.
+Both return the same record, :class:`~edapt.single.EdaModel`, with one
+entry per view in each per-view field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Dataset, DomainBundle, _lock, decode_labels
+from .data import Dataset, DomainBundle, decode_labels
 from .errors import ParameterError, ShapeError
-from .features import (HiddenMap, Standardizer, derive_view_seed, map_features,
-                       new_hidden_map)
+from .features import HiddenMap, derive_view_seed, map_features, new_hidden_map
 from .single import (
+    EdaModel,
     EdaParams,
     EdaProblem,
     _alternate,
-    _check_history,
-    _check_view,
     build_problem,
     mv_objective,
     update_alpha,
     update_beta,
     update_theta,
-    update_u,
     view_trace,
 )
 from .single import beta_gradient  # noqa: F401  (perfbench/test_harness.py reads it here)
 
 __all__ = [
-    "MvEdaModel",
     "fit_mveda",
     "mv_objective",
     "predict_mveda",
@@ -91,65 +87,6 @@ def update_theta_view(
     return update_theta(beta, prob, params)
 
 
-@dataclass(frozen=True, eq=False)
-class MvEdaModel:
-    """A fitted multi-view adaptation model; ``standardizers`` holds the
-    rescaling of each view's features (None: none), which
-    :func:`predict_mveda` applies to raw features."""
-
-    hidden_maps: list[HiddenMap]
-    betas: list[np.ndarray]
-    thetas: list[np.ndarray]
-    alpha_history: np.ndarray
-    objective_history: np.ndarray
-    params: EdaParams
-    standardizers: list[Standardizer] | None = None
-
-    def __post_init__(self):
-        v = len(self.hidden_maps)
-        if v == 0:
-            raise ShapeError("a multi-view model needs at least one view")
-        # every view is standardized, or none is
-        sts = [None] * v if self.standardizers is None else self.standardizers
-        if not (len(self.betas) == len(self.thetas) == len(sts) == v):
-            raise ShapeError("per-view field lists disagree on view count")
-        # read-only float64 copies, as EdaModel keeps its own
-        for name in ("betas", "thetas"):
-            object.__setattr__(self, name, [_lock(np.array(a, dtype=np.float64))
-                                            for a in getattr(self, name)])
-        c = None
-        for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas, sts)):
-            try:
-                if view[-1] is None and self.standardizers is not None:
-                    raise ShapeError("missing field 'standardizer'")
-                c = _check_view(*view, c)
-            except ShapeError as err:
-                raise ShapeError(f"view {i}: {err}") from None
-        h = _lock(np.array(self.objective_history, dtype=np.float64))
-        _check_history(h)
-        object.__setattr__(self, "objective_history", h)
-        ah = _lock(np.array(self.alpha_history, dtype=np.float64))
-        if ah.shape != (h.shape[0], v):
-            raise ShapeError(
-                f"alpha_history must have shape {(h.shape[0], v)}, got {ah.shape}"
-            )
-        object.__setattr__(self, "alpha_history", ah)
-
-    @property
-    def n_views(self) -> int:
-        return len(self.hidden_maps)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """The view weights the fit ended on: the last round's."""
-        return self.alpha_history[-1]
-
-    @property
-    def us(self) -> list[np.ndarray]:
-        """Each view's final row reweighting, ``update_u(beta_v, eps)``."""
-        return [update_u(beta, self.params.reweight_eps) for beta in self.betas]
-
-
 def _check_aligned(bundles: list[DomainBundle]) -> None:
     first = bundles[0]
     for i, b in enumerate(bundles[1:], start=1):
@@ -179,7 +116,7 @@ def fit_mveda(
     prelabels,
     params: EdaParams = EdaParams(),
     hidden_maps: list[HiddenMap] | None = None,
-) -> MvEdaModel:
+) -> EdaModel:
     """Run the alternating solver across views.
 
     Parameters
@@ -228,12 +165,12 @@ def fit_mveda(
     problems, maps = zip(*(build_problem(b, phi, params, hm)
                            for b, phi, hm in zip(bundles, prelabels, hidden_maps)))
     betas, thetas, alphas, history = _alternate(problems, params)
-    return MvEdaModel(list(maps), betas, thetas, np.asarray(alphas),
-                      np.asarray(history), params)
+    return EdaModel(list(maps), betas, thetas, np.asarray(alphas),
+                    np.asarray(history), params)
 
 
 def predict_mveda(
-    model: MvEdaModel, datasets: list[Dataset]
+    model: EdaModel, datasets: list[Dataset]
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Score new samples given one dataset per view.
 

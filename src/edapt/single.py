@@ -46,7 +46,8 @@ The alternating loop here also runs the multi-view solver
 (:mod:`edapt.multiview`): it takes a list of per-view problems, scales
 each view's loss terms by ``alpha_v`` and its smoothness term by
 ``alpha_v**r``, and adds the view-weight step when there are two or
-more views.  A single-view fit is the one-view case with ``alpha = [1]``.
+more views.  A single-view fit is the one-view case with ``alpha = [1]``,
+and :class:`EdaModel` records a fit of either kind.
 """
 
 from __future__ import annotations
@@ -634,29 +635,89 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
 # ---------------------------------------------------------------------------
 
 
+def _view0(field: str) -> property:
+    """A one-view accessor: view 0's entry of the per-view ``field``."""
+    def get(model):
+        if model.n_views != 1:
+            raise ShapeError(f"a {model.n_views}-view model has one {field[:-1]} "
+                             f"per view; read {field!r}")
+        return (getattr(model, field) or [None])[0]
+    return property(get)
+
+
 @dataclass(frozen=True, eq=False)
 class EdaModel:
-    """A fitted single-view adaptation model; ``standardizer`` is the
-    rescaling its features were fitted under (None: none), which
-    :func:`predict_eda` applies to raw features."""
+    """A fitted adaptation model of one or more views.  The per-view lists
+    hold one entry per view, and ``standardizers`` the rescaling each
+    view's features were fitted under (None: none), which the predict
+    functions apply to raw features.  A one-view model's view weights
+    are all ones; its ``hidden_map``, ``beta``, ``theta``, ``u`` and
+    ``standardizer`` read view 0, and raise ShapeError on more views."""
 
-    hidden_map: HiddenMap
-    beta: np.ndarray
-    theta: np.ndarray
+    hidden_maps: list[HiddenMap]
+    betas: list[np.ndarray]
+    thetas: list[np.ndarray]
+    alpha_history: np.ndarray
     objective_history: np.ndarray
     params: EdaParams
-    standardizer: Standardizer | None = None
+    standardizers: list[Standardizer] | None = None
 
     def __post_init__(self):
-        for name in ("beta", "theta", "objective_history"):
-            object.__setattr__(self, name,
-                               _lock(np.array(getattr(self, name), dtype=np.float64)))
-        _check_view(self.hidden_map, self.beta, self.theta, self.standardizer)
-        _check_history(self.objective_history)
+        v = len(self.hidden_maps)
+        if v == 0:
+            raise ShapeError("a model needs at least one view")
+        # every view is standardized, or none is
+        sts = [None] * v if self.standardizers is None else self.standardizers
+        if not (len(self.betas) == len(self.thetas) == len(sts) == v):
+            raise ShapeError("per-view field lists disagree on view count")
+        # read-only float64 copies, so no caller can change the predictions
+        for name in ("betas", "thetas"):
+            object.__setattr__(self, name, [_lock(np.array(a, dtype=np.float64))
+                                            for a in getattr(self, name)])
+        c = None
+        for i, view in enumerate(zip(self.hidden_maps, self.betas, self.thetas, sts)):
+            try:
+                if view[-1] is None and self.standardizers is not None:
+                    raise ShapeError("missing field 'standardizer'")
+                c = _check_view(*view, c)
+            except ShapeError as err:
+                if v == 1:
+                    raise
+                raise ShapeError(f"view {i}: {err}") from None
+        h = _lock(np.array(self.objective_history, dtype=np.float64))
+        _check_history(h)
+        object.__setattr__(self, "objective_history", h)
+        ah = _lock(np.array(self.alpha_history, dtype=np.float64))
+        if ah.shape != (h.shape[0], v):
+            raise ShapeError(
+                f"alpha_history must have shape {(h.shape[0], v)}, got {ah.shape}"
+            )
+        if v == 1 and not (ah == 1.0).all():
+            raise ShapeError("a one-view model's alpha_history must be all ones")
+        object.__setattr__(self, "alpha_history", ah)
+
+    hidden_map = _view0("hidden_maps")
+    beta = _view0("betas")
+    theta = _view0("thetas")
+    standardizer = _view0("standardizers")
+
+    @property
+    def n_views(self) -> int:
+        return len(self.hidden_maps)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The view weights the fit ended on: the last round's."""
+        return self.alpha_history[-1]
+
+    @property
+    def us(self) -> list[np.ndarray]:
+        """Each view's final row reweighting, ``update_u(beta_v, eps)``."""
+        return [update_u(beta, self.params.reweight_eps) for beta in self.betas]
 
     @property
     def u(self) -> np.ndarray:
-        """The row reweighting the fit ended on, ``update_u(beta, eps)``."""
+        """A one-view model's final row reweighting."""
         return update_u(self.beta, self.params.reweight_eps)
 
 
@@ -702,19 +763,22 @@ def fit_eda(
 
     ``prelabels`` is a score matrix for the unlabeled split.  A given
     ``hidden_map`` overrides ``params.n_hidden``, ``.activation`` and
-    ``.seed``; the model keeps that map, and ``params`` as passed.  A
-    caller that rescaled ``bundle`` attaches the rescaling with
-    ``dataclasses.replace(model, standardizer=...)``.
+    ``.seed``; the model keeps that map, and ``params`` as passed.  The
+    model is the one-view record :func:`~edapt.multiview.fit_mveda`
+    returns for ``[bundle]``.  A caller that rescaled ``bundle``
+    attaches the rescaling with
+    ``dataclasses.replace(model, standardizers=[...])``.
     """
     prob, hidden_map = build_problem(bundle, prelabels, params, hidden_map)
-    (beta,), (theta,), _, history = _alternate([prob], params)
-    return EdaModel(hidden_map, beta, theta, np.asarray(history), params)
+    betas, thetas, alphas, history = _alternate([prob], params)
+    return EdaModel([hidden_map], betas, thetas, np.asarray(alphas),
+                    np.asarray(history), params)
 
 
 def predict_eda(
     model: EdaModel, data: Dataset, detransform: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score new samples; returns ``(labels, scores)``.
+    """Score new samples with a one-view model; returns ``(labels, scores)``.
 
     Scores are ``map(X) @ beta``, ``X`` rescaled first by the model's
     standardizer if it has one.  With ``detransform=True`` the learned

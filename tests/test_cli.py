@@ -164,10 +164,13 @@ def test_first_view_of_a_multiview_manifest_fits_as_the_single_view_manifest(
         run = tmp_path / f"run{len(outputs)}"
         assert main(["fit", manifest, "--config", cfg_path, "--seed", "3",
                      "--out-dir", str(run), *extra]) == 0
-        objective = [ln for ln in capsys.readouterr().out.splitlines()
-                     if ln.startswith("objective: ")]
-        outputs.append((objective, (run / "unlabeled_scores.csv").read_bytes()))
-    assert len(outputs[0][0]) == 1
+        # the printed lines other than the paths: no view weights for a
+        # one-view fit, and the same objective
+        printed = [ln for ln in capsys.readouterr().out.splitlines()
+                   if not ln.startswith(str(run))]
+        outputs.append((printed, (run / "unlabeled_scores.csv").read_bytes(),
+                        (run / "model.json").read_bytes()))
+    assert len(outputs[0][0]) == 1 and outputs[0][0][0].startswith("objective: ")
     assert outputs[0] == outputs[1]
 
 
@@ -557,6 +560,27 @@ def test_a_bench_without_test_rows_is_refused_naming_the_file_and_key(
     capsys.readouterr()
     assert main(["fit", str(data / "manifest.txt"), "--config", str(cfg),
                  "--out-dir", str(tmp_path / "run")]) == 0
+
+
+def test_a_manifest_bench_without_test_rows_is_refused_naming_the_key_and_manifest(
+        tmp_path, capsys):
+    # the bench resplits target_labeled plus target_test; a manifest
+    # without target_test used to exit 2 with "resplitting needs a
+    # labeled target_test pool", naming neither the key nor the manifest
+    cfg = tmp_path / "no_test.cfg"
+    cfg.write_text(TINY_CFG.replace("n_test = 12", "n_test = 0"))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    manifest = data / "manifest.txt"
+    bench_cfg = tmp_path / "bench.cfg"
+    bench_cfg.write_text(f"{TINY_CFG}data = {manifest}\n")
+    for cmd in ("bench", "sweep"):
+        assert main([cmd, "--config", str(bench_cfg),
+                     "--out-dir", str(tmp_path / "reports")]) == 2
+        assert (f"key 'data': {manifest} has no labeled target_test split"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize("line, want", [

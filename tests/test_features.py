@@ -17,7 +17,6 @@ from edapt import (
     EdaModel,
     EdaParams,
     HiddenMap,
-    MvEdaModel,
     ParameterError,
     ParseError,
     ShapeError,
@@ -167,8 +166,9 @@ def test_standardizer_checks_itself():
 
 
 def _model_over_two_inputs(standardizer=None) -> EdaModel:
-    return EdaModel(new_hidden_map(3, 2, seed=0), np.ones((3, 2)), np.eye(2),
-                    [1.0], EdaParams(n_hidden=3), standardizer)
+    return EdaModel([new_hidden_map(3, 2, seed=0)], [np.ones((3, 2))], [np.eye(2)],
+                    [[1.0]], [1.0], EdaParams(n_hidden=3),
+                    None if standardizer is None else [standardizer])
 
 
 def test_standardizer_file_round_trip(tmp_path):
@@ -301,8 +301,8 @@ def test_scoring_streams_without_the_activation_matrix():
     data = Dataset(rng.standard_normal((2, n)))
     eye = np.eye(c)
     params = EdaParams(n_hidden=n_hidden)
-    eda = EdaModel(maps[0], betas[0], eye, [1.0], params)
-    mveda = MvEdaModel(maps, betas, [eye, eye], [[0.5, 0.5]], [1.0], params)
+    eda = EdaModel(maps[:1], betas[:1], [eye], [[1.0]], [1.0], params)
+    mveda = EdaModel(maps, betas, [eye, eye], [[0.5, 0.5]], [1.0], params)
     for score in (lambda: predict_eda(eda, data),
                   lambda: predict_mveda(mveda, [data, data]),
                   lambda: map_features(maps[0], data, betas[0])):

@@ -15,7 +15,6 @@ from edapt import (
     EdaModel,
     EdaParams,
     HiddenMap,
-    MvEdaModel,
     ParameterError,
     ParseError,
     augment_noise_view,
@@ -28,6 +27,8 @@ from edapt import (
     save_model,
     standardize_bundle,
 )
+from edapt.cli import main
+from edapt.data import save_csv
 from edapt.features import ACTIVATIONS, Standardizer, fit_standardizer, map_features
 
 from helpers import blob_bundle, random_prelabels, small_params
@@ -133,7 +134,7 @@ def test_a_standardized_model_predicts_raw_features_after_the_round_trip(tmp_pat
     scaled = standardize_bundle(raw, st0)
     hm = new_hidden_map(12, 2, seed=4)
     model = fit_eda(scaled, random_prelabels(scaled, 4), small_params(), hm)
-    model = replace(model, standardizer=st0)
+    model = replace(model, standardizers=[st0])
     path = tmp_path / "m.json"
     back = load_model(save_model(model, str(path)))
     assert list(json.loads(path.read_text())) == [
@@ -142,6 +143,51 @@ def test_a_standardized_model_predicts_raw_features_after_the_round_trip(tmp_pat
     want = map_features(hm, scaled.target_test, model.beta)
     assert np.array_equal(predict_eda(back, raw.target_test)[1], want)
     assert np.array_equal(predict_eda(model, raw.target_test)[1], want)
+
+
+def test_a_one_view_file_in_the_multiview_layout_loads_as_the_one_view_model(
+        tmp_path, capsys):
+    # `edapt fit --views 1` used to write its model in the multi-view
+    # layout; such a file loads as the record of the matching eda file
+    raw = blob_bundle(seed=8, per_test=3)
+    st0 = fit_standardizer(raw.source, raw.target_labeled)
+    scaled = standardize_bundle(raw, st0)
+    model = replace(fit_eda(scaled, random_prelabels(scaled, 8), small_params(),
+                            new_hidden_map(12, 2, seed=8)), standardizers=[st0])
+    eda_path = tmp_path / "eda.json"
+    save_model(model, str(eda_path))
+    d = json.loads(eda_path.read_text())
+    assert d["kind"] == "eda"
+    rounds = len(d["objective_history"])
+    mv = {"kind": "mveda",
+          "views": [{k: d[k] for k in ("hidden_map", "beta", "theta", "standardizer")}],
+          "alpha_history": [[1.0]] * rounds,
+          "objective_history": d["objective_history"], "params": d["params"]}
+    mv_path = tmp_path / "mv.json"
+    mv_path.write_text(json.dumps(mv))
+    back = load_model(str(mv_path))
+    assert back.n_views == 1
+    assert np.array_equal(back.alpha_history, np.ones((rounds, 1)))
+    # saved again, it is the eda file
+    again = save_model(back, str(tmp_path / "again.json"))
+    assert open(again, "rb").read() == eda_path.read_bytes()
+    csv = str(tmp_path / "test.csv")
+    save_csv(raw.target_test, csv)
+    outputs = []
+    for path in (eda_path, mv_path):
+        out = tmp_path / f"pred_{path.stem}"
+        assert main(["predict", str(path), csv, "--out-dir", str(out)]) == 0
+        outputs.append([(out / f"predicted_{k}.csv").read_bytes()
+                        for k in ("labels", "scores")])
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    # a one-view fit weighs its view by 1 in every round, so a file that
+    # says otherwise is refused
+    mv["alpha_history"][-1] = [0.5]
+    mv_path.write_text(json.dumps(mv))
+    with pytest.raises(ParseError) as info:
+        load_model(str(mv_path))
+    assert str(mv_path) in str(info.value) and "alpha_history" in str(info.value)
 
 
 def test_predictions_survive_the_round_trip(tmp_path):
@@ -234,9 +280,6 @@ def test_mismatched_view_file_names_file_and_field(tmp_path):
 
 
 def _standardized(model):
-    if isinstance(model, EdaModel):
-        return replace(model, standardizer=Standardizer(
-            np.zeros(model.hidden_map.n_features), np.ones(model.hidden_map.n_features)))
     return replace(model, standardizers=[
         Standardizer(np.zeros(hm.n_features), np.ones(hm.n_features))
         for hm in model.hidden_maps])
@@ -284,8 +327,8 @@ def test_inputless_map_and_empty_history_name_file_and_field(tmp_path):
 @pytest.mark.parametrize("value", ["abc", 1.5, None])
 def test_map_seed_is_checked(tmp_path, value):
     # each of these used to load without complaint
-    model = EdaModel(new_hidden_map(4, 2, seed=0), np.ones((4, 2)), np.eye(2),
-                     [1.0], small_params())
+    model = EdaModel([new_hidden_map(4, 2, seed=0)], [np.ones((4, 2))], [np.eye(2)],
+                     [[1.0]], [1.0], small_params())
     path = tmp_path / "m.json"
     save_model(model, str(path))
     d = json.loads(path.read_text())
@@ -365,7 +408,6 @@ def _standardizer(draw, hm):
 
 @st.composite
 def models(draw):
-    kind = draw(st.sampled_from(["eda", "mveda"]))
     c = draw(st.integers(1, 3))
     rounds = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
@@ -375,11 +417,10 @@ def models(draw):
     history = _array(draw, rounds)
     params = draw(PARAMS)
     sts = [_standardizer(draw, hm) for hm in maps] if draw(st.booleans()) else None
-    if kind == "eda":
-        return EdaModel(maps[0], betas[0], thetas[0], history, params,
-                        sts and sts[0])
-    return MvEdaModel(maps, betas, thetas, _array(draw, rounds, len(sizes)),
-                      history, params, sts)
+    # a one-view fit weighs its view by 1 in every round
+    alphas = (_array(draw, rounds, len(sizes)) if len(sizes) > 1
+              else np.ones((rounds, 1)))
+    return EdaModel(maps, betas, thetas, alphas, history, params, sts)
 
 
 def _same_bits(a, b) -> bool:
@@ -397,19 +438,14 @@ def _same_map(a, b) -> bool:
 def test_models_round_trip_bit_for_bit(model):
     with tempfile.TemporaryDirectory() as tmp:
         back = load_model(save_model(model, os.path.join(tmp, "m.json")))
-    assert type(back) is type(model)
     assert back.params == model.params
     assert _same_bits(back.objective_history, model.objective_history)
-    if isinstance(model, EdaModel):
-        views = [(back.hidden_map, back.beta, back.theta, back.standardizer,
-                  model.hidden_map, model.beta, model.theta, model.standardizer)]
-    else:
-        assert _same_bits(back.alpha_history, model.alpha_history)
-        assert (back.standardizers is None) == (model.standardizers is None)
-        none = [None] * model.n_views
-        views = list(zip(back.hidden_maps, back.betas, back.thetas,
-                         back.standardizers or none, model.hidden_maps, model.betas,
-                         model.thetas, model.standardizers or none))
+    assert _same_bits(back.alpha_history, model.alpha_history)
+    assert (back.standardizers is None) == (model.standardizers is None)
+    none = [None] * model.n_views
+    views = zip(back.hidden_maps, back.betas, back.thetas, back.standardizers or none,
+                model.hidden_maps, model.betas, model.thetas,
+                model.standardizers or none, strict=True)
     for hm, beta, theta, st_, hm0, beta0, theta0, st0 in views:
         assert _same_map(hm, hm0)
         assert _same_bits(beta, beta0) and _same_bits(theta, theta0)

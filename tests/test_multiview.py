@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from edapt import (
     Dataset,
-    MvEdaModel,
+    EdaModel,
     ParameterError,
     ShapeError,
     augment_noise_view,
@@ -19,6 +19,7 @@ from edapt import (
     fit_mveda,
     load_model,
     new_hidden_map,
+    predict_eda,
     predict_mveda,
     save_model,
     standardize_bundle,
@@ -342,8 +343,8 @@ def test_model_validation():
     model = fit_mveda(bundles, pres, small_params(), maps)
     for alpha_history in (model.alpha_history[:, :1], model.alpha_history[:1]):
         with pytest.raises(ShapeError, match="alpha_history must have shape"):
-            MvEdaModel(model.hidden_maps, model.betas, model.thetas, alpha_history,
-                       model.objective_history, model.params)
+            EdaModel(model.hidden_maps, model.betas, model.thetas, alpha_history,
+                     model.objective_history, model.params)
     # one view's arrays against its map, and one class count across views
     for field, v, betas, thetas in [
         ("'beta'", 1, [model.betas[0], model.betas[1][:5]], model.thetas),
@@ -351,8 +352,14 @@ def test_model_validation():
         ("'beta'", 1, [model.betas[0], model.betas[1][:, :2]], model.thetas),
     ]:
         with pytest.raises(ShapeError, match=f"view {v}: field {field}"):
-            MvEdaModel(model.hidden_maps, betas, thetas, model.alpha_history,
-                       model.objective_history, model.params)
+            EdaModel(model.hidden_maps, betas, thetas, model.alpha_history,
+                     model.objective_history, model.params)
+    # the one-view accessors, and so predict_eda, refuse a two-view model
+    for name in ("hidden_map", "beta", "theta", "u", "standardizer"):
+        with pytest.raises(ShapeError, match="a 2-view model has one"):
+            getattr(model, name)
+    with pytest.raises(ShapeError, match="a 2-view model has one"):
+        predict_eda(model, bundles[0].target_test)
 
 
 def test_fitted_and_loaded_models_are_read_only(tmp_path):

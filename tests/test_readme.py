@@ -20,3 +20,16 @@ def test_the_library_example_runs(tmp_path, monkeypatch, capsys):
     accuracy = float(capsys.readouterr().out)
     assert 0.5 < accuracy <= 1.0
     assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_the_library_list_names_exactly_the_package_exports():
+    import edapt
+
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    count = re.search(r"exports exactly these (\d+) names", section)
+    assert count and int(count.group(1)) == len(edapt.__all__)
+    # the bullet list that follows that sentence, up to the first blank line
+    bullets = section.split("\n- ", 1)[1].split("\n\n", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", bullets))
+    assert names == set(edapt.__all__)

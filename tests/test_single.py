@@ -12,7 +12,6 @@ from edapt import (
     EdaModel,
     EdaParams,
     LaplacianGraph,
-    MvEdaModel,
     ParameterError,
     ShapeError,
     build_problem,
@@ -377,9 +376,8 @@ def test_each_fact_is_stored_once():
     assert [f.name for f in fields(LaplacianGraph)] == ["sparse_laplacian"]
     assert [f.name for f in fields(EdaProblem)] == [
         "h_source", "h_target", "t_source", "t_labeled", "prelabels", "graph"]
+    # one record for one or many views
     assert [f.name for f in fields(EdaModel)] == [
-        "hidden_map", "beta", "theta", "objective_history", "params", "standardizer"]
-    assert [f.name for f in fields(MvEdaModel)] == [
         "hidden_maps", "betas", "thetas", "alpha_history", "objective_history",
         "params", "standardizers"]
     bundle = blob_bundle(seed=5)
@@ -406,7 +404,7 @@ def test_predict_eda_and_detransform():
 def test_detransform_identity_theta_is_noop():
     hm = new_hidden_map(5, 2, seed=0)
     beta = np.random.default_rng(0).standard_normal((5, 3))
-    model = EdaModel(hm, beta, np.eye(3), [1.0], EdaParams(n_hidden=5))
+    model = EdaModel([hm], [beta], [np.eye(3)], [[1.0]], [1.0], EdaParams(n_hidden=5))
     from edapt import Dataset
     data = Dataset(np.random.default_rng(1).standard_normal((2, 4)))
     _, plain = predict_eda(model, data)
@@ -418,7 +416,7 @@ def test_detransform_near_singular_theta_warns_and_uses_the_pseudo_inverse():
     hm = new_hidden_map(5, 2, seed=0)
     beta = np.random.default_rng(0).standard_normal((5, 2))
     theta = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-    model = EdaModel(hm, beta, theta, [1.0], EdaParams(n_hidden=5))
+    model = EdaModel([hm], [beta], [theta], [[1.0]], [1.0], EdaParams(n_hidden=5))
     from edapt import Dataset
     data = Dataset(np.random.default_rng(1).standard_normal((2, 4)))
     _, plain = predict_eda(model, data)
@@ -454,7 +452,12 @@ def test_params_validation():
 
 def test_model_validation():
     hm = new_hidden_map(4, 2, seed=0)
-    with pytest.raises(ShapeError, match="'beta'"):
-        EdaModel(hm, np.ones((5, 3)), np.eye(3), [1.0], EdaParams())
-    with pytest.raises(ShapeError, match="'theta'"):
-        EdaModel(hm, np.ones((4, 3)), np.eye(2), [1.0], EdaParams())
+    # a one-view model's errors carry no view prefix
+    with pytest.raises(ShapeError, match="^field 'beta'"):
+        EdaModel([hm], [np.ones((5, 3))], [np.eye(3)], [[1.0]], [1.0], EdaParams())
+    with pytest.raises(ShapeError, match="^field 'theta'"):
+        EdaModel([hm], [np.ones((4, 3))], [np.eye(2)], [[1.0]], [1.0], EdaParams())
+    # and a one-view fit weighs its view by 1 in every round
+    with pytest.raises(ShapeError, match="alpha_history must be all ones"):
+        EdaModel([hm], [np.ones((4, 3))], [np.eye(3)], [[1.0], [0.5]], [2.0, 1.0],
+                 EdaParams())
