@@ -29,6 +29,9 @@ pre-classifier and ``sselm`` map their own rows, so some rows are
 mapped more than once.  No pre-classifier scores or baseline rows are
 made unless a method uses them.
 
+Each seed runs inside ``linalg._blas_threads_for`` at the order of its
+largest factored matrix, so below the crossover it runs on one BLAS
+thread and its reports do not depend on the inherited thread count.
 Reports are plain text and CSV with deterministic content and file
 names derived from a hash of the configuration, so rerunning a config
 reproduces every report byte for byte.  The exception is the timing
@@ -69,6 +72,7 @@ from .features import (
     standardize_bundle,
 )
 from .graph import build_knn_graph
+from .linalg import _blas_threads_for
 from .metrics import accuracy, mean_average_precision
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
 from .single import EdaParams, EdaProblem, _alternate, build_problem
@@ -674,29 +678,34 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     for seed in config.seeds:
         ctx = _context(config, seed, base)
         split_hashes.append((seed, ctx.token))
-        for method in config.methods:
-            # fair comparison: every method must consume the same split
-            # and hidden map this seed produced
-            token = split_map_hash(ctx.bundle, ctx.hidden_map)
-            if token != ctx.token:
-                raise AssertionError(
-                    f"fair-comparison violation for {method!r} at seed {seed}"
-                )
-            results, default, elapsed, n_fits = _run_method(method, ctx)
-            for res in results:
-                per_seed.append((method, seed, res.point, res.value))
-                if res.history is not None:
-                    run_id = _run_id(method, seed, res.point)
-                    for it, obj in enumerate(res.history, start=1):
-                        convergence.append((run_id, it, float(obj)))
-                if res.alphas is not None:
-                    run_id = _run_id(method, seed, res.point)
-                    for it, row in enumerate(res.alphas, start=1):
-                        for v, w in enumerate(row):
-                            view_weights.append((run_id, it, v, float(w)))
-            defaults[method].append(default.value)
-            default_points[method] = default.point
-            timing.append((method, seed, n_fits, elapsed))
+        # the seed's largest factored matrix: an L x L normal matrix or
+        # the kernel pre-classifier's training block
+        order = max(config.params.n_hidden,
+                    ctx.bundle.source.n + ctx.bundle.target_labeled.n)
+        with _blas_threads_for(order):
+            for method in config.methods:
+                # fair comparison: every method must consume the same split
+                # and hidden map this seed produced
+                token = split_map_hash(ctx.bundle, ctx.hidden_map)
+                if token != ctx.token:
+                    raise AssertionError(
+                        f"fair-comparison violation for {method!r} at seed {seed}"
+                    )
+                results, default, elapsed, n_fits = _run_method(method, ctx)
+                for res in results:
+                    per_seed.append((method, seed, res.point, res.value))
+                    if res.history is not None:
+                        run_id = _run_id(method, seed, res.point)
+                        for it, obj in enumerate(res.history, start=1):
+                            convergence.append((run_id, it, float(obj)))
+                    if res.alphas is not None:
+                        run_id = _run_id(method, seed, res.point)
+                        for it, row in enumerate(res.alphas, start=1):
+                            for v, w in enumerate(row):
+                                view_weights.append((run_id, it, v, float(w)))
+                defaults[method].append(default.value)
+                default_points[method] = default.point
+                timing.append((method, seed, n_fits, elapsed))
 
     summaries = []
     for method in config.methods:

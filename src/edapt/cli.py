@@ -157,8 +157,6 @@ def _cmd_fit(args) -> int:
     # the views depend on the manifest kind; the pipeline below runs
     # once over the view list for either kind
     if multiview:
-        if args.detransform:
-            raise ParameterError("--detransform applies to single-view fits")
         bundles = load_multiview_bundles(args.manifest)
         if args.views is not None:
             if not 1 <= args.views <= len(bundles):
@@ -170,6 +168,8 @@ def _cmd_fit(args) -> int:
         if args.views not in (None, 1):
             raise ParameterError("--views only applies to multi-view manifests")
         bundles = [load_bundle(args.manifest)]
+    if args.detransform and len(bundles) > 1:
+        raise ParameterError("--detransform applies to single-view fits")
 
     rows = bundles[0].target_labeled.n + bundles[0].n_unlabeled
     if params.n_neighbors >= rows:

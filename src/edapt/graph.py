@@ -21,17 +21,22 @@ solvers add to their normal equations, comes from
 :func:`laplacian_gram` alone.  The row blocks of squared distances that
 the build walks through also give the kernel pre-classifier
 (:mod:`edapt.preclassify`) its distance matrices, one block each.
+``scipy.sparse`` is imported by :func:`build_knn_graph`, the one
+function that makes a sparse array, not with this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .data import Dataset, _lock
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["LaplacianGraph", "build_knn_graph", "laplacian_gram", "quadratic_energy"]
 
@@ -177,6 +182,8 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
         raise ParameterError(
             f"n_neighbors={n_neighbors} needs at least {n_neighbors + 1} samples, got {n}"
         )
+    from scipy import sparse
+
     rows, cols, d2 = _nominations(data.features, n_neighbors)
     # symmetric OR: each nomination and its transpose, deduplicated; an
     # entry's first occurrence is its own row's nomination when there is

@@ -15,6 +15,10 @@ factors; the one explicit inverse in the package is the sample-space
 solve's target weight block ``W_t^-1``, a term of the matrix
 ``S = W^-1 + Z D^-1 Z'`` that the Woodbury form factors.
 
+This is the one module that binds ``scipy.linalg``: :func:`cho_factor`
+and :func:`cho_solve` pass through to scipy's and import it on their
+first call, so a process that solves nothing never imports scipy.
+
 BLAS threads.  A solve whose factored matrix has order below
 ``_PIN_BELOW`` runs single-threaded: in the solves of a fit, waking a
 second OpenBLAS thread costs more than it saves at every order measured
@@ -23,7 +27,8 @@ OpenBLAS library numpy and scipy have loaded through its own
 set-num-threads symbol (``ctypes``), and restores the inherited count
 on exit.  Larger solves, and every product outside a solve, keep the
 inherited count.  The libraries are found in ``/proc/self/maps`` and
-their symbols looked up on the first pinned solve; if none is found,
+their symbols looked up on the first pinned solve, after importing
+``scipy.linalg`` so that scipy's OpenBLAS is mapped; if none is found,
 solves keep the inherited count and a ``UserWarning`` says so once per
 process.  The setting is process-global, so solves
 running in several Python threads at once may see each other's count;
@@ -38,7 +43,6 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericError
 
@@ -56,6 +60,18 @@ _SYMBOLS = tuple(
 _controls: list | None = None  # [(get, set)] once looked up
 
 
+def cho_factor(*args, **kwargs):
+    """``scipy.linalg.cho_factor``; scipy is imported on the first call."""
+    from scipy import linalg
+    return linalg.cho_factor(*args, **kwargs)
+
+
+def cho_solve(*args, **kwargs):
+    """``scipy.linalg.cho_solve``; scipy is imported on the first call."""
+    from scipy import linalg
+    return linalg.cho_solve(*args, **kwargs)
+
+
 def _loaded_libraries() -> list[str]:
     """Paths of the files mapped into this process (``/proc/self/maps``),
     each once; none where there is no such file."""
@@ -69,6 +85,10 @@ def _loaded_libraries() -> list[str]:
 
 def _find_controls() -> list:
     """The (get, set) thread-count functions of each loaded OpenBLAS."""
+    # a pin can run before any solve has imported scipy; without this
+    # its OpenBLAS is not mapped yet and keeps the inherited count
+    import scipy.linalg  # noqa: F401
+
     controls = []
     for path in _loaded_libraries():
         if "openblas" not in os.path.basename(path).lower():

@@ -56,14 +56,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset, DomainBundle, _lock, decode_labels, encode_labels
 from .errors import ParameterError, ShapeError
 from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
                        new_hidden_map)
 from .graph import LaplacianGraph, build_knn_graph, laplacian_gram, quadratic_energy
-from .linalg import _blas_threads_for, solve_spd
+from .linalg import _blas_threads_for, cho_factor, cho_solve, solve_spd
 
 __all__ = [
     "EdaModel",

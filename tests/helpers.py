@@ -1,5 +1,8 @@
 """Small deterministic problem builders shared across the test modules."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +15,7 @@ from edapt.single import REL_STOP, TRACE_FLOOR, mv_objective
 
 __all__ = ["beta_blocks_reference", "beta_gradient_reference", "blob_bundle",
            "dense_knn_reference", "fit_reference", "hidden_layer_reference",
-           "peak_bytes", "preclassify_kernel_reference", "small_params",
+           "peak_bytes", "preclassify_kernel_reference", "run_python", "small_params",
            "small_problem", "random_prelabels", "solve_spd_reference",
            "sselm_system_reference"]
 
@@ -283,3 +286,13 @@ def peak_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def run_python(args, **env) -> str:
+    """Stdout of ``python *args`` in a child process that imports this
+    checkout's ``edapt``, with ``env`` added to the environment."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout

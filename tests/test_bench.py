@@ -49,6 +49,8 @@ from edapt.graph import laplacian_gram
 from edapt.preclassify import average_prelabels, preclassify_kernel
 from edapt.single import _alternate
 
+from helpers import run_python
+
 
 def _fast(**over):
     over.setdefault("seeds", (0, 1))
@@ -268,6 +270,22 @@ def test_benchmark_is_deterministic():
     assert a.summaries == b.summaries
     assert a.per_seed == b.per_seed
     assert a.split_hashes == b.split_hashes
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the stock nine-method, two-seed bench: each seed runs on one BLAS
+    # thread, so two threads leave every deterministic report unchanged
+    cfg = tmp_path / "nine.cfg"
+    cfg.write_text(f"methods = {','.join(METHOD_LABELS)}\nseeds = 0,1\n")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_python(["-m", "edapt", "bench", "--config", str(cfg), "--out-dir", str(out)],
+                   OPENBLAS_NUM_THREADS=threads)
+        reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                        if not f.name.startswith("timing_")})
+    assert any(name.startswith("convergence_") for name in reports[0])
+    assert reports[0] == reports[1]
 
 
 def test_adaptation_runs_record_convergence_and_defaults():

@@ -156,32 +156,38 @@ def test_views_flag_limits_a_multiview_manifest(tmp_path, cfg_path, capsys):
 def test_first_view_of_a_multiview_manifest_fits_as_the_single_view_manifest(
         tmp_path, cfg_path, capsys):
     # view 0 of a multi-view manifest is the single-view bundle of the same
-    # seed, and its map is drawn from the same seed
+    # seed, and its map is drawn from the same seed; --views 1 leaves one
+    # view, so --detransform applies as it does to the single-view manifest
     _, (one, _) = _synth(tmp_path / "one", cfg_path, capsys)
     _, (two, _) = _synth(tmp_path / "two", cfg_path, capsys, "--views", "2")
-    outputs = []
-    for manifest, extra in ((one, []), (two, ["--views", "1"])):
-        run = tmp_path / f"run{len(outputs)}"
-        assert main(["fit", manifest, "--config", cfg_path, "--seed", "3",
-                     "--out-dir", str(run), *extra]) == 0
-        # the printed lines other than the paths: no view weights for a
-        # one-view fit, and the same objective
-        printed = [ln for ln in capsys.readouterr().out.splitlines()
-                   if not ln.startswith(str(run))]
-        outputs.append((printed, (run / "unlabeled_scores.csv").read_bytes(),
-                        (run / "model.json").read_bytes()))
-    assert len(outputs[0][0]) == 1 and outputs[0][0][0].startswith("objective: ")
-    assert outputs[0] == outputs[1]
+    scores = []
+    for extra in ([], ["--detransform"]):
+        outputs = []
+        for manifest, views in ((one, []), (two, ["--views", "1"])):
+            run = tmp_path / f"run{len(os.listdir(tmp_path))}"
+            assert main(["fit", manifest, "--config", cfg_path, "--seed", "3",
+                         "--out-dir", str(run), *views, *extra]) == 0
+            # the printed lines other than the paths: no view weights for
+            # a one-view fit, and the same objective
+            printed = [ln for ln in capsys.readouterr().out.splitlines()
+                       if not ln.startswith(str(run))]
+            outputs.append((printed, *((run / name).read_bytes() for name in (
+                "unlabeled_labels.csv", "unlabeled_scores.csv", "model.json"))))
+        assert len(outputs[0][0]) == 1 and outputs[0][0][0].startswith("objective: ")
+        assert outputs[0] == outputs[1]
+        scores.append(outputs[0][2])
+    assert scores[0] != scores[1]  # the drift was undone
 
 
 def test_fit_rejects_detransform_on_a_multiview_manifest(tmp_path, cfg_path, capsys):
     _, (manifest, _) = _synth(tmp_path, cfg_path, capsys, "--views", "2")
     run = tmp_path / "run"
-    rc = main(["fit", manifest, "--config", cfg_path, "--detransform",
-               "--out-dir", str(run)])
-    assert rc == 2
-    assert "--detransform applies to single-view fits" in capsys.readouterr().err
-    assert not run.exists()
+    for extra in ([], ["--views", "2"]):
+        rc = main(["fit", manifest, "--config", cfg_path, "--detransform",
+                   "--out-dir", str(run), *extra])
+        assert rc == 2
+        assert "--detransform applies to single-view fits" in capsys.readouterr().err
+        assert not run.exists()
 
 
 def _scores(path) -> np.ndarray:
