@@ -6,12 +6,14 @@ The classifiers in this package never train their hidden layer.  A
 is then immutable; learning happens entirely in the output weights.
 
 :func:`map_features` is one blocked kernel.  The activations are laid out
-hidden-unit-major (an F-ordered ``n x L`` matrix) and the bias add and
-the activation run in place, one block of about ``_BLOCK`` entries (a
-few rows) at a time, while the block is still in cache.  Given output
-weights it returns the scores ``act(W x + b) @ weights`` block by block
-from one reused buffer and never forms the ``n x L`` matrix, so scoring
-needs O(block * L + n * c) memory rather than O(n * L).
+hidden-unit-major (an F-ordered ``n x L`` matrix, the transpose of the
+C-ordered product ``W X``) and the bias add and the activation run in
+place, one block of about ``_BLOCK`` entries at a time, while the block
+is still in cache; a block is a few whole hidden units, one contiguous
+slab of ``W X``.  Given output weights it returns the scores
+``act(W x + b) @ weights`` in blocks of a few rows from one reused
+buffer and never forms the ``n x L`` matrix, so scoring needs
+O(block * L + n * c) memory rather than O(n * L).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ _BLOCK = 1 << 17
 # The activations overwrite their argument and return it.  They flip the
 # sign with multiply(z, -1.0), which is exact: numpy 2.4.6's in-place
 # negative(z, out=z) on AVX-512 reads the wrong elements when z is a view
-# with a stride of 8 elements (a one-row block of 8 samples), writing
-# -s[0], -s[1], ... where -s[0], -s[8], ... belong.
+# with a stride of 8 elements (the scores' one-row last block in a buffer
+# 8 rows wide), writing -s[0], -s[1], ... where -s[0], -s[8], ... belong.
 def _radbas(z: np.ndarray) -> np.ndarray:
     np.square(z, out=z)
     np.multiply(z, -1.0, out=z)
@@ -148,7 +150,9 @@ def map_features(hidden_map: HiddenMap, data: Dataset,
     With ``weights`` (``n_hidden x c``), returns the ``n x c`` scores
     ``act(W @ x_i + b) @ weights``, computed in row blocks of about
     ``_BLOCK`` activations without forming the activation matrix.  The
-    matrix equals the unblocked ``act((W @ X).T + b)`` bit for bit; the
+    matrix is one product ``W @ X`` finished in place in blocks of whole
+    hidden units, and equals the unblocked ``act((W @ X).T + b)`` bit
+    for bit; the
     scores equal its product with ``weights`` bit for bit when the
     dataset fits in one block and up to rounding otherwise.  Feature
     dimension must match the map.
@@ -160,20 +164,22 @@ def map_features(hidden_map: HiddenMap, data: Dataset,
     w, b, x = hidden_map.weights, hidden_map.biases[:, None], data.features
     act = _ACT_FNS[hidden_map.activation]
     n_hidden, n = w.shape[0], data.n
-    rows = max(1, _BLOCK // n_hidden)
     if weights is None:
         # one product over all rows: a product per row block may round
-        # differently in the last bits, and the matrix must not
+        # differently in the last bits, and the matrix must not; the
+        # blocks are whole hidden-unit rows of it, each one contiguous slab
         zt = w @ x
-        for i in range(0, n, rows):
-            z = zt[:, i:i + rows]
-            z += b
+        units = max(1, _BLOCK // n)
+        for i in range(0, n_hidden, units):
+            z = zt[i:i + units]
+            z += b[i:i + units]
             act(z)
         return zt.T
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[0] != n_hidden:
         raise ShapeError(f"weights must have shape ({n_hidden}, c) for a map of "
                          f"shape {w.shape}, got {weights.shape}")
+    rows = max(1, _BLOCK // n_hidden)
     scores = np.empty((n, weights.shape[1]))
     buf = np.empty((n_hidden, min(rows, n)))
     for i in range(0, n, rows):

@@ -18,7 +18,8 @@ The dense ``adjacency`` and ``laplacian`` views cost O(n**2) time and
 memory on each access; they exist for inspection and tests.  The
 smoothness Gram ``H' L H`` of n x L activations ``H``, which the primal
 solvers add to their normal equations, comes from
-:func:`laplacian_gram` alone.  The row blocks of squared distances that
+:func:`laplacian_gram` alone, which computes its lower triangle and
+mirrors it.  The row blocks of squared distances that
 the build walks through also give the kernel pre-classifier
 (:mod:`edapt.preclassify`) its distance matrices, one block each.
 ``scipy.sparse`` is imported by :func:`build_knn_graph`, the one
@@ -48,9 +49,8 @@ _BLOCK_ENTRIES = 1 << 20
 
 # columns per panel of H'LH are chosen so that one n x w panel of L H
 # holds about this many doubles (2 MiB); panels start on multiples of 8
-# columns, which kept the panelled H'LH bitwise equal to the full
-# product on every measured shape with L a multiple of 8 (see
-# laplacian_gram)
+# columns, and the panelled lower triangle stayed bitwise equal to the
+# full product's on every measured shape (see laplacian_gram)
 _PANEL_ENTRIES = 1 << 18
 
 
@@ -222,24 +222,33 @@ def _panel_width(n: int) -> int:
 
 def laplacian_gram(graph: LaplacianGraph, h: np.ndarray) -> np.ndarray:
     """The smoothness Gram ``H' L H`` of activations ``h`` (n x L, one row
-    per graph node), as a new L x L array.
+    per graph node), as a new, exactly symmetric L x L array.
 
-    Built by column panels, ``h.T @ (L @ h[:, j:j + w])``, so no n x L
-    product is formed: beyond the result it holds one n x w panel of
-    ``L H``, scipy's contiguous copy of its operand and the L x w
-    product, with ``w`` a multiple of 8 chosen so that a panel holds
-    about ``_PANEL_ENTRIES`` doubles (at least 8 columns).  Each column
-    of ``L H`` is the sparse product's own whatever the panel, but BLAS
-    may round the narrow product differently from the full one.  With
-    OpenBLAS 0.3.31, the result equalled the unpanelled
-    ``h.T @ (L @ h)`` bit for bit on every measured shape whose L is a
-    multiple of 8 or fits one panel (the stock configs and the
-    benchmark's fits among them), and came within 1.1e-15 of its
-    largest entry on the others.
+    Only the lower triangle is computed, by column panels
+    ``h[:, j:].T @ (L @ h[:, j:j + w])``; each panel is mirrored into the
+    upper triangle (inside its diagonal block too) as soon as it is
+    done.  That takes about half the flops of the full product, and no
+    n x L product is formed: beyond the result it holds one n x w panel
+    of ``L H``, scipy's contiguous copy of its operand and the
+    (L - j) x w product, with ``w`` a multiple of 8 chosen so that a
+    panel holds about ``_PANEL_ENTRIES`` doubles (at least 8 columns).
+    Each column of ``L H`` is the sparse product's own whatever the
+    panel, but BLAS may round a narrower product differently from the
+    full one.  With OpenBLAS 0.3.31 the lower triangle equalled that of
+    the unpanelled ``h.T @ (L @ h)`` bit for bit on every measured shape
+    (n 209 to 3009, L 104 to 2000, L ragged or a multiple of 8, on one
+    and two threads; the stock configs and the benchmark's fits among
+    them).  A Cholesky factor of the lower triangle reads nothing else,
+    so only a product with the whole matrix sees the mirrored half.
     """
     n, width = h.shape
-    w = _panel_width(n)
+    w = min(_panel_width(n), width)
+    upper = np.arange(w)[:, None] < np.arange(w)  # strict upper triangle
     out = np.empty((width, width))
     for j in range(0, width, w):
-        out[:, j:j + w] = h.T @ (graph.sparse_laplacian @ h[:, j:j + w])
+        k = j + w
+        out[j:, j:k] = h[:, j:].T @ (graph.sparse_laplacian @ h[:, j:k])
+        out[j:k, k:] = out[k:, j:k].T
+        diag = out[j:k, j:k]
+        np.copyto(diag, diag.T, where=upper[:len(diag), :len(diag)])
     return out

@@ -31,8 +31,11 @@ their symbols looked up on the first pinned solve, after importing
 ``scipy.linalg`` so that scipy's OpenBLAS is mapped; if none is found,
 solves keep the inherited count and a ``UserWarning`` says so once per
 process.  The setting is process-global, so solves
-running in several Python threads at once may see each other's count;
-that changes speed, never results.
+running in several Python threads at once may see each other's count,
+and that can change results, not only speed: the refinement residual
+(``single.beta_gradient``) rounds differently on one and on two
+OpenBLAS threads.  What the thread count does not change is a bench
+report, whose seeds each run inside one pin.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ Memory.  :func:`build_problem` builds the target graph before it maps
 the activations, so the graph's distance blocks never sit on top of
 them.  The primal system is assembled in place: ``_beta_blocks`` sums
 the loss Grams into one L x L array and takes ``H'LH`` from
-:func:`~edapt.graph.laplacian_gram`, which never forms an n x L
-product, so it holds at most three L x L arrays beyond the activations.
+:func:`~edapt.graph.laplacian_gram`, which computes its lower triangle
+one panel at a time and never forms an n x L product, so it holds at
+most three L x L arrays beyond the activations.
 A caller that fits one view at many loss weights can instead hand
 every fit the same dict; the first primal fit stores the view's
 weight-free terms there (``_CONSTANT_GRAMS``: ``Hs'Hs``, ``Hu'Hu``,

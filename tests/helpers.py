@@ -15,9 +15,9 @@ from edapt.single import REL_STOP, TRACE_FLOOR, mv_objective
 
 __all__ = ["beta_blocks_reference", "beta_gradient_reference", "blob_bundle",
            "dense_knn_reference", "fit_reference", "hidden_layer_reference",
-           "peak_bytes", "preclassify_kernel_reference", "run_python", "small_params",
-           "small_problem", "random_prelabels", "solve_spd_reference",
-           "sselm_system_reference"]
+           "lower_mirrored", "peak_bytes", "preclassify_kernel_reference",
+           "run_python", "small_params", "small_problem", "random_prelabels",
+           "solve_spd_reference", "sselm_system_reference"]
 
 
 def blob_bundle(seed=0, d=2, c=3, per_source=4, per_labeled=2, per_unlabeled=3,
@@ -170,15 +170,27 @@ def solve_spd_reference(a, b, jitter=0.0, residual_fn=None, correction_fn=None):
     return x
 
 
+def lower_mirrored(a):
+    """A copy of the square ``a`` with its strict upper triangle replaced
+    by the transpose of its strict lower one: the exactly symmetric
+    ``H'LH`` that ``graph.laplacian_gram`` returns is the full product
+    with its lower triangle mirrored this way."""
+    out = a.copy()
+    upper = np.triu_indices(a.shape[0], 1)
+    out[upper] = a.T[upper]
+    return out
+
+
 def beta_blocks_reference(prob, params):
     """The beta normal equations' constant blocks ``(g_loss, g_smooth,
     rhs_loss)`` with a full-size temporary per term, the smoothness Gram
-    through the n x L product ``L H``: the formula ``single._beta_blocks``
-    used before it assembled in place, kept as its reference."""
+    through the n x L product ``L H``, its lower triangle mirrored: the
+    formula ``single._beta_blocks`` used before it assembled in place,
+    kept as its reference."""
     g_loss = params.c_source * (prob.h_source.T @ prob.h_source)
     g_loss += params.c_target * (prob.h_labeled.T @ prob.h_labeled)
     g_loss += params.fidelity_weight * (prob.h_unlabeled.T @ prob.h_unlabeled)
-    g_smooth = params.manifold_weight * (
+    g_smooth = params.manifold_weight * lower_mirrored(
         prob.h_target.T @ (prob.graph.sparse_laplacian @ prob.h_target)
     )
     rhs_loss = params.c_source * (prob.h_source.T @ prob.t_source)
@@ -188,11 +200,12 @@ def beta_blocks_reference(prob, params):
 
 def sselm_system_reference(h_all, t_labeled, ridge, manifold_weight, graph):
     """The system ``(a, rhs)`` that ``fit_sselm`` solves, built as it was
-    before it assembled in place, kept as its reference."""
+    before it assembled in place (``H'LH`` the full product's lower
+    triangle, mirrored), kept as its reference."""
     n_labeled = t_labeled.shape[0]
     h_lab = h_all[:n_labeled]
     a = np.eye(h_all.shape[1]) + ridge * (h_lab.T @ h_lab)
-    a += manifold_weight * (h_all.T @ (graph.sparse_laplacian @ h_all))
+    a += manifold_weight * lower_mirrored(h_all.T @ (graph.sparse_laplacian @ h_all))
     return a, ridge * (h_lab.T @ t_labeled)
 
 

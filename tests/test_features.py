@@ -36,7 +36,7 @@ from edapt.features import (
     map_features,
 )
 
-from helpers import blob_bundle, hidden_layer_reference
+from helpers import blob_bundle, hidden_layer_reference, peak_bytes
 
 
 def test_radbas_hand_case():
@@ -235,13 +235,22 @@ def test_sigmoid_matches_expit_without_warnings():
 def test_blocked_kernel_matches_the_unblocked_reference(data):
     activation = data.draw(st.sampled_from(ACTIVATIONS))
     d = data.draw(st.integers(1, 12))
-    # wide maps hold one row per block
-    n_hidden = data.draw(st.one_of(st.integers(1, 400), st.just(_BLOCK + 1)))
+
+    def around(block):
+        # below, at and just above one block, and a few blocks, one ragged
+        return st.sampled_from([max(1, block - 1), block, block + 1,
+                                2 * block, 2 * block + 1, 3 * block + 2])
+
+    if data.draw(st.booleans()):
+        # the scores block rows, _BLOCK // L of them; wide maps hold one
+        n_hidden = data.draw(st.one_of(st.integers(1, 400), st.just(_BLOCK + 1)))
+        n = data.draw(st.one_of(st.integers(1, 40), around(max(1, _BLOCK // n_hidden))))
+    else:
+        # the matrix blocks hidden units, _BLOCK // n of them; n > _BLOCK
+        # rows hold one
+        n = data.draw(st.sampled_from([3, 40, 609, 3009, _BLOCK + 1]))
+        n_hidden = data.draw(st.one_of(st.integers(1, 40), around(max(1, _BLOCK // n))))
     rows = max(1, _BLOCK // n_hidden)
-    # below, at and just above one block, and a few blocks with a ragged end
-    n = data.draw(st.one_of(st.integers(1, 40),
-                            st.sampled_from([max(1, rows - 1), rows, rows + 1,
-                                             2 * rows + 1, 3 * rows + 2])))
     c = data.draw(st.integers(1, 4))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -270,7 +279,9 @@ def test_one_row_blocks_at_a_stride_of_eight(activation, monkeypatch):
     # where numpy 2.4.6's in-place negative reads the wrong elements
     hm = new_hidden_map(20, 2, activation, seed=4)
     rng = np.random.default_rng(4)
-    monkeypatch.setattr("edapt.features._BLOCK", 10)  # matrix form: 1 row per block
+    # matrix form: one hidden unit per block, a contiguous row of 8 samples
+    # (it makes no strided view, so it checks only the blocking)
+    monkeypatch.setattr("edapt.features._BLOCK", 10)
     x = rng.standard_normal((2, 8))
     assert np.array_equal(map_features(hm, Dataset(x)),
                           hidden_layer_reference(hm, x))
@@ -280,6 +291,15 @@ def test_one_row_blocks_at_a_stride_of_eight(activation, monkeypatch):
     want = hidden_layer_reference(hm, x) @ weights
     got = map_features(hm, Dataset(x), weights)
     assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + 1.0))
+
+
+def test_the_matrix_form_allocates_only_its_result():
+    # 3009 rows at L = 1000, the tall fit's shape: the n x L result is 24 MB
+    n, n_hidden = 3009, 1000
+    data = Dataset(np.random.default_rng(1).standard_normal((2, n)))
+    for activation in ACTIVATIONS:
+        hm = new_hidden_map(n_hidden, 2, activation, seed=1)
+        assert peak_bytes(map_features, hm, data) <= 8 * n * n_hidden + (64 << 10)
 
 
 def test_projection_weights_of_the_wrong_shape():

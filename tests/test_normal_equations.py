@@ -115,6 +115,7 @@ def test_panelled_assembly_stays_within_the_pinned_tolerance(case):
         beta, (a, _) = _sselm_system(prob.h_target, prob.t_labeled, 3.0,
                                      params.manifold_weight, prob.graph)
     g_loss_ref, g_smooth_ref, rhs_ref = beta_blocks_reference(prob, params)
+    assert np.array_equal(g_smooth, g_smooth.T)
     # only the smoothness Gram goes through panels
     assert np.array_equal(g_loss, g_loss_ref) and np.array_equal(rhs, rhs_ref)
     assert np.abs(g_smooth - g_smooth_ref).max() <= (
@@ -123,6 +124,22 @@ def test_panelled_assembly_stays_within_the_pinned_tolerance(case):
                                       params.manifold_weight, prob.graph)
     assert np.abs(a - a_ref).max() <= PANEL_RTOL * np.abs(a_ref).max()
     assert np.isfinite(beta).all()
+
+
+def test_laplacian_gram_is_symmetric_and_its_lower_triangle_is_the_full_product():
+    # one panel (L = 200, and a ragged 203 below the panel width), and L
+    # a multiple of 8 over many panels: 13 of width 80 at the tall fit's
+    # 3009 target rows
+    for n, width in ((209, 200), (309, 203), (1009, 1000), (3009, 1000)):
+        rng = np.random.default_rng(n)
+        x = Dataset(rng.standard_normal((2, n)))
+        h = map_features(new_hidden_map(width, 2, seed=n), x)
+        graph = build_knn_graph(x, 5)
+        got = graph_module.laplacian_gram(graph, h)
+        lower = np.tril_indices(width)
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(got[lower],
+                              (h.T @ (graph.sparse_laplacian @ h))[lower])
 
 
 def test_beta_blocks_form_no_n_by_l_product():
