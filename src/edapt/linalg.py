@@ -10,14 +10,18 @@ more passes leave the residual where the first one put it.  The factored
 matrix is either the system itself or, for the output-weight solve of a
 view with fewer samples than hidden units, the smaller sample-space
 matrix that a caller-supplied correction map goes through; both take
-the same refinement step.  :func:`solve_spd` never inverts the matrix it
-factors; the one explicit inverse in the package is the sample-space
-solve's target weight block ``W_t^-1``, a term of the matrix
-``S = W^-1 + Z D^-1 Z'`` that the Woodbury form factors.
+the same refinement step; such a caller may also supply the first
+iterate.  :func:`solve_spd` never inverts the matrix it factors; the one
+explicit inverse in the package is the sample-space solve's target
+weight block ``W_t^-1``, a term of the matrix ``S = W^-1 + Z D^-1 Z'``
+that the Woodbury form factors.  :func:`cho_inverse` computes it from
+the block's Cholesky factor (LAPACK ``potri``), not by solving against
+an identity.
 
-This is the one module that binds ``scipy.linalg``: :func:`cho_factor`
-and :func:`cho_solve` pass through to scipy's and import it on their
-first call, so a process that solves nothing never imports scipy.
+This is the one module that binds ``scipy.linalg``: :func:`cho_factor`,
+:func:`cho_solve` and :func:`cho_inverse` pass through to scipy and
+import it on their first call, so a process that solves nothing never
+imports scipy.
 
 BLAS threads.  A solve whose factored matrix has order below
 ``_PIN_BELOW`` runs single-threaded: in the solves of a fit, waking a
@@ -73,6 +77,24 @@ def cho_solve(*args, **kwargs):
     """``scipy.linalg.cho_solve``; scipy is imported on the first call."""
     from scipy import linalg
     return linalg.cho_solve(*args, **kwargs)
+
+
+def cho_inverse(factor) -> np.ndarray:
+    """The inverse of the matrix whose :func:`cho_factor` is ``factor``,
+    as a new, exactly symmetric array.
+
+    LAPACK ``potri`` computes the triangle the factor holds, which is
+    then mirrored into the other one; the factor is left as it was.
+    scipy is imported on the first call.
+    """
+    from scipy.linalg import lapack
+    c, lower = factor
+    inv, info = lapack.dpotri(c, lower=lower)
+    if info != 0:
+        raise NumericError(f"inverse from a Cholesky factor failed (potri info {info})")
+    strict_lower = np.tri(inv.shape[0], k=-1, dtype=bool)
+    np.copyto(inv, inv.T, where=strict_lower.T if lower else strict_lower)
+    return inv
 
 
 def _loaded_libraries() -> list[str]:
@@ -139,7 +161,7 @@ def _blas_threads_for(order: int):
 
 def solve_spd(
     a: np.ndarray, b: np.ndarray, jitter: float = 0.0, residual_fn=None,
-    correction_fn=None,
+    correction_fn=None, start_fn=None,
 ) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
 
@@ -164,6 +186,11 @@ def solve_spd(
         smaller matrix the caller's system is solved through (a Woodbury
         capacitance matrix); ``b`` and ``residual_fn`` then belong to
         the caller's system.
+    start_fn : callable, optional
+        ``(factor, b) -> x0``, the first iterate; defaults to the
+        correction map.  With it, ``b`` is whatever ``start_fn`` reads,
+        such as a right-hand side of the factored system itself, and
+        ``x0`` belongs to the caller's system.
 
     Returns
     -------
@@ -206,7 +233,7 @@ def solve_spd(
         # leave the system ill scaled enough that a bare solve can sit ~1e-7
         # off stationarity; one correction recovers it, further ones do not
         # shrink the residual
-        x = correction(factor, b)
+        x = (start_fn or correction)(factor, b)
         x = x + correction(factor, residual_fn(x))
     if not np.isfinite(x).all():
         raise NumericError("non-finite solution of linear system")

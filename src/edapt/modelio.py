@@ -10,6 +10,7 @@ the objective history and the parameters, and both load as one
 :class:`~edapt.single.EdaModel`; an ``eda`` file's view weights are all
 ones.  The reweighting ``u`` and the view weights ``alpha`` are
 derived, not written; :func:`load_model` ignores them in older files.
+The file is one line of JSON.
 """
 
 from __future__ import annotations
@@ -65,9 +66,11 @@ def save_model(model, path: str) -> str:
              "alpha_history": model.alpha_history.tolist()}
     d["objective_history"] = model.objective_history.tolist()
     d["params"] = asdict(model.params)
+    # one json.dumps call runs CPython's C encoder over the whole tree;
+    # json.dump, and any indent, run the pure-Python one
+    text = json.dumps(d)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(d, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -20,9 +20,10 @@ solves, and alternating them descends J monotonically.
 
 The beta solve is chosen by shape: the L x L normal equations over the
 hidden units, or, when a view stacks fewer rows n than hidden units L,
-an n x n sample-space system (Woodbury identity) that never forms an
-L x L matrix.  Both take the same single refinement pass in
-:func:`~edapt.linalg.solve_spd`, on the analytic gradient.
+an n x n sample-space system that never forms an L x L matrix: its
+first iterate comes from the push-through identity and its correction
+from the Woodbury identity.  Both take the same single refinement pass
+in :func:`~edapt.linalg.solve_spd`, on the analytic gradient.
 
 Memory.  :func:`build_problem` builds the target graph before it maps
 the activations, so the graph's distance blocks never sit on top of
@@ -40,8 +41,8 @@ more L x L arrays.
 A one-view fit adds the smoothness Gram into the loss Gram once; each
 solve then holds that block, the system and its Cholesky factor.  The
 sample-space solve forms no L x L array: it holds the n x n matrix
-``S`` and its factor, and, while it builds ``S``'s target block, the
-dense n_t x n_t target block, its factor, an identity and the inverse.
+``S`` and its factor, and the target block's Cholesky factor and
+inverse (n_t x n_t each; while they are built, the dense block too).
 
 The alternating loop here also runs the multi-view solver
 (:mod:`edapt.multiview`): it takes a list of per-view problems, scales
@@ -63,7 +64,7 @@ from .errors import ParameterError, ShapeError
 from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
                        new_hidden_map)
 from .graph import LaplacianGraph, build_knn_graph, laplacian_gram, quadratic_energy
-from .linalg import _blas_threads_for, cho_factor, cho_solve, solve_spd
+from .linalg import _blas_threads_for, cho_factor, cho_inverse, cho_solve, solve_spd
 
 __all__ = [
     "EdaModel",
@@ -268,10 +269,10 @@ def _loss_terms(beta, theta, prob: EdaProblem):
     return src, tgt, drift, fid, smooth
 
 
-def _objective(penalty: float, beta, theta, prob: EdaProblem, params: EdaParams,
-               loss_scale: float, smooth_scale: float) -> float:
-    """``penalty`` plus the weighted loss and smoothness terms."""
-    src, tgt, drift, fid, smooth = _loss_terms(beta, theta, prob)
+def _weighted(penalty: float, terms, params: EdaParams, loss_scale: float,
+              smooth_scale: float) -> float:
+    """``penalty`` plus the weighted :func:`_loss_terms` ``terms``."""
+    src, tgt, drift, fid, smooth = terms
     return (
         penalty
         + loss_scale * (
@@ -282,6 +283,13 @@ def _objective(penalty: float, beta, theta, prob: EdaProblem, params: EdaParams,
         )
         + smooth_scale * params.manifold_weight * smooth
     )
+
+
+def _objective(penalty: float, beta, theta, prob: EdaProblem, params: EdaParams,
+               loss_scale: float, smooth_scale: float) -> float:
+    """``penalty`` plus the weighted loss and smoothness terms."""
+    return _weighted(penalty, _loss_terms(beta, theta, prob), params, loss_scale,
+                     smooth_scale)
 
 
 def eda_objective(
@@ -400,10 +408,16 @@ def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
     """The beta solve through an n x n system, for n stacked rows < L.
 
     The normal matrix is ``A = D + Z' W Z`` with ``D = diag(u)``,
-    ``Z = [Hs; H]`` and ``W = blockdiag(s cs I, s diag(ct, tau) + s_r lam L)``.
-    By the Woodbury identity ``A^-1 r = D^-1 r - D^-1 Z' S^-1 Z D^-1 r``
-    with ``S = W^-1 + Z D^-1 Z'``; ``solve_spd`` factors ``S`` and takes
-    its one refinement pass through that map.
+    ``Z = [Hs; H]`` and ``W = blockdiag(s cs I, W_t)``, where
+    ``W_t = s diag(ct, tau) + s_r lam L``, and the right-hand side is
+    ``Z' W v`` with ``v = [Ts; W_t^-1 s [ct Tt theta; tau phi]]``.  With
+    ``S = W^-1 + Z D^-1 Z'``, ``solve_spd`` factors ``S``.  The first
+    iterate comes from the push-through identity
+    ``A^-1 Z' W = D^-1 Z' S^-1``: ``D^-1 Z' S^-1 v``, one pass over the
+    activations.  The refinement pass maps the gradient's residual ``r``
+    through the Woodbury identity,
+    ``A^-1 r = D^-1 r - D^-1 Z' S^-1 Z D^-1 r``.  ``W_t^-1`` in ``S``
+    comes from ``W_t``'s Cholesky factor (:func:`~edapt.linalg.cho_inverse`).
     """
     if loss_scale == 0.0:
         # a zero view weight leaves A = D and a zero right-hand side
@@ -412,7 +426,9 @@ def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
     ns, nl, nt = hs.shape[0], prob.h_labeled.shape[0], ht.shape[0]
     n = ns + nt
     d_inv = 1.0 / u
-    z = np.empty((n, prob.n_hidden))  # Z D^-1/2, one symmetric product
+    # Z D^-1/2, hidden-unit-major like the activations so that scaling
+    # them moves no data across; one symmetric product
+    z = np.empty((n, prob.n_hidden), order="F")
     np.multiply(hs, np.sqrt(d_inv), out=z[:ns])
     np.multiply(ht, np.sqrt(d_inv), out=z[ns:])
     s = z @ z.T
@@ -421,21 +437,31 @@ def _solve_beta_in_sample_space(u, theta, prob: EdaProblem, params: EdaParams,
     w_t = (smooth_scale * params.manifold_weight) * prob.graph.sparse_laplacian.toarray()
     w_t.flat[::nt + 1] += loss_scale * np.repeat(
         [params.c_target, params.fidelity_weight], [nl, nt - nl])
+    v = np.empty((n, prob.n_classes))
+    v[:ns] = prob.t_source
     with _blas_threads_for(nt):
-        # solve_spd's finiteness check on s covers this block
-        s[ns:, ns:] += cho_solve(cho_factor(w_t, lower=True, check_finite=False),
-                                 np.eye(nt), check_finite=False)
-    rhs = loss_scale * (hs.T @ (params.c_source * prob.t_source) + ht.T @ np.vstack(
-        [params.c_target * (prob.t_labeled @ theta),
-         params.fidelity_weight * prob.prelabels]))
+        # solve_spd's finiteness checks cover this block (on s) and theta
+        # and the prelabels (on v)
+        t_factor = cho_factor(w_t, lower=True, check_finite=False)
+        del w_t
+        s[ns:, ns:] += cho_inverse(t_factor)
+        v[ns:] = cho_solve(t_factor, loss_scale * np.vstack(
+            [params.c_target * (prob.t_labeled @ theta),
+             params.fidelity_weight * prob.prelabels]), check_finite=False)
+
+    def back(w):  # D^-1 Z' w
+        return d_inv[:, None] * (hs.T @ w[:ns] + ht.T @ w[ns:])
+
+    def start(factor, rhs):
+        return back(cho_solve(factor, rhs, check_finite=False))
 
     def correction(factor, r):
         y = d_inv[:, None] * r
-        w = cho_solve(factor, np.vstack([hs @ y, ht @ y]), check_finite=False)
-        return y - d_inv[:, None] * (hs.T @ w[:ns] + ht.T @ w[ns:])
+        return y - back(cho_solve(factor, np.vstack([hs @ y, ht @ y]),
+                                  check_finite=False))
 
-    return solve_spd(s, rhs, jitter=1e-10, residual_fn=residual,
-                     correction_fn=correction)
+    return solve_spd(s, v, jitter=1e-10, residual_fn=residual,
+                     correction_fn=correction, start_fn=start)
 
 
 def update_beta(
@@ -545,6 +571,16 @@ def mv_objective(
     return total
 
 
+def _joint_objective(betas, terms, alpha, params: EdaParams) -> float:
+    """:func:`mv_objective` from each view's :func:`_loss_terms`, with
+    the same operations in the same order, so the same bits."""
+    total = 0.0
+    for beta, view_terms, a in zip(betas, terms, alpha, strict=True):
+        total += _weighted(l21_norm(beta), view_terms, params, float(a),
+                           float(a) ** params.view_exponent)
+    return total
+
+
 def update_alpha(traces, view_exponent: float) -> np.ndarray:
     """Closed-form simplex weights from per-view smoothness values.
 
@@ -589,6 +625,10 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
     ``grams``, if given, holds one dict per view that
     :func:`_beta_blocks` keeps that view's weight-free Grams in across
     fits; a sample-space view's stays empty.
+    Each round evaluates each view's loss terms once: with several views
+    their smoothness is the view's :func:`view_trace` for the weight
+    step, and the recorded objective, :func:`mv_objective`, is summed
+    from them.
     Returns ``(betas, thetas, alpha_history, history)``.
     """
     n_views = len(problems)
@@ -616,12 +656,14 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
         ]
         thetas = [update_theta(b, prob, params) for b, prob in zip(betas, problems)]
         if n_views > 1:
-            alpha = update_alpha(
-                [view_trace(b, prob) for b, prob in zip(betas, problems)], r
-            )
+            terms = [_loss_terms(b, theta, prob)
+                     for b, theta, prob in zip(betas, thetas, problems)]
+            alpha = update_alpha([smooth for *_, smooth in terms], r)
+            value = _joint_objective(betas, terms, alpha, params)
+        else:
+            value = mv_objective(betas, thetas, alpha, problems, params)
         us = [update_u(b, params.reweight_eps) for b in betas]
         alphas.append(alpha.copy())
-        value = mv_objective(betas, thetas, alpha, problems, params)
         history.append(value)
         if len(history) > 1 and abs(history[-2] - value) <= REL_STOP * (
             1.0 + abs(history[-2])

@@ -142,7 +142,8 @@ def hidden_layer_reference(hidden_map, x):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def solve_spd_reference(a, b, jitter=0.0, residual_fn=None, correction_fn=None):
+def solve_spd_reference(a, b, jitter=0.0, residual_fn=None, correction_fn=None,
+                        start_fn=None):
     """``solve_spd`` with up to four refinement passes, stopping when the
     residual norm stops shrinking: the loop the library ran before it
     took a single pass, kept as its reference.  No thread pin and no
@@ -155,7 +156,7 @@ def solve_spd_reference(a, b, jitter=0.0, residual_fn=None, correction_fn=None):
     if residual_fn is None:
         residual_fn = lambda x: b - a @ x  # noqa: E731
     correction = correction_fn or cho_solve
-    x = correction(factor, b)
+    x = (start_fn or correction)(factor, b)
     res = residual_fn(x)
     rn = np.linalg.norm(res)
     for _ in range(4):

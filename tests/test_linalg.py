@@ -66,6 +66,32 @@ def test_non_finite_rejected():
         solve_spd(a, np.array([np.inf, 1.0]))
 
 
+def test_start_fn_gives_the_first_iterate():
+    a, b = _spd(5, seed=4)
+    starts = []
+
+    def start(factor, rhs):
+        starts.append(rhs)
+        return np.zeros_like(rhs)  # refinement alone must then reach x
+
+    x = solve_spd(a, b, start_fn=start)
+    assert len(starts) == 1 and starts[0] is b
+    assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("n", [1, 7, 309])
+def test_cho_inverse_is_exactly_symmetric_and_matches_the_identity_solve(n, lower):
+    a, _ = _spd(n, seed=n)
+    factor = linalg.cho_factor(a, lower=lower)
+    kept = factor[0].copy()
+    got = linalg.cho_inverse(factor)
+    assert np.array_equal(got, got.T)
+    want = linalg.cho_solve(factor, np.eye(n))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(factor[0], kept)  # the factor is left as it was
+
+
 def test_non_finite_residual_raises_numeric_error():
     with pytest.raises(NumericError, match="non-finite solution"):
         solve_spd(2.0 * np.eye(3), np.ones(3),

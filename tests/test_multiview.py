@@ -28,6 +28,7 @@ from edapt import (
     update_theta,
     update_theta_view,
 )
+from edapt import single
 from edapt.features import fit_standardizer
 from edapt.multiview import mv_objective, update_alpha, view_trace
 from edapt.single import beta_gradient
@@ -253,6 +254,26 @@ def test_recorded_tail_matches_recomputed_objective():
              for b, p, m in zip(bundles, pres, maps)]
     value = mv_objective(model.betas, model.thetas, model.alpha, probs, params)
     assert value == model.objective_history[-1]
+
+
+def test_each_round_evaluates_each_views_smoothness_once(monkeypatch):
+    calls = []
+    original = single.quadratic_energy
+
+    def counting(graph, f):
+        calls.append(1)
+        return original(graph, f)
+
+    bundles, maps, pres = _two_view_setup(seed=8)
+    params = small_params(max_iter=3)
+    want = fit_mveda(bundles, pres, params, maps)
+    monkeypatch.setattr(single, "quadratic_energy", counting)
+    model = fit_mveda(bundles, pres, params, maps)
+    assert len(model.objective_history) == 3
+    # one per view per round, shared by the weight step and the objective
+    assert len(calls) == 6
+    assert np.array_equal(model.objective_history, want.objective_history)
+    assert np.array_equal(model.alpha_history, want.alpha_history)
 
 
 def test_shared_prelabels_broadcast():

@@ -7,11 +7,13 @@ run on the assembled L x L blocks.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from edapt import (
+    NumericError,
     augment_noise_view,
     build_problem,
     fit_eda,
@@ -19,7 +21,7 @@ from edapt import (
     new_hidden_map,
     update_beta,
 )
-from edapt import single
+from edapt import linalg, single
 from edapt.single import beta_gradient
 
 from helpers import blob_bundle, random_prelabels, small_params
@@ -64,6 +66,36 @@ def test_update_beta_matches_the_primal_solve(seed, n_hidden, weights, scale, sm
     else:
         primal = beta_gradient(want, u, theta, prob, params, scale, smooth)
         assert grad <= 4.0 * np.max(np.abs(primal))
+
+
+@pytest.mark.parametrize("scale, smooth", SCALES)
+@pytest.mark.parametrize("seed", range(4))
+def test_push_through_first_iterate_is_the_woodbury_image_of_the_primal_rhs(
+        seed, scale, smooth, monkeypatch):
+    prob, params, u, theta = _instance(seed, 40, "criterion3")
+    p = params
+    rhs = scale * (p.c_source * prob.h_source.T @ prob.t_source
+                   + p.c_target * prob.h_labeled.T @ (prob.t_labeled @ theta)
+                   + p.fidelity_weight * prob.h_unlabeled.T @ prob.prelabels)
+    seen = []
+
+    def capture(a, b, jitter, residual_fn, correction_fn, start_fn):
+        factor = linalg.cho_factor(a, lower=True)
+        seen.append((start_fn(factor, b), correction_fn(factor, rhs)))
+        return linalg.solve_spd(a, b, jitter, residual_fn, correction_fn, start_fn)
+
+    monkeypatch.setattr(single, "solve_spd", capture)
+    update_beta(u, theta, prob, params, scale, smooth)
+    [(first, woodbury)] = seen
+    assert _max_rel_diff(first, woodbury) < 1e-12
+
+
+def test_a_non_finite_prelabel_in_the_first_iterate_raises():
+    prob, params, u, theta = _instance(0, 40, "criterion3")
+    bad = prob.prelabels.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(NumericError, match="non-finite entries"):
+        update_beta(u, theta, replace(prob, prelabels=bad), params)
 
 
 def test_zero_view_weight_gives_zero_beta_without_warning():
