@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ShapeError, check_real
 from .graph import LaplacianGraph, laplacian_gram
 from .linalg import solve_spd
 
@@ -33,10 +33,9 @@ def fit_elm(h: np.ndarray, t: np.ndarray, ridge: float) -> np.ndarray:
     h : ndarray, shape (n, L)
     t : ndarray, shape (n, c)
     ridge : float
-        Inverse regularization weight; must be positive.
+        Inverse regularization weight; must be positive and finite.
     """
-    if ridge <= 0.0:
-        raise ParameterError(f"ridge must be positive, got {ridge}")
+    check_real("ridge", ridge, 0.0, strict=True)
     h = np.asarray(h, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if h.ndim != 2 or t.ndim != 2 or h.shape[0] != t.shape[0]:
@@ -65,10 +64,8 @@ def fit_sselm(
 
         (I + ridge * Hl'Hl + manifold_weight * H'LH) beta = ridge * Hl'T
     """
-    if ridge <= 0.0:
-        raise ParameterError(f"ridge must be positive, got {ridge}")
-    if manifold_weight < 0.0:
-        raise ParameterError(f"manifold_weight must be >= 0, got {manifold_weight}")
+    check_real("ridge", ridge, 0.0, strict=True)
+    check_real("manifold_weight", manifold_weight, 0.0)
     h_all = np.asarray(h_all, dtype=np.float64)
     t_labeled = np.asarray(t_labeled, dtype=np.float64)
     n_labeled = t_labeled.shape[0]

@@ -53,6 +53,7 @@ from .data import (
     Dataset,
     DomainBundle,
     SynthShiftSpec,
+    _class_means,
     augment_noise_view,
     concat_features,
     decode_labels,
@@ -62,10 +63,10 @@ from .data import (
     load_bundle,
     read_keyvalues,
 )
-from .errors import ParameterError, ParseError
+from .errors import (ParameterError, ParseError, ShapeError, check_choice, check_int,
+                     check_real)
 from .features import (
     HiddenMap,
-    _as_int,
     derive_view_seed,
     map_features,
     new_hidden_map,
@@ -140,13 +141,9 @@ class BenchConfig:
     params: EdaParams = field(default_factory=lambda: EdaParams(n_hidden=200))
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ParameterError(f"unknown metric {self.metric!r}; choose from {METRICS}")
-        unknown = [m for m in self.methods if m not in METHOD_LABELS]
-        if unknown:
-            raise ParameterError(
-                f"unknown methods {unknown}; choose from {sorted(METHOD_LABELS)}"
-            )
+        check_choice("metric", self.metric, METRICS)
+        for method in self.methods:
+            check_choice("method", method, sorted(METHOD_LABELS))
         # a repeated method or seed would repeat report rows and weigh
         # twice in every mean
         for name in ("methods", "seeds", "grid"):
@@ -157,43 +154,16 @@ class BenchConfig:
             if repeated:
                 raise ParameterError(
                     f"{name} values must be distinct; repeated {repeated}")
-        if min(_as_int("seeds", s) for s in self.seeds) < 0:
-            raise ParameterError(f"seeds must be >= 0, got {self.seeds}")
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
-        # comparisons written so that NaN fails them
-        if not all(0.0 < g < np.inf for g in self.grid):
-            raise ParameterError(f"grid values must be positive and finite, "
-                                 f"got {self.grid}")
-        for name, least in (("views", 1), ("noise_dim", 1), ("n_source", 1),
-                            ("n_unlabeled", 0), ("n_test", 0)):
-            if getattr(self, name) < least:
-                raise ParameterError(
-                    f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("pre_ridge", "scale", "cov_scale"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ParameterError(f"{name} must be positive and finite, "
-                                     f"got {getattr(self, name)!r}")
-        if not np.isfinite(self.rotation_deg):
-            raise ParameterError(f"rotation_deg must be finite, got {self.rotation_deg}")
+        check_int("seeds", self.seeds, 0)
+        check_real("grid values", self.grid, 0.0, strict=True)
+        for name in ("m", "views", "noise_dim"):
+            check_int(name, getattr(self, name), 1)
+        for name in ("pre_ridge", "cov_scale"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
         # the synthetic scenario is built per seed inside run_benchmark;
-        # checking its geometry here lets load_config name the file and key
-        if self.means is not None:
-            widths = [len(row) for row in self.means]
-            if len(widths) < 2 or min(widths) < 1 or len(set(widths)) != 1:
-                raise ParameterError(
-                    "means must be two or more rows of equal, non-zero length, "
-                    f"got row lengths {widths}")
-            if not np.isfinite(self.means).all():
-                raise ParameterError("means must be finite")
-        dim = default_class_means().shape[1] if self.means is None else len(self.means[0])
-        if len(self.translation) != dim or not np.isfinite(self.translation).all():
-            raise ParameterError(
-                f"translation must be {dim} finite values (one per means column), "
-                f"got {self.translation}")
-        if self.rotation_deg != 0.0 and dim < 2:
-            raise ParameterError(f"rotation_deg must be 0 with one means column, "
-                                 f"got {self.rotation_deg}")
+        # its spec checks the geometry and sample counts here, so that
+        # load_config names the file and key
+        synth_spec(self, 0)
 
 
 def check_synthetic_graph(config: BenchConfig) -> None:
@@ -296,7 +266,7 @@ def load_config(path: str) -> BenchConfig:
     pairs = read_keyvalues(path)
     try:
         return parse_config(pairs)
-    except (ParseError, ParameterError) as err:
+    except (ParseError, ParameterError, ShapeError) as err:
         raise type(err)(f"{path}: {err}") from None
 
 
@@ -338,8 +308,8 @@ def config_hash(config: BenchConfig) -> str:
 
 
 def synth_spec(config: BenchConfig, seed: int) -> SynthShiftSpec:
-    means = (default_class_means() if config.means is None
-             else np.asarray(config.means, dtype=np.float64))
+    means = _class_means(default_class_means() if config.means is None
+                         else config.means)
     c, d = means.shape
     cov = np.stack([config.cov_scale * np.eye(d)] * c)
     return SynthShiftSpec(

@@ -47,7 +47,7 @@ from .data import (
     save_multiview_bundle,
     unlabeled_truth,
 )
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_int
 from .features import (
     derive_view_seed,
     fit_standardizer,
@@ -109,8 +109,7 @@ def _write_predictions(out_dir: str, stem: str, labels: np.ndarray,
 
 
 def _cmd_synth(args) -> int:
-    if args.views < 1:
-        raise ParameterError(f"--views must be >= 1, got {args.views}")
+    check_int("--views", args.views, 1)
     config = _config(args)
     seed = args.seed if args.seed is not None else config.params.seed
     spec = synth_spec(config, seed)

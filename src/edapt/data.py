@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ShapeError
+from .errors import (ParameterError, ParseError, ShapeError, check_finite, check_int,
+                     check_real)
 
 __all__ = [
     "Dataset",
@@ -50,6 +51,19 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _class_ids(labels, n_classes: float = np.inf) -> np.ndarray:
+    """``labels`` as an integer array with entries in ``[0, n_classes)``;
+    else ParameterError naming the first bad index."""
+    y = np.asarray(labels)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ParameterError("labels must be integers")
+    bad = (y < 0) | (y >= n_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParameterError(f"label {y[i]} at index {i} outside [0, {n_classes})")
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable feature block with optional integer labels.
@@ -71,21 +85,15 @@ class Dataset:
             raise ShapeError(f"features must be 2-D (d x n), got ndim={x.ndim}")
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ShapeError(f"features must be non-empty, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ParameterError("features contain non-finite entries")
+        check_finite("features", x, "feature")
         object.__setattr__(self, "features", _lock(x))
         if self.labels is not None:
-            y = np.array(self.labels)
+            y = _class_ids(self.labels)
             if y.ndim != 1 or y.shape[0] != x.shape[1]:
                 raise ShapeError(
                     f"labels must have one entry per sample: "
                     f"expected {x.shape[1]}, got shape {y.shape}"
                 )
-            if not np.issubdtype(y.dtype, np.integer):
-                raise ParameterError("labels must be integers")
-            if (y < 0).any():
-                i = int(np.argmin(y))
-                raise ParameterError(f"negative label {y[i]} at index {i}")
             object.__setattr__(self, "labels", _lock(y.astype(np.int64)))
 
     @property
@@ -113,18 +121,12 @@ def encode_labels(labels, n_classes: int) -> np.ndarray:
     Raises
     ------
     ParameterError
-        If ``n_classes < 2`` or any label falls outside ``[0, n_classes)``
-        (the message names the offending index).
+        If ``n_classes < 2``, a label is not an integer, or any label
+        falls outside ``[0, n_classes)`` (the message names the
+        offending index).
     """
-    if n_classes < 2:
-        raise ParameterError(f"need at least two classes, got {n_classes}")
-    y = np.asarray(labels)
-    bad = (y < 0) | (y >= n_classes)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ParameterError(
-            f"label {y[i]} at index {i} outside [0, {n_classes})"
-        )
+    check_int("n_classes", n_classes, 2)
+    y = _class_ids(labels, n_classes)
     t = -np.ones((y.shape[0], n_classes))
     t[np.arange(y.shape[0]), y] = 1.0
     return t
@@ -154,23 +156,19 @@ class DomainBundle:
     target_test: Dataset | None = None
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ParameterError(f"need at least two classes, got {self.n_classes}")
-        for name in ("source", "target_labeled"):
+        check_int("n_classes", self.n_classes, 2)
+        for name in ("source", "target_labeled", "target_test"):
             ds = getattr(self, name)
-            if ds.labels is None:
-                raise ParameterError(f"{name} must be labeled")
-            if ds.labels.max() >= self.n_classes:
-                i = int(np.argmax(ds.labels))
-                raise ParameterError(
-                    f"{name} label {ds.labels[i]} at index {i} "
-                    f"outside [0, {self.n_classes})"
-                )
+            if ds is None or ds.labels is None:
+                if name != "target_test":
+                    raise ParameterError(f"{name} must be labeled")
+                continue
+            try:
+                _class_ids(ds.labels, self.n_classes)
+            except ParameterError as err:
+                raise ParameterError(f"{name} {err}") from None
         if self.target_unlabeled is not None and self.target_unlabeled.labels is not None:
             raise ParameterError("target_unlabeled must not carry labels")
-        if self.target_test is not None and self.target_test.labels is not None:
-            if self.target_test.labels.max() >= self.n_classes:
-                raise ParameterError("target_test labels outside class range")
         dims = {self.target_labeled.dim}
         if self.target_unlabeled is not None:
             dims.add(self.target_unlabeled.dim)
@@ -381,10 +379,11 @@ def _bundle_from_keys(keys: dict[str, str], manifest_path: str,
             ds = load_csv(feat, lab)
         except (ParseError, ShapeError, ParameterError) as err:
             raise type(err)(f"{manifest_path}: split {name!r}: {err}") from None
-        if ds.labels is not None and ds.labels.max() >= n_classes:
-            i = int(np.argmax(ds.labels))
-            raise ParameterError(f"{manifest_path}: split {name!r}: {lab}: label "
-                                 f"{ds.labels[i]} at index {i} outside [0, {n_classes})")
+        if lab is not None:
+            try:
+                _class_ids(ds.labels, n_classes)
+            except ParameterError as err:
+                raise ParameterError(f"{manifest_path}: split {name!r}: {lab}: {err}") from None
         return ds
 
     source = split("source")
@@ -516,12 +515,8 @@ class SynthShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        m = np.array(self.means, dtype=np.float64)
-        if m.ndim != 2:
-            raise ShapeError("means must be (classes, dim)")
+        m = _class_means(self.means)
         c, d = m.shape
-        if c < 2:
-            raise ParameterError(f"need at least two classes, got {c}")
         cov = np.array(self.covariances, dtype=np.float64)
         if cov.shape != (c, d, d):
             raise ShapeError(
@@ -529,7 +524,8 @@ class SynthShiftSpec:
             )
         t = np.array(self.translation, dtype=np.float64)
         if t.shape != (d,):
-            raise ShapeError(f"translation must have shape ({d},), got {t.shape}")
+            raise ShapeError(f"translation must be {d} finite values (one per means "
+                             f"column), got {tuple(t.ravel().tolist())}")
         for name, a in (("means", m), ("covariances", cov), ("translation", t)):
             if not np.isfinite(a).all():
                 raise ParameterError(f"{name} must be finite")
@@ -541,17 +537,14 @@ class SynthShiftSpec:
                 raise ParameterError(
                     f"covariance for class {i} is not positive definite"
                 ) from None
-        if not np.isfinite(self.rotation_deg):
-            raise ParameterError(f"rotation_deg must be finite, got {self.rotation_deg}")
+        check_real("rotation_deg", self.rotation_deg)
         if self.rotation_deg != 0.0 and d < 2:
-            raise ParameterError("rotation needs at least two feature dims")
-        # written so that NaN fails it
-        if not 0.0 < self.scale < np.inf:
-            raise ParameterError(f"scale must be positive and finite, got {self.scale}")
-        if self.n_source < 1 or self.n_labeled_per_class < 1:
-            raise ParameterError("n_source and n_labeled_per_class must be >= 1")
-        if self.n_unlabeled < 0 or self.n_test < 0:
-            raise ParameterError("sample counts must be non-negative")
+            raise ParameterError(f"rotation_deg must be 0 with one means column, "
+                                 f"got {self.rotation_deg}")
+        check_real("scale", self.scale, 0.0, strict=True)
+        for name, least in (("n_source", 1), ("n_labeled_per_class", 1),
+                            ("n_unlabeled", 0), ("n_test", 0), ("seed", 0)):
+            check_int(name, getattr(self, name), least)
         object.__setattr__(self, "means", _lock(m))
         object.__setattr__(self, "covariances", _lock(cov))
         object.__setattr__(self, "translation", _lock(t))
@@ -577,6 +570,19 @@ class SynthShiftSpec:
     def target_transform(self, x: np.ndarray) -> np.ndarray:
         """Apply the domain distortion to a d x n feature block."""
         return self.scale * (self.rotation_matrix() @ x) + self.translation[:, None]
+
+
+def _class_means(rows) -> np.ndarray:
+    """Class centers ``rows`` as a float (classes, dim) array; anything
+    but two or more rows of one non-zero length raises ShapeError."""
+    try:
+        m = np.array(rows, dtype=np.float64)
+    except ValueError:  # ragged rows
+        m = np.empty(0)
+    if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 1:
+        raise ShapeError("means must be two or more rows of equal, non-zero length, "
+                         f"got row lengths {[np.size(row) for row in rows]}")
+    return m
 
 
 def default_class_means() -> np.ndarray:
@@ -654,8 +660,8 @@ def augment_noise_view(bundle: DomainBundle, n_noise: int, seed: int) -> DomainB
     keeping labels as they are.  Used to exercise the multi-view solver
     on single-view data; deterministic per seed.
     """
-    if n_noise < 1:
-        raise ParameterError(f"n_noise must be >= 1, got {n_noise}")
+    check_int("n_noise", n_noise, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _NOISE_STREAM]))
 
     def aug(ds: Dataset | None) -> Dataset | None:

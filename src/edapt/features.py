@@ -18,13 +18,12 @@ O(block * L + n * c) memory rather than O(n * L).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DomainBundle, concat_features
-from .errors import ParameterError, ShapeError
+from .data import Dataset, DomainBundle, _lock, concat_features
+from .errors import ParameterError, ShapeError, check_choice, check_finite, check_int
 
 ACTIVATIONS = ("radbas", "sigmoid")
 
@@ -57,17 +56,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 _ACT_FNS = {"radbas": _radbas, "sigmoid": _sigmoid}
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as an int; a string, float, bool or None raises
-    ParameterError naming ``name``."""
-    try:
-        if isinstance(value, bool):  # operator.index takes True as 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class HiddenMap:
     """A frozen random single-hidden-layer feature map.
@@ -97,15 +85,12 @@ class HiddenMap:
             raise ShapeError(
                 f"biases must have shape ({w.shape[0]},), got {b.shape}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(
-                f"unknown activation {self.activation!r}; choose from {ACTIVATIONS}"
-            )
-        w.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "seed", _as_int("seed", self.seed))
+        check_finite("weights", w)
+        check_finite("biases", b)
+        check_choice("activation", self.activation, ACTIVATIONS)
+        object.__setattr__(self, "weights", _lock(w))
+        object.__setattr__(self, "biases", _lock(b))
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
 
     @property
     def n_hidden(self) -> int:
@@ -124,9 +109,9 @@ def new_hidden_map(
     Weights are drawn before biases from ``default_rng(seed)`` (PCG64),
     so the same arguments always reproduce the same map.
     """
-    if n_hidden < 1 or n_features < 1:
-        raise ParameterError("n_hidden and n_features must be >= 1")
-    rng = np.random.default_rng(seed)
+    check_int("n_hidden", n_hidden, 1)
+    check_int("n_features", n_features, 1)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     w = rng.uniform(0.0, 1.0, size=(n_hidden, n_features))
     b = rng.uniform(0.0, 1.0, size=n_hidden)
     return HiddenMap(w, b, activation, seed)
@@ -206,10 +191,8 @@ class Standardizer:
             a = np.array(getattr(self, name), dtype=np.float64)
             if a.ndim != 1:
                 raise ShapeError(f"field {name!r} must be a vector, got shape {a.shape}")
-            if not np.isfinite(a).all():
-                raise ParameterError(f"field {name!r} has non-finite entries")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            check_finite(name, a)
+            object.__setattr__(self, name, _lock(a))
         if self.mean.shape != self.std.shape:
             raise ShapeError(f"fields 'mean' and 'std' differ in length: "
                              f"{self.mean.size} and {self.std.size}")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import Dataset, _lock
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -173,12 +173,11 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
     Raises
     ------
     ParameterError
-        If ``n_neighbors < 1`` or ``n_neighbors >= n`` (self excluded).
+        If ``n_neighbors`` is not an integer, is below 1 or is at least
+        ``n`` (self excluded).
     """
     n = data.n
-    if n_neighbors < 1:
-        raise ParameterError(f"n_neighbors must be >= 1, got {n_neighbors}")
-    if n_neighbors >= n:
+    if check_int("n_neighbors", n_neighbors, 1) >= n:
         raise ParameterError(
             f"n_neighbors={n_neighbors} needs at least {n_neighbors + 1} samples, got {n}"
         )

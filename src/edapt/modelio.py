@@ -10,7 +10,9 @@ the objective history and the parameters, and both load as one
 :class:`~edapt.single.EdaModel`; an ``eda`` file's view weights are all
 ones.  The reweighting ``u`` and the view weights ``alpha`` are
 derived, not written; :func:`load_model` ignores them in older files.
-The file is one line of JSON.
+The file is one line of standard JSON: the records a model is built
+from refuse non-finite entries, so no ``NaN`` token is ever written,
+and :func:`load_model` leaves every value check to those records.
 """
 
 from __future__ import annotations
@@ -93,10 +95,7 @@ def _field(d, key: str, where: str):
 def _array(d, key: str, where: str) -> np.ndarray:
     raw = _field(d, key, where)
     with _naming(f"{where}: field {key!r}"):
-        a = np.asarray(raw, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ParseError(f"{where}: field {key!r} has non-finite entries")
-    return a
+        return np.asarray(raw, dtype=np.float64)
 
 
 def _params(d, where: str) -> EdaParams:
@@ -147,12 +146,11 @@ def _naming(where: str):
 def load_model(path: str) -> EdaModel:
     """Load a model written by :func:`save_model`.
 
-    A missing, malformed or non-finite field, an unknown parameter, a
-    standardizer with a ``std <= 0``, or arrays whose shapes disagree
-    with each other (a standardizer's length with its hidden map's
-    input width), or a one-view ``mveda`` file whose ``alpha_history``
-    is not all ones raise :class:`ParseError` naming the file (and the
-    field).
+    A missing or malformed field, an unknown parameter, or any refusal
+    of the records the model is built from (a non-finite entry, a
+    ``std <= 0``, shapes that disagree, a one-view ``mveda`` file whose
+    ``alpha_history`` is not all ones) raises :class:`ParseError`
+    naming the file and the field.
     """
     with _naming(path):
         d = _read_json(path)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import fit_elm
 from .data import Dataset, DomainBundle, concat_features, encode_labels
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_choice, check_real
 from .features import HiddenMap, map_features
 from .graph import _sq_dist_blocks
 from .linalg import solve_spd
@@ -81,10 +81,8 @@ def preclassify_kernel(bundle: DomainBundle, kind: str = "laplacian",
     at most two n x n arrays for n training samples (the kernel and its
     Cholesky factor), then two n_u x n for the n_u unlabeled ones.
     """
-    if kind not in KERNELS:
-        raise ParameterError(f"unknown kernel {kind!r}; choose from {KERNELS}")
-    if ridge <= 0.0:
-        raise ParameterError(f"ridge must be positive, got {ridge}")
+    check_choice("kernel", kind, KERNELS)
+    check_real("ridge", ridge, 0.0, strict=True)
     x, t = _training_block(bundle)
     if bundle.target_unlabeled is None:
         return np.zeros((0, bundle.n_classes))
@@ -122,11 +120,10 @@ def builtin_prelabels(name: str, bundle: DomainBundle, hidden_map: HiddenMap,
     """Scores of the builtin pre-classifier ``name`` (one of ``BUILTINS``):
     the random-feature ridge in ``hidden_map``'s space, a kernel ridge,
     or the mean of the two kernel ridges."""
+    check_choice("pre-classifier", name, BUILTINS)
     if name == "elm":
         return preclassify_elm(bundle, hidden_map, ridge)
     if name == "average":
         return average_prelabels([builtin_prelabels(k, bundle, hidden_map, ridge)
                                   for k in KERNELS])
-    if name in KERNELS:
-        return preclassify_kernel(bundle, name, ridge)
-    raise ParameterError(f"unknown pre-classifier {name!r}; choose from {BUILTINS}")
+    return preclassify_kernel(bundle, name, ridge)

@@ -60,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DomainBundle, _lock, decode_labels, encode_labels
-from .errors import ParameterError, ShapeError
-from .features import (ACTIVATIONS, HiddenMap, Standardizer, _as_int, map_features,
-                       new_hidden_map)
+from .errors import (ParameterError, ShapeError, check_choice, check_finite, check_int,
+                     check_real)
+from .features import ACTIVATIONS, HiddenMap, Standardizer, map_features, new_hidden_map
 from .graph import LaplacianGraph, build_knn_graph, laplacian_gram, quadratic_energy
 from .linalg import _blas_threads_for, cho_factor, cho_inverse, cho_solve, solve_spd
 
@@ -138,35 +138,22 @@ class EdaParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_hidden", "max_iter", "n_neighbors", "seed"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        # comparisons written so that NaN and infinity fail them
-        for name in ("c_source", "c_target", "fidelity_weight", "manifold_weight"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ParameterError(
-                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("drift_weight", "reweight_eps"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ParameterError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}")
         for name, least in (("n_hidden", 1), ("max_iter", 1), ("n_neighbors", 1),
                             ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ParameterError(
-                    f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not 1.0 < self.view_exponent < np.inf:
-            raise ParameterError(
-                f"view_exponent must be finite and exceed 1, got {self.view_exponent}")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(
-                f"unknown activation {self.activation!r}; choose from {ACTIVATIONS}"
-            )
+            object.__setattr__(self, name, check_int(name, getattr(self, name), least))
+        for name in ("c_source", "c_target", "fidelity_weight", "manifold_weight"):
+            check_real(name, getattr(self, name), 0.0)
+        for name in ("drift_weight", "reweight_eps"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
+        check_real("view_exponent", self.view_exponent, 1.0, strict=True)
+        check_choice("activation", self.activation, ACTIVATIONS)
 
 
 @dataclass(frozen=True, eq=False)
 class EdaProblem:
     """Hidden activations, targets, scores, and graph for one view; the
-    labeled and unlabeled activations are views of ``h_target``."""
+    labeled and unlabeled activations are views of ``h_target``.  Scores
+    with a non-finite entry raise ParameterError naming its row."""
 
     h_source: np.ndarray      # n_source x L
     h_target: np.ndarray      # (n_labeled + n_unlabeled) x L, labeled first
@@ -182,6 +169,7 @@ class EdaProblem:
         want = (self.h_unlabeled.shape[0], self.n_classes)
         if prelabels.shape != want:
             raise ShapeError(f"prelabels must be {want}, got {prelabels.shape}")
+        check_finite("prelabels", prelabels)
         object.__setattr__(self, "prelabels", prelabels)
 
     @property
@@ -253,8 +241,7 @@ def l21_norm(beta: np.ndarray) -> float:
 
 def update_u(beta: np.ndarray, reweight_eps: float) -> np.ndarray:
     """Reweighting diagonal ``u_i = 1 / (2 (||beta_i|| + eps))``."""
-    if reweight_eps <= 0.0:
-        raise ParameterError(f"reweight_eps must be positive, got {reweight_eps}")
+    check_real("reweight_eps", reweight_eps, 0.0, strict=True)
     return 1.0 / (2.0 * (np.linalg.norm(beta, axis=1) + reweight_eps))
 
 
@@ -591,13 +578,13 @@ def update_alpha(traces, view_exponent: float) -> np.ndarray:
     relative, so scaling every loss weight, and with it every trace,
     leaves the weights as they were.  If every view is degenerate (all
     traces zero or below) the weights fall back to uniform with a
-    warning.
+    warning.  A non-finite trace raises ParameterError naming its view.
     """
     q = np.asarray(traces, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] < 1:
         raise ShapeError("traces must be a non-empty vector")
-    if view_exponent <= 1.0:
-        raise ParameterError(f"view_exponent must exceed 1, got {view_exponent}")
+    check_real("view_exponent", view_exponent, 1.0, strict=True)
+    check_finite("traces", q, "view")
     degenerate = q <= TRACE_FLOOR * q.max()
     if degenerate.all():
         warnings.warn(
@@ -694,7 +681,9 @@ class EdaModel:
     view's features were fitted under (None: none), which the predict
     functions apply to raw features.  A one-view model's view weights
     are all ones; its ``hidden_map``, ``beta``, ``theta``, ``u`` and
-    ``standardizer`` read view 0, and raise ShapeError on more views."""
+    ``standardizer`` read view 0, and raise ShapeError on more views.
+    A non-finite weight, drift or history entry raises ParameterError
+    naming the field (and the view), so no model holds a NaN."""
 
     hidden_maps: list[HiddenMap]
     betas: list[np.ndarray]
@@ -722,18 +711,23 @@ class EdaModel:
                 if view[-1] is None and self.standardizers is not None:
                     raise ShapeError("missing field 'standardizer'")
                 c = _check_view(*view, c)
-            except ShapeError as err:
+            except (ShapeError, ParameterError) as err:
                 if v == 1:
                     raise
-                raise ShapeError(f"view {i}: {err}") from None
+                raise type(err)(f"view {i}: {err}") from None
         h = _lock(np.array(self.objective_history, dtype=np.float64))
-        _check_history(h)
+        # every fit records at least one round, since max_iter >= 1
+        if h.ndim != 1 or h.size == 0:
+            raise ShapeError("field 'objective_history' must hold at least one round, "
+                             f"got shape {h.shape}")
         object.__setattr__(self, "objective_history", h)
         ah = _lock(np.array(self.alpha_history, dtype=np.float64))
         if ah.shape != (h.shape[0], v):
             raise ShapeError(
                 f"alpha_history must have shape {(h.shape[0], v)}, got {ah.shape}"
             )
+        for name, a in (("objective_history", h), ("alpha_history", ah)):
+            check_finite(name, a, "round")
         if v == 1 and not (ah == 1.0).all():
             raise ShapeError("a one-view model's alpha_history must be all ones")
         object.__setattr__(self, "alpha_history", ah)
@@ -768,7 +762,7 @@ def _check_view(hidden_map: HiddenMap, beta, theta, standardizer,
     """Check one fitted view's arrays against its L-unit map and each
     other: ``beta`` (L, c) and ``theta`` (c, c), with ``c`` given or read
     from ``beta``, and a standardizer, if any, as wide as the map's
-    input.  Errors name the field; returns ``c``."""
+    input, and both arrays finite.  Errors name the field; returns ``c``."""
     n, c = hidden_map.n_hidden, n_classes
     if c is None:
         c = np.shape(beta)[1] if np.ndim(beta) == 2 else "c"
@@ -776,17 +770,11 @@ def _check_view(hidden_map: HiddenMap, beta, theta, standardizer,
         if np.shape(a) != shape:
             raise ShapeError(f"field {name!r} must have shape {shape}, "
                              f"got {np.shape(a)}")
+        check_finite(name, a)
     if standardizer is not None and standardizer.mean.size != hidden_map.n_features:
         raise ShapeError(f"field 'standardizer' has {standardizer.mean.size} "
                          f"features, the hidden map takes {hidden_map.n_features}")
     return c
-
-
-def _check_history(history: np.ndarray) -> None:
-    """Every fit records at least one round, since ``max_iter >= 1``."""
-    if history.ndim != 1 or history.size == 0:
-        raise ShapeError("field 'objective_history' must hold at least one round, "
-                         f"got shape {history.shape}")
 
 
 def fit_eda(

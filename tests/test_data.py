@@ -119,6 +119,12 @@ def test_encode_rejects_out_of_range():
         encode_labels([0, 1], 1)
 
 
+def test_encode_refuses_non_integer_labels():
+    # it used to fail inside numpy's indexing with an IndexError
+    with pytest.raises(ParameterError, match="labels must be integers"):
+        encode_labels(np.array([0.5, 1.0]), 2)
+
+
 def test_decode_hand_case():
     scores = np.array([[0.2, 0.1, -3.0], [-1.0, 4.0, 3.9]])
     assert np.array_equal(decode_labels(scores), [0, 1])

@@ -86,6 +86,18 @@ def test_update_alpha_validation():
         update_alpha(np.ones((2, 2)), 2.0)
 
 
+@pytest.mark.parametrize("traces, view", [([np.nan, 1.0], 0), ([np.inf, 1.0], 0),
+                                           ([1.0, 2.0, -np.inf], 2)])
+def test_update_alpha_refuses_non_finite_traces_naming_the_view(traces, view):
+    # a NaN trace used to give NaN weights, and an infinite one a warning
+    # that every trace was numerically zero, then uniform weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="field 'traces' has non-finite "
+                                                 f"entries, the first in view {view}"):
+            update_alpha(traces, 2.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6),
        st.floats(1.1, 8.0))

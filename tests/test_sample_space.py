@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from edapt import (
-    NumericError,
+    ParameterError,
     augment_noise_view,
     build_problem,
     fit_eda,
@@ -91,10 +91,13 @@ def test_push_through_first_iterate_is_the_woodbury_image_of_the_primal_rhs(
 
 
 def test_a_non_finite_prelabel_in_the_first_iterate_raises():
+    # the problem refuses the scores before any solve, naming their row;
+    # it used to fail inside the solve, naming neither
     prob, params, u, theta = _instance(0, 40, "criterion3")
     bad = prob.prelabels.copy()
     bad[1, 2] = np.nan
-    with pytest.raises(NumericError, match="non-finite entries"):
+    with pytest.raises(ParameterError, match="field 'prelabels' has non-finite "
+                                             "entries, the first in row 1"):
         update_beta(u, theta, replace(prob, prelabels=bad), params)
 
 
