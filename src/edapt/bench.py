@@ -72,7 +72,7 @@ from .features import (
     new_hidden_map,
     standardize_bundle,
 )
-from .graph import build_knn_graph
+from .graph import build_knn_graph, check_graph_rows
 from .linalg import _blas_threads_for
 from .metrics import accuracy, mean_average_precision
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
@@ -169,25 +169,29 @@ class BenchConfig:
 def check_synthetic_graph(config: BenchConfig) -> None:
     """Refuse, before any seed is built, a synthetic scenario with no test
     rows to score or whose smallest k-NN graph cannot hold
-    ``n_neighbors``.  Only benchmark runs check it (``run_benchmark``,
-    which ``run_sweep`` calls with ``eda`` alone, and the ``bench`` and
-    ``sweep`` commands); a fit on a manifest checks against the manifest."""
+    ``n_neighbors`` (:func:`~edapt.graph.check_graph_rows`).  Only
+    ``run_benchmark`` (which ``run_sweep`` calls with ``eda`` alone)
+    checks it; a manifest's graph is checked there against the manifest,
+    and a fit checks its own graph."""
     if config.data != "synth":
         return
     if config.n_test < 1:
         raise ParameterError(f"key 'n_test': the bench scores target_test rows, "
                              f"so n_test must be >= 1, got {config.n_test}")
+    classes = len(config.means or default_class_means())
+    _check_graph(config, config.m * classes + config.n_unlabeled, config.n_source,
+                 "the synthetic scenario")
+
+
+def _check_graph(config: BenchConfig, target_rows: int, source_rows: int,
+                 holder: str) -> None:
+    """Refuse an ``n_neighbors`` that the smallest k-NN graph of a seed
+    cannot hold: over the target rows, plus the source rows when ``sselm``
+    is the one method with a graph."""
     graph = {m for m in config.methods if m not in _NO_GRAPH}
     if graph:
-        classes = len(config.means or default_class_means())
-        rows = config.m * classes + config.n_unlabeled
-        if graph == {"sselm"}:
-            rows += config.n_source
-        k = config.params.n_neighbors
-        if k >= rows:
-            raise ParameterError(
-                f"key 'n_neighbors': {k} needs at least {k + 1} samples for "
-                f"the k-NN graph, the synthetic scenario has {rows}")
+        rows = target_rows + (source_rows if graph == {"sselm"} else 0)
+        check_graph_rows(config.params.n_neighbors, rows, holder, "key 'n_neighbors'")
 
 
 def default_config(**overrides) -> BenchConfig:
@@ -633,15 +637,23 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run every configured method over every seed; see the module docs."""
     check_synthetic_graph(config)
     base = None if config.data == "synth" else load_bundle(config.data)
-    if base is not None and (base.target_test is None
-                             or base.target_test.labels is None):
-        raise ParameterError(f"key 'data': {config.data} has no labeled target_test "
-                             "split, which the bench resplits and scores")
-    if config.data != "synth" and any(m == "mveda" for m in config.methods):
-        raise ParameterError(
-            "mveda benchmarking on manifest data is not supported; "
-            "use synthetic data or fit_mveda directly"
-        )
+    if base is not None:
+        if base.target_test is None or base.target_test.labels is None:
+            raise ParameterError(f"key 'data': {config.data} has no labeled "
+                                 "target_test split, which the bench resplits and scores")
+        if "mveda" in config.methods:
+            raise ParameterError(
+                "mveda benchmarking on manifest data is not supported; "
+                "use synthetic data or fit_mveda directly"
+            )
+        try:  # the pool holds the same rows of each class whatever the seed
+            resplit_bundle(base, config.m, config.seeds[0])
+        except ParameterError as err:
+            raise ParameterError(f"key 'm': {config.data}: {err}") from None
+        # each seed resplits the labeled pool; its target rows are the
+        # whole pool plus the unlabeled rows
+        pool = base.target_labeled.n + base.target_test.n
+        _check_graph(config, pool + base.n_unlabeled, base.source.n, config.data)
     defaults: dict[str, list[float]] = {m: [] for m in config.methods}
     default_points: dict[str, tuple] = {}
     per_seed, convergence, view_weights, timing, split_hashes = [], [], [], [], []

@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import (
-    check_synthetic_graph,
     default_config,
     emit_report,
     emit_sweep,
@@ -54,10 +53,11 @@ from .features import (
     new_hidden_map,
     standardize_bundle,
 )
+from .graph import check_graph_rows
 from .modelio import load_model, save_model
 from .multiview import fit_mveda, predict_mveda
 from .preclassify import BUILTINS, builtin_prelabels
-from .single import predict_eda
+from .single import check_prelabels, predict_eda
 
 __all__ = ["main"]
 
@@ -68,19 +68,16 @@ def _config(args):
     return load_config(args.config) if args.config else default_config()
 
 
-def _bench_config(args, methods=None):
-    """The config of ``bench``, or of ``sweep`` with the ``methods`` it
-    runs; the synthetic graph of those methods is checked here so that a
-    refusal names the config file."""
+def _run_bench(args, run):
+    """``(config, run(config))`` for ``bench`` or ``sweep``; a refusal of
+    the run is prefixed with the config file, which holds its keys."""
     config = _config(args)
     if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
     try:
-        check_synthetic_graph(config if methods is None
-                              else replace(config, methods=methods))
+        return config, run(config)
     except ParameterError as err:
         raise ParameterError(f"{args.config or 'the default config'}: {err}") from None
-    return config
 
 
 def _predict(model, datasets: list[Dataset], detransform: bool):
@@ -139,11 +136,10 @@ def _resolve_prelabels(spec: str, bundle, hidden_map, ridge: float) -> np.ndarra
     if spec in BUILTINS:
         return builtin_prelabels(spec, bundle, hidden_map, ridge)
     scores = read_matrix_csv(spec)  # anything else is a CSV path
-    want = (bundle.n_unlabeled, bundle.n_classes)
-    if scores.shape != want:
-        raise ShapeError(f"{spec}: prelabels must be {want} (unlabeled samples "
-                         f"x classes), got {scores.shape}")
-    return scores
+    try:
+        return check_prelabels(scores, bundle.n_unlabeled, bundle.n_classes)
+    except ShapeError as err:
+        raise ShapeError(f"{spec}: {err}") from None
 
 
 def _cmd_fit(args) -> int:
@@ -171,11 +167,8 @@ def _cmd_fit(args) -> int:
         raise ParameterError("--detransform applies to single-view fits")
 
     rows = bundles[0].target_labeled.n + bundles[0].n_unlabeled
-    if params.n_neighbors >= rows:
-        raise ParameterError(
-            f"{args.config or 'the default config'}: key 'n_neighbors': "
-            f"{params.n_neighbors} needs at least {params.n_neighbors + 1} samples "
-            f"for the k-NN graph, {args.manifest} has {rows}")
+    check_graph_rows(params.n_neighbors, rows, args.manifest,
+                     f"{args.config or 'the default config'}: key 'n_neighbors'")
     specs = [tok.strip() for tok in args.prelabels.split(",") if tok.strip()]
     if len(specs) == 1:
         specs = specs * len(bundles)
@@ -262,16 +255,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _bench_config(args)
-    report = run_benchmark(config)
+    _, report = _run_bench(args, run_benchmark)
     for path in emit_report(report, args.out_dir).values():
         print(path)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    config = _bench_config(args, methods=("eda",))  # run_sweep runs eda alone
-    rows = run_sweep(config)
+    config, rows = _run_bench(args, run_sweep)
     print(emit_sweep(rows, config, args.out_dir))
     return 0
 

@@ -144,9 +144,9 @@ class DomainBundle:
     ``source`` and ``target_labeled`` carry labels; ``target_unlabeled``
     never does (this is what keeps pre-classifiers honest: the type rules
     out accidental use of unlabeled-target ground truth).  ``target_test``
-    is optional and used only for evaluation.  Source dimensionality may
-    differ from target dimensionality; the three target splits must agree.
-    An empty unlabeled set is represented as ``None``.
+    is optional and used only for evaluation.  Every split has the same
+    feature dim, since one hidden map serves source and target.  An empty
+    unlabeled set is represented as ``None``.
     """
 
     source: Dataset
@@ -169,13 +169,12 @@ class DomainBundle:
                 raise ParameterError(f"{name} {err}") from None
         if self.target_unlabeled is not None and self.target_unlabeled.labels is not None:
             raise ParameterError("target_unlabeled must not carry labels")
-        dims = {self.target_labeled.dim}
-        if self.target_unlabeled is not None:
-            dims.add(self.target_unlabeled.dim)
-        if self.target_test is not None:
-            dims.add(self.target_test.dim)
-        if len(dims) != 1:
-            raise ShapeError(f"target splits disagree on dim: {sorted(dims)}")
+        splits = ("source", "target_labeled", "target_unlabeled", "target_test")
+        dims = {name: getattr(self, name).dim for name in splits
+                if getattr(self, name) is not None}
+        if len(set(dims.values())) != 1:
+            raise ShapeError("splits disagree on feature dim: "
+                             + ", ".join(f"{name} {d}" for name, d in dims.items()))
 
     @property
     def target_dim(self) -> int:
@@ -526,9 +525,9 @@ class SynthShiftSpec:
         if t.shape != (d,):
             raise ShapeError(f"translation must be {d} finite values (one per means "
                              f"column), got {tuple(t.ravel().tolist())}")
-        for name, a in (("means", m), ("covariances", cov), ("translation", t)):
-            if not np.isfinite(a).all():
-                raise ParameterError(f"{name} must be finite")
+        check_finite("means", m, "class")
+        check_finite("covariances", cov, "class")
+        check_finite("translation", t)
         chols = np.empty_like(cov)
         for i in range(c):
             try:

@@ -39,7 +39,8 @@ from .errors import ParameterError, check_int
 if TYPE_CHECKING:
     from scipy import sparse
 
-__all__ = ["LaplacianGraph", "build_knn_graph", "laplacian_gram", "quadratic_energy"]
+__all__ = ["LaplacianGraph", "build_knn_graph", "check_graph_rows", "laplacian_gram",
+           "quadratic_energy"]
 
 # rows per distance block are chosen so that one block of squared
 # distances holds about this many doubles: the build's three block
@@ -153,6 +154,15 @@ def _nominations(x: np.ndarray, n_neighbors: int):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
 
 
+def check_graph_rows(n_neighbors: int, rows: int, holder: str,
+                     name: str = "n_neighbors") -> None:
+    """Refuse a graph over ``rows`` samples, which ``holder`` has, that
+    cannot give each sample ``n_neighbors`` other samples, naming ``name``."""
+    if n_neighbors >= rows:
+        raise ParameterError(f"{name}: {n_neighbors} needs at least {n_neighbors + 1} "
+                             f"samples for the k-NN graph, {holder} has {rows}")
+
+
 def build_knn_graph(data: Dataset, n_neighbors: int = 5,
                     weighted: bool = False) -> LaplacianGraph:
     """Build the symmetric k-NN graph over a dataset's samples.
@@ -177,10 +187,7 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
         ``n`` (self excluded).
     """
     n = data.n
-    if check_int("n_neighbors", n_neighbors, 1) >= n:
-        raise ParameterError(
-            f"n_neighbors={n_neighbors} needs at least {n_neighbors + 1} samples, got {n}"
-        )
+    check_graph_rows(check_int("n_neighbors", n_neighbors, 1), n, "the dataset")
     from scipy import sparse
 
     rows, cols, d2 = _nominations(data.features, n_neighbors)

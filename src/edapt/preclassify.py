@@ -44,11 +44,6 @@ def _kernel(kind: str, d2: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _training_block(bundle: DomainBundle) -> tuple[np.ndarray, np.ndarray]:
-    if bundle.source.dim != bundle.target_dim:
-        raise ShapeError(
-            f"pre-classifier needs equal feature dims, got source "
-            f"{bundle.source.dim} vs target {bundle.target_dim}"
-        )
     x = concat_features(bundle.source, bundle.target_labeled)
     y = np.concatenate([bundle.source.labels, bundle.target_labeled.labels])
     return x, encode_labels(y, bundle.n_classes)

@@ -72,6 +72,7 @@ __all__ = [
     "EdaProblem",
     "beta_gradient",
     "build_problem",
+    "check_prelabels",
     "eda_objective",
     "fit_eda",
     "l21_norm",
@@ -165,12 +166,8 @@ class EdaProblem:
     def __post_init__(self):
         # checked here, so a problem copied with new scores
         # (``dataclasses.replace(problem, prelabels=...)``) is checked too
-        prelabels = np.asarray(self.prelabels, dtype=np.float64)
-        want = (self.h_unlabeled.shape[0], self.n_classes)
-        if prelabels.shape != want:
-            raise ShapeError(f"prelabels must be {want}, got {prelabels.shape}")
-        check_finite("prelabels", prelabels)
-        object.__setattr__(self, "prelabels", prelabels)
+        object.__setattr__(self, "prelabels", check_prelabels(
+            self.prelabels, self.h_unlabeled.shape[0], self.n_classes))
 
     @property
     def h_labeled(self) -> np.ndarray:
@@ -189,6 +186,19 @@ class EdaProblem:
         return self.t_source.shape[1]
 
 
+def check_prelabels(prelabels, n_unlabeled: int, n_classes: int) -> np.ndarray:
+    """``prelabels`` as a float64 score matrix with one row per unlabeled
+    sample and one column per class; another shape raises ShapeError, a
+    non-finite entry ParameterError naming its row."""
+    phi = np.asarray(prelabels, dtype=np.float64)
+    want = (n_unlabeled, n_classes)
+    if phi.shape != want:
+        raise ShapeError(f"prelabels must be {want} (unlabeled samples x classes), "
+                         f"got {phi.shape}")
+    check_finite("prelabels", phi)
+    return phi
+
+
 def build_problem(
     bundle: DomainBundle,
     prelabels,
@@ -199,14 +209,9 @@ def build_problem(
 
     ``prelabels`` is a score matrix with one row per unlabeled sample
     and one column per class.  If no map is given, one is drawn
-    from ``params``.  Source and target feature dims must agree, since a
-    single hidden map serves both domains.
+    from ``params``; the bundle's splits share one feature dim, so
+    that map serves both domains.
     """
-    if bundle.source.dim != bundle.target_dim:
-        raise ShapeError(
-            f"single-view adaptation needs equal feature dims, got source "
-            f"{bundle.source.dim} vs target {bundle.target_dim}"
-        )
     if hidden_map is None:
         hidden_map = new_hidden_map(
             params.n_hidden, bundle.target_dim, params.activation, params.seed

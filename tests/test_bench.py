@@ -1,5 +1,6 @@
 """Benchmark harness: config parsing, resplits, fairness token, reports."""
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from edapt import (
     run_sweep,
     standardize_bundle,
 )
+from edapt import bench
 from edapt.bench import (
     METHOD_LABELS,
     BenchReport,
@@ -229,6 +231,23 @@ def test_resplit_needs_enough_pool_per_class():
                             bundle.target_unlabeled, bundle.n_classes, None)
     with pytest.raises(ParameterError):
         resplit_bundle(stripped, 2, seed=0)
+
+
+@pytest.mark.parametrize("m, k, want", [
+    # 18 pool rows (2 labeled and 4 test per class) plus 12 unlabeled
+    (2, 30, "key 'n_neighbors': 30 needs at least 31 samples for the k-NN graph, "
+            "{manifest} has 30"),
+    (6, 5, "key 'm': {manifest}: class 0 has 6 pool samples; need at least 7"),
+])
+def test_a_manifest_run_refuses_k_and_m_before_its_first_seed(tmp_path, monkeypatch,
+                                                              m, k, want):
+    manifest = save_bundle(_pool_bundle(), str(tmp_path))
+    monkeypatch.setattr(bench, "_context", lambda *a: pytest.fail("a seed was built"))
+    config = _fast(data=manifest, m=m)
+    config = replace(config, params=replace(config.params, n_neighbors=k))
+    for run in (run_benchmark, run_sweep):
+        with pytest.raises(ParameterError, match=re.escape(want.format(manifest=manifest))):
+            run(config)
 
 
 def test_split_map_hash_tracks_content():

@@ -5,17 +5,21 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from edapt import (
     Dataset,
+    ParameterError,
+    build_knn_graph,
     load_model,
     new_hidden_map,
     preclassify_elm,
     predict_eda,
     predict_mveda,
+    run_benchmark,
     standardize_bundle,
 )
 from edapt.bench import load_config
@@ -716,6 +720,75 @@ def test_fit_names_the_config_and_manifest_when_n_neighbors_exceeds_the_target_r
     err = _fit_error(manifest, str(big), tmp_path, capsys)
     assert (f"{big}: key 'n_neighbors': 18 needs at least 19 samples for the "
             f"k-NN graph, {manifest} has 18") in err
+
+
+def test_one_k_nn_rule_refuses_the_same_k_with_the_same_sentence(tmp_path, cfg_path,
+                                                                 capsys):
+    # the graph build, the bench and fit used to word the rule three ways
+    sentence = re.compile(r"18 needs at least 19 samples for the k-NN graph, (.+) has 18")
+    with pytest.raises(ParameterError) as graph:
+        build_knn_graph(Dataset(np.arange(36.0).reshape(2, 18)), 18)
+    config = load_config(cfg_path)
+    with pytest.raises(ParameterError) as bench:
+        run_benchmark(replace(config, params=replace(config.params, n_neighbors=18)))
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys)  # 6 + 12 target rows
+    k18 = tmp_path / "k18.cfg"
+    k18.write_text(TINY_CFG + "n_neighbors = 18\n")
+    fit = _fit_error(manifest, str(k18), tmp_path, capsys)
+    holders = [sentence.search(text).group(1)
+               for text in (str(graph.value), str(bench.value), fit)]
+    assert holders == ["the dataset", "the synthetic scenario", manifest]
+
+
+@pytest.mark.parametrize("standardize", ["true", "false"])
+def test_fit_refuses_a_source_wider_than_its_target_naming_the_manifest(
+        tmp_path, cfg_path, capsys, standardize):
+    # it used to load, then fail naming no file: in the standardizer with
+    # "cannot concatenate datasets with dims [2, 3]", or, unscaled, in the
+    # pre-classifier with "needs equal feature dims"
+    data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    _edit(f"{data}/source_features.csv", r"^(.+)$", r"\1,0.5")
+    cfg = tmp_path / "std.cfg"
+    cfg.write_text(f"{TINY_CFG}standardize = {standardize}\n")
+    err = _fit_error(manifest, str(cfg), tmp_path, capsys)
+    assert (f"{manifest}: splits disagree on feature dim: source 3, target_labeled 2, "
+            "target_unlabeled 2, target_test 2") in err
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+@pytest.mark.parametrize("line, want", [
+    # 30 target rows per seed: the 18-row labeled pool plus 12 unlabeled
+    ("n_neighbors = 30", "key 'n_neighbors': 30 needs at least 31 samples for the "
+                         "k-NN graph, {manifest} has 30"),
+    # 2 labeled plus 4 test rows of each class
+    ("m = 6", "key 'm': {manifest}: class 0 has 6 pool samples; "
+              "need at least 7 to split"),
+])
+def test_a_manifest_bench_names_config_key_and_manifest_for_what_its_pool_cannot_hold(
+        tmp_path, cfg_path, capsys, command, line, want):
+    # both used to fail inside the first seed, naming no file and no key
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    cfg = tmp_path / "manifest.cfg"
+    cfg.write_text(TINY_CFG.replace("m = 2\n", "") + f"data = {manifest}\n{line}\n")
+    assert main([command, "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "reports")]) == 2
+    assert f"{cfg}: {want.format(manifest=manifest)}" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_a_manifest_bench_counts_source_rows_in_a_graph_sselm_builds_alone(
+        tmp_path, cfg_path, capsys):
+    # sselm's graph also holds the 30 source rows
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    cfg = tmp_path / "sselm.cfg"
+    text = f"{TINY_CFG}data = {manifest}\n".replace("methods = elm_s,eda",
+                                                    "methods = sselm")
+    cfg.write_text(text + "n_neighbors = 30\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    cfg.write_text(text + "n_neighbors = 60\n")
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert (f"{cfg}: key 'n_neighbors': 60 needs at least 61 samples for the "
+            f"k-NN graph, {manifest} has 60") in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -156,7 +156,8 @@ def test_csv_file_is_row_per_sample(tmp_path):
     ds = Dataset([[1.0, 2.0], [3.0, 4.0]])
     fp = str(tmp_path / "f.csv")
     save_csv(ds, fp)
-    lines = open(fp).read().splitlines()
+    with open(fp) as fh:
+        lines = fh.read().splitlines()
     assert lines == ["1.0,3.0", "2.0,4.0"]  # one sample (column) per line
 
 
@@ -251,7 +252,8 @@ def test_bundle_round_trip_empty_unlabeled(tmp_path):
 def test_manifest_missing_key(tmp_path):
     b = blob_bundle(seed=6)
     manifest = save_bundle(b, str(tmp_path))
-    text = [ln for ln in open(manifest) if not ln.startswith("classes")]
+    with open(manifest) as fh:
+        text = [ln for ln in fh if not ln.startswith("classes")]
     (tmp_path / "broken.txt").write_text("".join(text))
     with pytest.raises(ParseError):
         load_bundle(str(tmp_path / "broken.txt"))
@@ -331,9 +333,11 @@ def test_spec_validation():
         (dict(scale=np.nan), "scale must be positive and finite, got nan"),
         (dict(rotation_deg=np.nan), "rotation_deg must be finite, got nan"),
         (dict(means=np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]])),
-         "means must be finite"),
-        (dict(covariances=nan_cov), "covariances must be finite"),
-        (dict(translation=(np.nan, 0.0)), "translation must be finite"),
+         "field 'means' has non-finite entries, the first in class 1"),
+        (dict(covariances=nan_cov),
+         "field 'covariances' has non-finite entries, the first in class 1"),
+        (dict(translation=(np.nan, 0.0)),
+         "field 'translation' has non-finite entries, the first in entry 0"),
     ]:
         kwargs = {"means": means, "covariances": cov, **kwargs}
         with pytest.raises(ParameterError, match=want):

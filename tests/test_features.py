@@ -176,8 +176,8 @@ def test_standardizer_file_round_trip(tmp_path):
     st = Standardizer(np.array([0.1, -2.0]), np.array([1.5, 3.0]))
     p = str(tmp_path / "m.json")
     save_model(_model_over_two_inputs(st), p)
-    assert json.loads(open(p).read())["standardizer"] == {"mean": [0.1, -2.0],
-                                                        "std": [1.5, 3.0]}
+    with open(p) as fh:
+        assert json.load(fh)["standardizer"] == {"mean": [0.1, -2.0], "std": [1.5, 3.0]}
     back = load_model(p).standardizer
     assert np.array_equal(back.mean, st.mean)
     assert np.array_equal(back.std, st.std)

@@ -170,7 +170,8 @@ def test_a_one_view_file_in_the_multiview_layout_loads_as_the_one_view_model(
     assert np.array_equal(back.alpha_history, np.ones((rounds, 1)))
     # saved again, it is the eda file
     again = save_model(back, str(tmp_path / "again.json"))
-    assert open(again, "rb").read() == eda_path.read_bytes()
+    with open(again, "rb") as fh:
+        assert fh.read() == eda_path.read_bytes()
     csv = str(tmp_path / "test.csv")
     save_csv(raw.target_test, csv)
     outputs = []

@@ -345,13 +345,14 @@ def test_prelabels_shape_guard():
 
 
 def test_build_problem_rejects_dim_mismatch():
+    # the bundle refuses a source wider than its target, so no problem
+    # (and no pre-classifier) ever sees one
     bundle = blob_bundle(seed=3)
     wide = blob_bundle(seed=3, d=4)
     from edapt import DomainBundle
-    mixed = DomainBundle(wide.source, bundle.target_labeled,
-                         bundle.target_unlabeled, 3)
-    with pytest.raises(ShapeError):
-        build_problem(mixed, random_prelabels(bundle), small_params())
+    with pytest.raises(ShapeError, match="splits disagree on feature dim: source 4, "
+                                         "target_labeled 2, target_unlabeled 2"):
+        DomainBundle(wide.source, bundle.target_labeled, bundle.target_unlabeled, 3)
 
 
 def test_build_problem_arrays_are_read_only():
