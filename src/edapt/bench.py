@@ -636,7 +636,10 @@ def _context(config: BenchConfig, seed: int, base: DomainBundle | None) -> _Seed
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run every configured method over every seed; see the module docs."""
     check_synthetic_graph(config)
-    base = None if config.data == "synth" else load_bundle(config.data)
+    try:
+        base = None if config.data == "synth" else load_bundle(config.data)
+    except (ParameterError, ParseError, ShapeError) as err:
+        raise type(err)(f"key 'data': {err}") from None
     if base is not None:
         if base.target_test is None or base.target_test.labels is None:
             raise ParameterError(f"key 'data': {config.data} has no labeled "

@@ -46,7 +46,7 @@ from .data import (
     save_multiview_bundle,
     unlabeled_truth,
 )
-from .errors import ParameterError, ShapeError, check_int
+from .errors import ParameterError, ParseError, ShapeError, check_int
 from .features import (
     derive_view_seed,
     fit_standardizer,
@@ -76,8 +76,8 @@ def _run_bench(args, run):
         config = replace(config, seeds=(args.seed,))
     try:
         return config, run(config)
-    except ParameterError as err:
-        raise ParameterError(f"{args.config or 'the default config'}: {err}") from None
+    except (ParameterError, ParseError, ShapeError) as err:
+        raise type(err)(f"{args.config or 'the default config'}: {err}") from None
 
 
 def _predict(model, datasets: list[Dataset], detransform: bool):

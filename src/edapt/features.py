@@ -11,13 +11,26 @@ C-ordered product ``W X``) and the bias add and the activation run in
 place, one block of about ``_BLOCK`` entries at a time, while the block
 is still in cache; a block is a few whole hidden units, one contiguous
 slab of ``W X``.  Given output weights it returns the scores
-``act(W x + b) @ weights`` in blocks of a few rows from one reused
-buffer and never forms the ``n x L`` matrix, so scoring needs
-O(block * L + n * c) memory rather than O(n * L).
+``act(W x + b) @ weights`` in blocks of a few rows and never forms the
+``n x L`` matrix, so scoring needs O(workers * block * L + n * c)
+memory rather than O(n * L).
+
+Scoring runs on every CPU of the process's affinity mask: the caller
+and ``workers - 1`` threads started for the call claim row blocks from
+one shared counter, each into its own block buffer, while numpy
+releases the interpreter lock inside each block's products and
+activation.  ``workers = min(CPUs, blocks // 4)``, at least 1, so every
+worker scores four blocks or more on average and the buffers stay near
+a quarter of the activation matrix at most; a call of fewer than eight
+blocks, or on one CPU, starts no thread.  Blocks and the arithmetic in
+each are the same at any worker count, so the scores are too, bit for
+bit.  The matrix form runs in the caller alone.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,13 +147,13 @@ def map_features(hidden_map: HiddenMap, data: Dataset,
     whose row ``i`` is ``act(W @ x_i + b)``, F-ordered (hidden-unit-major).
     With ``weights`` (``n_hidden x c``), returns the ``n x c`` scores
     ``act(W @ x_i + b) @ weights``, computed in row blocks of about
-    ``_BLOCK`` activations without forming the activation matrix.  The
-    matrix is one product ``W @ X`` finished in place in blocks of whole
-    hidden units, and equals the unblocked ``act((W @ X).T + b)`` bit
-    for bit; the
-    scores equal its product with ``weights`` bit for bit when the
-    dataset fits in one block and up to rounding otherwise.  Feature
-    dimension must match the map.
+    ``_BLOCK`` activations without forming the activation matrix, on
+    up to one worker per CPU (see the module notes) with the same bits
+    at any worker count.  The matrix is one product ``W @ X`` finished
+    in place in blocks of whole hidden units, and equals the unblocked
+    ``act((W @ X).T + b)`` bit for bit; the scores equal its product
+    with ``weights`` bit for bit when the dataset fits in one block and
+    up to rounding otherwise.  Feature dimension must match the map.
     """
     if data.dim != hidden_map.n_features:
         raise ShapeError(
@@ -165,15 +178,49 @@ def map_features(hidden_map: HiddenMap, data: Dataset,
         raise ShapeError(f"weights must have shape ({n_hidden}, c) for a map of "
                          f"shape {w.shape}, got {weights.shape}")
     rows = max(1, _BLOCK // n_hidden)
+    starts = range(0, n, rows)
     scores = np.empty((n, weights.shape[1]))
-    buf = np.empty((n_hidden, min(rows, n)))
-    for i in range(0, n, rows):
-        xb = x[:, i:i + rows]
-        z = buf[:, :xb.shape[1]]
-        np.matmul(w, xb, out=z)
-        z += b
-        np.matmul(act(z).T, weights, out=scores[i:i + rows])
+    # four blocks or more per worker: the buffers stay near a quarter of
+    # the n x L activations at most, whatever the CPU count
+    workers = max(1, min(_cpu_count(), len(starts) // 4))
+    bufs = [np.empty((n_hidden, min(rows, n))) for _ in range(workers)]
+    claim, lock, failed = iter(starts), threading.Lock(), []
+
+    def score_blocks(buf: np.ndarray) -> None:
+        try:
+            while not failed:
+                with lock:
+                    i = next(claim, None)
+                if i is None:
+                    return
+                xb = x[:, i:i + rows]
+                z = buf[:, :xb.shape[1]]
+                np.matmul(w, xb, out=z)
+                z += b
+                np.matmul(act(z).T, weights, out=scores[i:i + rows])
+        except Exception as exc:  # stops the other workers; re-raised below
+            failed.append(exc)
+
+    threads = [threading.Thread(target=score_blocks, args=(buf,)) for buf in bufs[1:]]
+    for t in threads:
+        t.start()
+    try:
+        score_blocks(bufs[0])
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[0]
     return scores
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,10 @@ memory on each access; they exist for inspection and tests.  The
 smoothness Gram ``H' L H`` of n x L activations ``H``, which the primal
 solvers add to their normal equations, comes from
 :func:`laplacian_gram` alone, which computes its lower triangle and
-mirrors it.  The row blocks of squared distances that
-the build walks through also give the kernel pre-classifier
+mirrors it.  The build walks through row blocks of about 2**17 squared
+distances (1 MiB, the hidden layer's block budget), so its three block
+buffers take about 3 MB; each block's nominees are found from flat
+indices into it.  The same blocks also give the kernel pre-classifier
 (:mod:`edapt.preclassify`) its distance matrices, one block each.
 ``scipy.sparse`` is imported by :func:`build_knn_graph`, the one
 function that makes a sparse array, not with this module.
@@ -43,10 +45,10 @@ __all__ = ["LaplacianGraph", "build_knn_graph", "check_graph_rows", "laplacian_g
            "quadratic_energy"]
 
 # rows per distance block are chosen so that one block of squared
-# distances holds about this many doubles: the build's three block
-# buffers take about 24 MB whatever n is (while n <= 2**20), where the
-# full matrix would take 8 n**2 bytes
-_BLOCK_ENTRIES = 1 << 20
+# distances holds about this many doubles (1 MiB, features._BLOCK's
+# budget): the build's three block buffers take about 3 MB whatever n is
+# (while n <= 2**17), where the full matrix would take 8 n**2 bytes
+_BLOCK_ENTRIES = 1 << 17
 
 # columns per panel of H'LH are chosen so that one n x w panel of L H
 # holds about this many doubles (2 MiB); panels start on multiples of 8
@@ -141,8 +143,11 @@ def _nominations(x: np.ndarray, n_neighbors: int):
         kth = part_buf[:m]
         np.copyto(kth, d2)
         kth.partition(k - 1, axis=1)
-        r, c = np.nonzero(d2 <= kth[:, k - 1:k])
-        dist = d2[r, c]
+        # the block is contiguous, so its flat indices split into
+        # (row, column) pairs, at a tenth of a 2-D nonzero's cost
+        flat = np.flatnonzero(d2 <= kth[:, k - 1:k])
+        r, c = np.divmod(flat, n)
+        dist = d2.take(flat)
         order = np.lexsort((c, dist, r))
         r, c, dist = r[order], c[order], dist[order]
         # rank within the row; every row has at least k candidates

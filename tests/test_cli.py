@@ -13,6 +13,7 @@ import pytest
 from edapt import (
     Dataset,
     ParameterError,
+    ParseError,
     build_knn_graph,
     load_model,
     new_hidden_map,
@@ -789,6 +790,25 @@ def test_a_manifest_bench_counts_source_rows_in_a_graph_sselm_builds_alone(
     assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert (f"{cfg}: key 'n_neighbors': 60 needs at least 61 samples for the "
             f"k-NN graph, {manifest} has 60") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_a_manifest_that_fails_to_load_is_named_with_the_config_file_and_key(
+        tmp_path, cfg_path, capsys, command):
+    # both used to name the manifest alone, not the config or its key
+    data, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"{TINY_CFG}data = {manifest}\n")
+    _edit(f"{data}/source_features.csv", r"^(.+)$", r"\1,0.5")
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert (f"error: {cfg}: key 'data': {manifest}: splits disagree on feature dim: "
+            "source 3, target_labeled 2") in capsys.readouterr().err
+    _edit(f"{data}/source_features.csv", r"^[^,\n]+,", "x,")
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: key 'data': ") and "source_features.csv" in err
+    with pytest.raises(ParseError, match="^key 'data': "):
+        run_benchmark(load_config(str(cfg)))
 
 
 def test_python_dash_m_runs_the_command_line():

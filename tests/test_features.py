@@ -5,8 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from edapt import (
     save_model,
     standardize_bundle,
 )
+from edapt import features
 from edapt.features import (
     ACTIVATIONS,
     _BLOCK,
@@ -333,6 +337,128 @@ def test_scoring_streams_without_the_activation_matrix():
         finally:
             tracemalloc.stop()
         assert peak < n * n_hidden * 8 // 4
+
+
+def _cpus(count):
+    """Score as if the process's affinity mask held ``count`` CPUs."""
+    return mock.patch("edapt.features._cpu_count", lambda: count)
+
+
+@contextmanager
+def _threads_started():
+    """Count the threads made, holding no reference to their arguments
+    (a mock's call list would keep each block buffer alive)."""
+    started, thread = [], threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(None)
+        return thread(*args, **kwargs)
+
+    with mock.patch("threading.Thread", counted):
+        yield started
+
+
+def _score_case(n_hidden, blocks, d=2, c=3, activation="radbas", extra=0):
+    """A map, data of ``blocks`` full score blocks plus ``extra`` rows,
+    and output weights."""
+    rng = np.random.default_rng(n_hidden + blocks)
+    n = blocks * (_BLOCK // n_hidden) + extra
+    hm = new_hidden_map(n_hidden, d, activation, seed=n)
+    return hm, Dataset(2.0 * rng.standard_normal((d, n))), rng.standard_normal((n_hidden, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scores_are_bit_identical_whatever_the_worker_count(data):
+    # workers = min(CPUs, blocks // 4): around 8, 12 and 16 blocks the
+    # count steps, and a one-row last block is the most ragged
+    blocks = data.draw(st.sampled_from([7, 8, 11, 12, 15, 16]))
+    hm, ds, weights = _score_case(
+        data.draw(st.integers(64, 400)), blocks, data.draw(st.integers(1, 12)),
+        data.draw(st.integers(1, 4)), data.draw(st.sampled_from(ACTIVATIONS)),
+        data.draw(st.sampled_from([0, 1])))
+    with _cpus(1):
+        want = map_features(hm, ds, weights)
+    for cpus in (2, 3, 64):
+        with _cpus(cpus):
+            assert np.array_equal(map_features(hm, ds, weights), want)
+
+
+def test_many_workers_score_each_block_once():
+    # 250 blocks of 4 rows among 62 workers on two cores, switching
+    # threads every microsecond: a block claimed twice or skipped shows
+    # in the activation count or the scores
+    rng = np.random.default_rng(5)
+    hm, weights = new_hidden_map(16, 2, seed=5), rng.standard_normal((16, 3))
+    ds = Dataset(rng.standard_normal((2, 1000)))
+    calls = []
+
+    def counted(z):
+        calls.append(z.shape[1])
+        return features._radbas(z)
+
+    interval = sys.getswitchinterval()
+    with mock.patch("edapt.features._BLOCK", 64), \
+            mock.patch.dict(features._ACT_FNS, radbas=counted):
+        with _cpus(1):
+            want = map_features(hm, ds, weights)
+        assert len(calls) == 250
+        sys.setswitchinterval(1e-6)
+        try:
+            with _cpus(64):
+                got = map_features(hm, ds, weights)
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(calls) == 500 and sum(calls) == 2000
+    assert np.array_equal(got, want)
+
+
+def test_scoring_on_64_cpus_keeps_the_streaming_bound():
+    # 4000 rows at L = 1000 make 31 blocks, so 7 workers and 7 buffers in
+    # each of its four maps (predict_mveda maps two views)
+    with _cpus(64), _threads_started() as started:
+        test_scoring_streams_without_the_activation_matrix()
+    assert len(started) == 4 * 6
+
+
+@pytest.mark.parametrize("cpus, blocks, extra, threads", [
+    (64, 7, 0, 0),  # fewer than eight blocks
+    (64, 7, 1, 1),  # eight blocks, the last one row
+    (1, 40, 0, 0),  # one CPU
+    (2, 40, 0, 1),
+    (3, 12, 0, 2),
+    (64, 12, 0, 2),
+])
+def test_threads_start_only_for_eight_blocks_and_a_second_cpu(cpus, blocks, extra,
+                                                               threads):
+    hm, ds, weights = _score_case(1000, blocks, extra=extra)
+    with _cpus(cpus), _threads_started() as started:
+        map_features(hm, ds, weights)
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("cpus, thread", [(1, "caller"), (2, "caller"), (2, "worker"),
+                                          (64, "caller"), (64, "worker")])
+def test_an_activation_that_raises_on_one_block_raises_in_the_caller(cpus, thread):
+    hm, ds, weights = _score_case(1000, 16)
+    turn, raised = threading.Event(), []
+
+    def fails_once(z):
+        if (threading.current_thread() is threading.main_thread()) == (thread == "caller"):
+            turn.set()
+            if not raised:
+                raised.append(z.shape)
+                raise FloatingPointError("block failed")
+        else:
+            turn.wait(10)  # leave a block to the thread that fails
+        return features._radbas(z)
+
+    before = threading.active_count()
+    with _cpus(cpus), mock.patch.dict(features._ACT_FNS, radbas=fails_once):
+        with pytest.raises(FloatingPointError, match="block failed"):
+            map_features(hm, ds, weights)
+    assert len(raised) == 1
+    assert threading.active_count() == before  # every worker was joined
 
 
 def test_import_loads_neither_scipy_special_nor_spatial():

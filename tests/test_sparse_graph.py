@@ -23,6 +23,7 @@ from edapt.single import _beta_blocks
 from helpers import (
     blob_bundle,
     dense_knn_reference,
+    peak_bytes,
     random_prelabels,
     small_params,
     small_problem,
@@ -101,6 +102,37 @@ def test_sparse_build_matches_dense_reference(case, weighted):
     full = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x.T @ x), 0.0)
     bound = 4.0 * (d + 1) * np.finfo(np.float64).eps * (sq[:, None] + sq[None, :])
     assert np.all(np.abs(blocks - full) <= bound)
+
+
+def _nominations_at(x, k, entries):
+    with mock.patch.object(graph_module, "_BLOCK_ENTRIES", entries):
+        return graph_module._nominations(x, k)
+
+
+@pytest.mark.parametrize("d, span", [(2, 6), (4, 3)])
+def test_nominations_are_a_full_sort_by_distance_then_index_at_any_block_size(d, span):
+    # integer points: every distance is exact, so no block size can move a
+    # bit; 1500 points on a 13**2 or 7**4 lattice hold many duplicates and
+    # exact ties.  2**10 entries make one-row blocks, 2**20 one block.
+    n, k = 1500, 7
+    x = np.random.default_rng(d).integers(-span, span + 1, size=(d, n)).astype(float)
+    d2 = ((x[:, :, None] - x[:, None, :]) ** 2).sum(axis=0)
+    np.fill_diagonal(d2, np.inf)
+    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2))[:, :k]
+    rows = np.repeat(np.arange(n), k)
+    want = (rows, order.ravel(), d2[rows, order.ravel()])
+    for entries in (1 << 10, 1 << 14, 1 << 17, 1 << 20):
+        got = _nominations_at(x, k, entries)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_the_build_holds_three_one_mib_distance_blocks():
+    # 3009 target rows, the tall fit's graph: the three block buffers used
+    # to take 25 MB (27 MB at peak)
+    n, k = 3009, 10
+    data = Dataset(np.random.default_rng(0).standard_normal((2, n)))
+    assert peak_bytes(build_knn_graph, data, k) <= 3 * 8 * (1 << 17) + 64 * n * k
 
 
 def test_graph_is_stored_sparse_and_read_only():
