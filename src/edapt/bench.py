@@ -12,13 +12,16 @@ with tunable weights are run over a small grid and reported two ways:
 seeds - an optimistic, tuned-on-test selection) and ``fixed-default``
 (the configured parameters as they are).
 
-Each method builds its inputs once per seed.  The adaptation methods
-differ only in their pre-classifier scores, so they share each seed's
-view problems: view v's bundle, hidden map, activations and target
-graph are built once, on first use, and each method swaps in its own
-scores.  They sweep only the loss weights ``c_source``/``c_target``,
-which change none of these, so each grid point only re-runs the
-alternating solver.  The normal equations' weight-free Grams (``Hs'Hs``,
+Each method builds its inputs once per seed.  View v is
+:meth:`BenchConfig.view_bundle` of the seed's standardized bundle (so
+its noise meets standardized features; ``edapt synth`` adds it to raw
+ones), mapped by ``params.view_map``.  The adaptation methods differ
+only in their pre-classifier scores, so they share each seed's view
+problems: view v's bundle, hidden map, activations and target graph are
+built once, on first use, and each method swaps in its own scores.
+They sweep only the loss weights ``c_source``/``c_target``, which
+change none of these, so each grid point only re-runs the alternating
+solver.  The normal equations' weight-free Grams (``Hs'Hs``,
 ``Hu'Hu``, ``H'LH`` and ``Hs'Ts``) are likewise built once per seed and
 view, on first use, and every method and grid point scales copies of
 them; only the labeled Gram ``Ht'Ht``, of rank at most ``m c``, is
@@ -65,13 +68,7 @@ from .data import (
 )
 from .errors import (ParameterError, ParseError, ShapeError, check_choice, check_int,
                      check_real)
-from .features import (
-    HiddenMap,
-    derive_view_seed,
-    map_features,
-    new_hidden_map,
-    standardize_bundle,
-)
+from .features import HiddenMap, derive_view_seed, map_features, standardize_bundle
 from .graph import build_knn_graph, check_graph_rows
 from .linalg import _blas_threads_for
 from .metrics import accuracy, mean_average_precision
@@ -164,6 +161,15 @@ class BenchConfig:
         # its spec checks the geometry and sample counts here, so that
         # load_config names the file and key
         synth_spec(self, 0)
+
+    def view_bundle(self, bundle: DomainBundle, seed: int, view: int) -> DomainBundle:
+        """View ``view`` of a seed's bundle: the bundle itself for view 0,
+        after that the bundle with ``noise_dim`` standard-normal features
+        appended, drawn from ``derive_view_seed(seed, view)``.  The bench
+        and ``edapt synth`` make their views here."""
+        if view == 0:
+            return bundle
+        return augment_noise_view(bundle, self.noise_dim, derive_view_seed(seed, view))
 
 
 def check_synthetic_graph(config: BenchConfig) -> None:
@@ -457,17 +463,14 @@ class _SeedContext:
         return self._once(("activations", part, view), make)
 
     def inputs(self, view: int) -> tuple[DomainBundle, HiddenMap]:
-        """View ``view``'s bundle and map: this seed's own for view 0, a
-        noise-augmented copy of the bundle with a map of its own after."""
+        """View ``view``'s bundle and map: this seed's own for view 0, after
+        that ``config.view_bundle`` of it with ``params.view_map``."""
         if view == 0:
             return self.bundle, self.hidden_map
 
         def make():
-            view_seed = derive_view_seed(self.params.seed, view)
-            bundle = augment_noise_view(self.bundle, self.config.noise_dim, view_seed)
-            p = self.params
-            return bundle, new_hidden_map(p.n_hidden, bundle.target_dim,
-                                          p.activation, view_seed)
+            bundle = self.config.view_bundle(self.bundle, self.params.seed, view)
+            return bundle, self.params.view_map(bundle.target_dim, view)
         return self._once(("inputs", view), make)
 
     def prelabels(self, name: str, view: int) -> np.ndarray:
@@ -619,11 +622,11 @@ class BenchReport:
 
 def _context(config: BenchConfig, seed: int, base: DomainBundle | None) -> _SeedContext:
     bundle = _seed_bundle(config, seed, base)
-    p = config.params
-    hidden_map = new_hidden_map(p.n_hidden, bundle.target_dim, p.activation, seed)
+    params = replace(config.params, seed=seed)
+    hidden_map = params.view_map(bundle.target_dim)
     return _SeedContext(
         config=config,
-        params=replace(p, seed=seed),
+        params=params,
         bundle=bundle,
         hidden_map=hidden_map,
         t_source=encode_labels(bundle.source.labels, bundle.n_classes),

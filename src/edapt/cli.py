@@ -33,7 +33,6 @@ from .bench import (
 )
 from .data import (
     Dataset,
-    augment_noise_view,
     generate_shift,
     load_bundle,
     load_csv,
@@ -47,12 +46,7 @@ from .data import (
     unlabeled_truth,
 )
 from .errors import ParameterError, ParseError, ShapeError, check_int
-from .features import (
-    derive_view_seed,
-    fit_standardizer,
-    new_hidden_map,
-    standardize_bundle,
-)
+from .features import fit_standardizer, standardize_bundle
 from .graph import check_graph_rows
 from .modelio import load_model, save_model
 from .multiview import fit_mveda, predict_mveda
@@ -112,14 +106,9 @@ def _cmd_synth(args) -> int:
     spec = synth_spec(config, seed)
     bundle = generate_shift(spec)
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.views > 1:
-        bundles = [bundle] + [
-            augment_noise_view(bundle, config.noise_dim, derive_view_seed(seed, v))
-            for v in range(1, args.views)
-        ]
-        manifest = save_multiview_bundle(bundles, args.out_dir)
-    else:
-        manifest = save_bundle(bundle, args.out_dir)
+    bundles = [config.view_bundle(bundle, seed, v) for v in range(args.views)]
+    manifest = (save_multiview_bundle(bundles, args.out_dir) if args.views > 1
+                else save_bundle(bundle, args.out_dir))
     truth = unlabeled_truth(spec)
     truth_path = os.path.join(args.out_dir, "unlabeled_truth_labels.csv")
     save_labels(truth, truth_path)
@@ -182,9 +171,7 @@ def _cmd_fit(args) -> int:
     if config.standardize:
         sts = [fit_standardizer(b.source, b.target_labeled) for b in bundles]
         fit_bundles = [standardize_bundle(b, st) for b, st in zip(bundles, sts)]
-    maps = [new_hidden_map(params.n_hidden, b.target_dim, params.activation,
-                           derive_view_seed(params.seed, v))
-            for v, b in enumerate(fit_bundles)]
+    maps = [params.view_map(b.target_dim, v) for v, b in enumerate(fit_bundles)]
     phis = [
         _resolve_prelabels(s, b, m, config.pre_ridge)
         for s, b, m in zip(specs, fit_bundles, maps)

@@ -129,13 +129,13 @@ def _nominations(x: np.ndarray, n_neighbors: int):
     candidates at or below it are ordered by (distance, index), so equal
     computed distances resolve toward the lower index (duplicates tie
     only up to rounding; see the module notes), and the first k are kept.
-    Returns ``(rows, cols, sq_dists)`` of the ``n * k`` nominations.
+    Returns ``(rows, cols)`` of the ``n * k`` nominations.
     """
     n = x.shape[1]
     k = n_neighbors
     block = max(1, _BLOCK_ENTRIES // n)
     part_buf = np.empty((min(block, n), n))
-    rows, cols, dists = [], [], []
+    rows, cols = [], []
     for start, d2 in _sq_dist_blocks(x, x, block):
         m = d2.shape[0]
         local = np.arange(m)
@@ -147,16 +147,14 @@ def _nominations(x: np.ndarray, n_neighbors: int):
         # (row, column) pairs, at a tenth of a 2-D nonzero's cost
         flat = np.flatnonzero(d2 <= kth[:, k - 1:k])
         r, c = np.divmod(flat, n)
-        dist = d2.take(flat)
-        order = np.lexsort((c, dist, r))
-        r, c, dist = r[order], c[order], dist[order]
+        order = np.lexsort((c, d2.take(flat), r))
+        r, c = r[order], c[order]
         # rank within the row; every row has at least k candidates
         counts = np.bincount(r, minlength=m)
         keep = np.arange(r.shape[0]) - (np.cumsum(counts) - counts)[r] < k
         rows.append(r[keep] + start)
         cols.append(c[keep])
-        dists.append(dist[keep])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def check_graph_rows(n_neighbors: int, rows: int, holder: str,
@@ -183,7 +181,9 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
         If True, edges carry Gaussian heat weights
         ``exp(-d_ij**2 / (2 t))`` with ``t`` the mean squared length of
         the selected edges (all weights are 1 when every edge has length
-        0); default is binary 0/1 weights.
+        0); default is binary 0/1 weights.  Each edge's length is found
+        on its own, not read from a distance block, so the weights do
+        not depend on how the selection was blocked.
 
     Raises
     ------
@@ -195,16 +195,18 @@ def build_knn_graph(data: Dataset, n_neighbors: int = 5,
     check_graph_rows(check_int("n_neighbors", n_neighbors, 1), n, "the dataset")
     from scipy import sparse
 
-    rows, cols, d2 = _nominations(data.features, n_neighbors)
-    # symmetric OR: each nomination and its transpose, deduplicated; an
-    # entry's first occurrence is its own row's nomination when there is
-    # one, so it keeps that row's distance
-    keys, first = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
-                            return_index=True)
+    rows, cols = _nominations(data.features, n_neighbors)
+    # symmetric OR: each nomination and its transpose, deduplicated
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
     rows, cols = np.divmod(keys, n)
     weights = np.ones(keys.shape[0])
     if weighted:
-        d2 = np.concatenate([d2, d2])[first]
+        x = data.features
+        dot = np.zeros(keys.shape[0])
+        for feature in x:  # O(edges) memory; symmetric in (i, j) bit for bit
+            dot += feature[rows] * feature[cols]
+        sq = np.einsum("ij,ij->j", x, x)
+        d2 = np.maximum(sq[rows] + sq[cols] - 2.0 * dot, 0.0)
         t = float(d2.mean())
         # t = 0 only when every edge has length 0, and then every heat
         # weight exp(-0 / (2 t)) is 1, as it is for any t > 0

@@ -19,12 +19,13 @@ criterion 2 checks it there), but it can rise on small, unevenly
 weighted problems (L=20, c_source=100, c_target=1;
 ``test_multiview.py::test_known_defect_is_flagged`` pins one).
 
-One alternating loop, ``single._alternate``, serves one or many views:
-it scales each view's normal-equation blocks by ``alpha_v`` and
-``alpha_v**r`` and skips the weight step when there is only one view,
-so a one-view fit matches :func:`~edapt.single.fit_eda` bit for bit.
-Both return the same record, :class:`~edapt.single.EdaModel`, with one
-entry per view in each per-view field.
+One fit body in :mod:`edapt.single` serves one or many views: view ``v``
+is mapped by ``params.view_map(dim, v)`` unless maps are given, and one
+loop scales its normal-equation blocks by ``alpha_v`` and ``alpha_v**r``,
+skipping the weight step for one view.  :func:`~edapt.single.fit_eda` is
+that body on one view, so a one-view fit is ``fit_eda``'s by construction.
+Both return :class:`~edapt.single.EdaModel`, one entry per view in each
+per-view field.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ import numpy as np
 
 from .data import Dataset, DomainBundle, decode_labels
 from .errors import ParameterError, ShapeError
-from .features import HiddenMap, derive_view_seed, map_features, new_hidden_map
+from .features import HiddenMap, map_features
 from .single import (
     EdaModel,
     EdaParams,
     EdaProblem,
-    _alternate,
-    build_problem,
+    _fit_views,
     mv_objective,
     update_alpha,
     update_beta,
@@ -47,6 +47,7 @@ from .single import (
     view_trace,
 )
 from .single import beta_gradient  # noqa: F401  (perfbench/test_harness.py reads it here)
+from .single import build_problem  # noqa: F401  (tests patch it here)
 
 __all__ = [
     "fit_mveda",
@@ -128,21 +129,19 @@ def fit_mveda(
         Per-view list of score matrices, or a single one shared by every
         view.
     params : EdaParams
-        View ``v``'s hidden map is drawn from
-        ``derive_view_seed(params.seed, v)``; pass ``hidden_maps`` to
-        override.
+        View ``v``'s hidden map is ``params.view_map(dim_v, v)``; pass
+        ``hidden_maps`` to override.
     hidden_maps : list of HiddenMap, optional
         Override ``params.n_hidden``, ``.activation`` and ``.seed``; the
         model keeps these maps, and ``params`` as passed.
 
     Notes
     -----
-    View 0's default map is the one :func:`~edapt.single.fit_eda` draws
-    (``derive_view_seed(seed, 0)`` is ``seed``).  With a single view the
-    loop also skips the weight step, so the fit equals ``fit_eda`` bit
-    for bit.  The weight vector starts
-    uniform and every iterate stays on the simplex.  A caller that
-    rescaled the bundles attaches the rescalings with
+    This and :func:`~edapt.single.fit_eda` run one body, so with a
+    single view the fit is ``fit_eda``'s: view 0's default map is the
+    one ``fit_eda`` draws, and the loop skips the weight step.  The
+    weight vector starts uniform and every iterate stays on the simplex.
+    A caller that rescaled the bundles attaches the rescalings with
     ``dataclasses.replace(model, standardizers=[...])``.
     """
     if not bundles:
@@ -154,19 +153,8 @@ def fit_mveda(
         raise ShapeError(f"{len(prelabels)} prelabel blocks for {n_views} views")
     if hidden_maps is not None and len(hidden_maps) != n_views:
         raise ShapeError(f"{len(hidden_maps)} hidden maps for {n_views} views")
-
-    if hidden_maps is None:
-        hidden_maps = [
-            new_hidden_map(params.n_hidden, bundle.target_dim, params.activation,
-                           derive_view_seed(params.seed, v))
-            for v, bundle in enumerate(bundles)
-        ]
     _check_aligned(bundles)
-    problems, maps = zip(*(build_problem(b, phi, params, hm)
-                           for b, phi, hm in zip(bundles, prelabels, hidden_maps)))
-    betas, thetas, alphas, history = _alternate(problems, params)
-    return EdaModel(list(maps), betas, thetas, np.asarray(alphas),
-                    np.asarray(history), params)
+    return _fit_views(bundles, prelabels, params, hidden_maps)
 
 
 def predict_mveda(

@@ -44,12 +44,12 @@ sample-space solve forms no L x L array: it holds the n x n matrix
 ``S`` and its factor, and the target block's Cholesky factor and
 inverse (n_t x n_t each; while they are built, the dense block too).
 
-The alternating loop here also runs the multi-view solver
-(:mod:`edapt.multiview`): it takes a list of per-view problems, scales
-each view's loss terms by ``alpha_v`` and its smoothness term by
-``alpha_v**r``, and adds the view-weight step when there are two or
-more views.  A single-view fit is the one-view case with ``alpha = [1]``,
-and :class:`EdaModel` records a fit of either kind.
+One fit body here also runs the multi-view solver (:mod:`edapt.multiview`):
+it builds each view's problem and runs one loop, which scales each view's
+loss terms by ``alpha_v`` and its smoothness term by ``alpha_v**r`` and
+adds the view-weight step when there are two or more views.  :func:`fit_eda`
+is that body on one view (``alpha = [1]``), and :class:`EdaModel` records
+a fit of either kind.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ import numpy as np
 from .data import Dataset, DomainBundle, _lock, decode_labels, encode_labels
 from .errors import (ParameterError, ShapeError, check_choice, check_finite, check_int,
                      check_real)
-from .features import ACTIVATIONS, HiddenMap, Standardizer, map_features, new_hidden_map
+from .features import (ACTIVATIONS, HiddenMap, Standardizer, derive_view_seed,
+                       map_features, new_hidden_map)
 from .graph import LaplacianGraph, build_knn_graph, laplacian_gram, quadratic_energy
 from .linalg import _blas_threads_for, cho_factor, cho_inverse, cho_solve, solve_spd
 
@@ -119,8 +120,8 @@ class EdaParams:
     seed : int
         Seed for the random hidden layer.
 
-    ``n_hidden``, ``activation`` and ``seed`` only draw a hidden map.  A
-    map passed to :func:`fit_eda` or :func:`~edapt.multiview.fit_mveda`
+    ``n_hidden``, ``activation`` and ``seed`` only draw maps (:meth:`view_map`).
+    A map passed to :func:`fit_eda` or :func:`~edapt.multiview.fit_mveda`
     overrides all three, and a fitted model's (and its file's)
     ``hidden_map`` is what predicts, whatever its ``params`` say.
     """
@@ -148,6 +149,13 @@ class EdaParams:
             check_real(name, getattr(self, name), 0.0, strict=True)
         check_real("view_exponent", self.view_exponent, 1.0, strict=True)
         check_choice("activation", self.activation, ACTIVATIONS)
+
+    def view_map(self, n_features: int, view: int = 0) -> HiddenMap:
+        """View ``view``'s hidden map over ``n_features`` inputs, drawn from
+        ``derive_view_seed(seed, view)`` (``seed`` itself for view 0): the
+        one recipe every fit, ``edapt fit`` and the bench draw maps with."""
+        return new_hidden_map(self.n_hidden, n_features, self.activation,
+                              derive_view_seed(self.seed, view))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +216,12 @@ def build_problem(
     """Map a bundle into hidden space and assemble the solver operands.
 
     ``prelabels`` is a score matrix with one row per unlabeled sample
-    and one column per class.  If no map is given, one is drawn
-    from ``params``; the bundle's splits share one feature dim, so
-    that map serves both domains.
+    and one column per class.  If no map is given, view 0's is drawn,
+    ``params.view_map(bundle.target_dim)``; the bundle's splits share
+    one feature dim, so that map serves both domains.
     """
     if hidden_map is None:
-        hidden_map = new_hidden_map(
-            params.n_hidden, bundle.target_dim, params.activation, params.seed
-        )
+        hidden_map = params.view_map(bundle.target_dim)
     target = bundle.target_all()
     # the graph first, so its distance blocks never sit on top of the
     # activations
@@ -799,14 +805,25 @@ def fit_eda(
     ``prelabels`` is a score matrix for the unlabeled split.  A given
     ``hidden_map`` overrides ``params.n_hidden``, ``.activation`` and
     ``.seed``; the model keeps that map, and ``params`` as passed.  The
-    model is the one-view record :func:`~edapt.multiview.fit_mveda`
-    returns for ``[bundle]``.  A caller that rescaled ``bundle``
-    attaches the rescaling with
+    fit runs the body of :func:`~edapt.multiview.fit_mveda` on
+    ``[bundle]``, so the model is the one-view record that returns.  A
+    caller that rescaled ``bundle`` attaches the rescaling with
     ``dataclasses.replace(model, standardizers=[...])``.
     """
-    prob, hidden_map = build_problem(bundle, prelabels, params, hidden_map)
-    betas, thetas, alphas, history = _alternate([prob], params)
-    return EdaModel([hidden_map], betas, thetas, np.asarray(alphas),
+    return _fit_views([bundle], [prelabels], params,
+                      None if hidden_map is None else [hidden_map])
+
+
+def _fit_views(bundles: list[DomainBundle], prelabels: list, params: EdaParams,
+               hidden_maps: list[HiddenMap] | None) -> EdaModel:
+    """The body of both fits: each view's problem, on its given map or on
+    ``params.view_map(dim, v)``, then the alternating loop."""
+    if hidden_maps is None:
+        hidden_maps = [params.view_map(b.target_dim, v) for v, b in enumerate(bundles)]
+    problems = [build_problem(b, phi, params, hm)[0]
+                for b, phi, hm in zip(bundles, prelabels, hidden_maps)]
+    betas, thetas, alphas, history = _alternate(problems, params)
+    return EdaModel(list(hidden_maps), betas, thetas, np.asarray(alphas),
                     np.asarray(history), params)
 
 

@@ -23,9 +23,10 @@ from edapt import (
     run_benchmark,
     standardize_bundle,
 )
-from edapt.bench import load_config
+from edapt.bench import load_config, synth_spec
 from edapt.cli import main
-from edapt.data import load_bundle, load_csv, save_csv
+from edapt.data import (generate_shift, load_bundle, load_csv, load_multiview_bundles,
+                        save_csv)
 from edapt.features import fit_standardizer
 
 TINY_CFG = """\
@@ -182,6 +183,38 @@ def test_first_view_of_a_multiview_manifest_fits_as_the_single_view_manifest(
         assert outputs[0] == outputs[1]
         scores.append(outputs[0][2])
     assert scores[0] != scores[1]  # the drift was undone
+
+
+def test_three_views_are_made_and_mapped_by_the_one_view_recipe(tmp_path, cfg_path,
+                                                               capsys):
+    # synth makes view v with the config's noise-view helper, and fit
+    # draws view v's map with params.view_map(dim, v), for every view
+    out, run = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--seed", "3", "--views", "3", "--config", cfg_path,
+                 "--out-dir", str(out)]) == 0
+    manifest = capsys.readouterr().out.splitlines()[0]
+    assert main(["fit", manifest, "--seed", "3", "--config", cfg_path,
+                 "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    config = load_config(cfg_path)
+    base = generate_shift(synth_spec(config, 3))
+    views = load_multiview_bundles(manifest)
+    assert len(views) == 3
+    for v, view in enumerate(views):
+        want = config.view_bundle(base, 3, v)
+        for part in ("source", "target_labeled", "target_unlabeled", "target_test"):
+            got, expected = getattr(view, part), getattr(want, part)
+            assert np.array_equal(got.features, expected.features)
+            assert (got.labels is None and expected.labels is None) or np.array_equal(
+                got.labels, expected.labels)
+    params = replace(config.params, seed=3)
+    model = load_model(str(run / "model.json"))
+    assert model.n_views == 3
+    for v, (hm, view) in enumerate(zip(model.hidden_maps, views)):
+        want = params.view_map(view.target_dim, v)
+        assert np.array_equal(hm.weights, want.weights)
+        assert np.array_equal(hm.biases, want.biases)
+        assert (hm.activation, hm.seed) == (want.activation, want.seed)
 
 
 def test_fit_rejects_detransform_on_a_multiview_manifest(tmp_path, cfg_path, capsys):

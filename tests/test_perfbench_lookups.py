@@ -8,6 +8,9 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
+import pytest
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
@@ -61,3 +64,32 @@ def test_every_edapt_name_the_harness_reads_resolves():
     missing = sorted(f"{m}.{a}" for m, a in seen
                      if not hasattr(importlib.import_module(m), a))
     assert not missing, missing
+
+
+def _same_dataset(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    labels = (a.labels is None and b.labels is None) or np.array_equal(a.labels, b.labels)
+    return np.array_equal(a.features, b.features) and labels
+
+
+@pytest.mark.parametrize("scale", ["tiny", "full"])
+@pytest.mark.parametrize("workload", ["tall", "wide"])
+def test_the_harness_fits_the_views_the_bench_makes(workload, scale):
+    # the harness draws its own inputs; they must be the bench's view
+    # recipe (config.view_bundle, params.view_map), array for array, or a
+    # change to the recipe would leave the harness measuring other views
+    from edapt import bench
+    workloads = _load("workloads")
+    for seed in (0, 3):
+        inp = workloads.prepare(workload, scale, seed)
+        ctx = bench._context(inp.config, seed, None)
+        assert len(inp.bundles) == len(inp.maps) == (2 if workload == "wide" else 1)
+        for v, (bundle, hm) in enumerate(zip(inp.bundles, inp.maps)):
+            want_bundle, want_map = ctx.inputs(v)
+            assert bundle.n_classes == want_bundle.n_classes
+            for part in ("source", "target_labeled", "target_unlabeled", "target_test"):
+                assert _same_dataset(getattr(bundle, part), getattr(want_bundle, part))
+            assert np.array_equal(hm.weights, want_map.weights)
+            assert np.array_equal(hm.biases, want_map.biases)
+            assert (hm.activation, hm.seed) == (want_map.activation, want_map.seed)

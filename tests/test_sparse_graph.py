@@ -29,9 +29,10 @@ from helpers import (
     small_problem,
 )
 
-# heat weights and degrees against the dense reference: both builds
-# weigh the same squared distances, but the sparse one sums each
-# degree over its row's edges only, in another order
+# heat weights and degrees against the dense reference: the sparse
+# build computes each edge's squared length on its own, which can differ
+# in the last bits from a distance matrix's, and sums each degree over
+# its row's edges only, in another order
 HEAT_RTOL = 1e-12
 
 
@@ -125,6 +126,22 @@ def test_nominations_are_a_full_sort_by_distance_then_index_at_any_block_size(d,
         got = _nominations_at(x, k, entries)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_heat_weights_do_not_depend_on_the_distance_blocks(seed):
+    # float points in 4-D, as wide's noise view has them: one-row blocks
+    # and one block round a distance product differently in the last
+    # bits, but each edge's length is computed on its own, so the
+    # weighted graph is the same bit for bit
+    x = np.random.default_rng(seed).standard_normal((4, 609))
+    graphs = []
+    for entries in (1 << 10, 1 << 20):
+        with mock.patch.object(graph_module, "_BLOCK_ENTRIES", entries):
+            graphs.append(build_knn_graph(Dataset(x), 10, weighted=True))
+    a, b = (g.sparse_laplacian for g in graphs)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_the_build_holds_three_one_mib_distance_blocks():
