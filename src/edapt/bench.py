@@ -73,7 +73,7 @@ from .graph import build_knn_graph, check_graph_rows
 from .linalg import _blas_threads_for
 from .metrics import accuracy, mean_average_precision
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
-from .single import EdaParams, EdaProblem, _alternate, build_problem
+from .single import EdaParams, EdaProblem, _alternate, _fuse, build_problem
 
 __all__ = [
     "BenchConfig",
@@ -542,8 +542,8 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     The loss weights change neither the hidden activations nor the
     graph, so each grid point only re-runs the alternating loop, on the
     seed's cached Grams of each primal view.  Test
-    scores are ``sum_v alpha_v (H_test_v beta_v)``, as
-    :func:`~edapt.multiview.predict_mveda` fuses them; one view has
+    scores are ``sum_v alpha_v (H_test_v beta_v)``, fused by the helper that
+    :func:`~edapt.multiview.predict_mveda` fuses with; one view has
     ``alpha = [1]``.
     """
     n_views = ctx.config.views if method == "mveda" else 1
@@ -555,7 +555,7 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     def fit(cs: float, ct: float):
         betas, _, alphas, history = _alternate(
             problems, replace(p, c_source=cs, c_target=ct), grams)
-        scores = sum(a * (h @ beta) for a, h, beta in zip(alphas[-1], h_tests, betas))
+        scores = _fuse(alphas[-1], [h @ beta for h, beta in zip(h_tests, betas)])
         return scores, history, np.asarray(alphas) if method == "mveda" else None
 
     return fit

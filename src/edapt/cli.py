@@ -34,12 +34,9 @@ from .bench import (
 from .data import (
     Dataset,
     generate_shift,
-    load_bundle,
     load_csv,
     load_multiview_bundles,
-    read_keyvalues,
     read_matrix_csv,
-    save_bundle,
     save_csv,
     save_labels,
     save_multiview_bundle,
@@ -107,8 +104,7 @@ def _cmd_synth(args) -> int:
     bundle = generate_shift(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     bundles = [config.view_bundle(bundle, seed, v) for v in range(args.views)]
-    manifest = (save_multiview_bundle(bundles, args.out_dir) if args.views > 1
-                else save_bundle(bundle, args.out_dir))
+    manifest = save_multiview_bundle(bundles, args.out_dir)
     truth = unlabeled_truth(spec)
     truth_path = os.path.join(args.out_dir, "unlabeled_truth_labels.csv")
     save_labels(truth, truth_path)
@@ -136,22 +132,13 @@ def _cmd_fit(args) -> int:
     params = config.params
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    multiview = any(k.startswith("view0_") for k in read_keyvalues(args.manifest))
-
-    # the views depend on the manifest kind; the pipeline below runs
-    # once over the view list for either kind
-    if multiview:
-        bundles = load_multiview_bundles(args.manifest)
-        if args.views is not None:
-            if not 1 <= args.views <= len(bundles):
-                raise ParameterError(
-                    f"--views {args.views} out of range; manifest has {len(bundles)}"
-                )
-            bundles = bundles[: args.views]
-    else:
-        if args.views not in (None, 1):
-            raise ParameterError("--views only applies to multi-view manifests")
-        bundles = [load_bundle(args.manifest)]
+    # a plain manifest is one view; the pipeline below runs once over
+    # the view list
+    bundles = load_multiview_bundles(args.manifest)
+    if args.views is not None and not 1 <= args.views <= len(bundles):
+        raise ParameterError(f"--views {args.views} out of range; "
+                             f"manifest has {len(bundles)}")
+    bundles = bundles[:args.views]
     if args.detransform and len(bundles) > 1:
         raise ParameterError("--detransform applies to single-view fits")
 
@@ -299,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="bundle manifest (key = value file)")
     _add_common(p)
     p.add_argument("--prelabels", default="elm",
-                   help="builtin (elm|laplacian|inverse|average), a CSV path, "
+                   help=f"builtin ({'|'.join(BUILTINS)}), a CSV path, "
                         "or a comma list with one entry per view")
     p.add_argument("--detransform", action="store_true",
                    help="undo the learned class drift when scoring unlabeled data")
     p.add_argument("--views", type=int, default=None,
-                   help="use only the first N views of a multi-view manifest")
+                   help="use only the first N views (a plain manifest has one)")
     p.set_defaults(func=_cmd_fit)
 
     p = subs.add_parser("predict", help="score feature CSVs with a saved model")

@@ -421,15 +421,14 @@ def load_multiview_bundles(manifest_path: str) -> list[DomainBundle]:
     """Load per-view bundles from a manifest with ``view<i>_`` key groups.
 
     Views are numbered from 0 without gaps; a key of any other view, or
-    one that is not a split key, is rejected.
+    one that is not a split key, is rejected.  A manifest without view
+    prefixes (what :func:`save_bundle` writes) is one view.
     """
     keys = read_keyvalues(manifest_path)
     n_views = 0
     while any(k.startswith(f"view{n_views}_") for k in keys):
         n_views += 1
-    if not n_views:
-        raise ParseError(f"{manifest_path}: no view0_* keys found")
-    prefixes = [f"view{i}_" for i in range(n_views)]
+    prefixes = [f"view{i}_" for i in range(n_views)] or [""]
     _check_manifest_keys(keys, manifest_path, prefixes)
     return [_bundle_from_keys(keys, manifest_path, p) for p in prefixes]
 
@@ -477,10 +476,14 @@ def save_bundle(bundle: DomainBundle, out_dir: str) -> str:
 
 
 def save_multiview_bundle(bundles: list[DomainBundle], out_dir: str) -> str:
-    """Write per-view CSVs plus a ``view<i>_``-keyed manifest; return its path."""
+    """Write per-view CSVs plus a ``view<i>_``-keyed manifest; return its
+    path.  One view is written as :func:`save_bundle` writes it, without
+    prefixes."""
     classes = {b.n_classes for b in bundles}
     if len(classes) != 1:
         raise ParameterError(f"views disagree on class count: {sorted(classes)}")
+    if len(bundles) == 1:
+        return save_bundle(bundles[0], out_dir)
     return _write_views([(f"view{i}_", b) for i, b in enumerate(bundles)], out_dir)
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .data import Dataset, _lock
 from .errors import ParameterError, check_int
+from .features import _BLOCK
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -45,10 +46,10 @@ __all__ = ["LaplacianGraph", "build_knn_graph", "check_graph_rows", "laplacian_g
            "quadratic_energy"]
 
 # rows per distance block are chosen so that one block of squared
-# distances holds about this many doubles (1 MiB, features._BLOCK's
-# budget): the build's three block buffers take about 3 MB whatever n is
-# (while n <= 2**17), where the full matrix would take 8 n**2 bytes
-_BLOCK_ENTRIES = 1 << 17
+# distances holds about this many doubles (1 MiB, the hidden layer's
+# block budget): the build's three block buffers take about 3 MB whatever
+# n is (while n <= 2**17), where the full matrix would take 8 n**2 bytes
+_BLOCK_ENTRIES = _BLOCK
 
 # columns per panel of H'LH are chosen so that one n x w panel of L H
 # holds about this many doubles (2 MiB); panels start on multiples of 8

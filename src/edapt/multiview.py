@@ -25,7 +25,9 @@ loop scales its normal-equation blocks by ``alpha_v`` and ``alpha_v**r``,
 skipping the weight step for one view.  :func:`~edapt.single.fit_eda` is
 that body on one view, so a one-view fit is ``fit_eda``'s by construction.
 Both return :class:`~edapt.single.EdaModel`, one entry per view in each
-per-view field.
+per-view field.  Likewise :func:`predict_mveda` checks its datasets and
+runs the predict body in :mod:`edapt.single` that
+:func:`~edapt.single.predict_eda` runs on one view.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ import numpy as np
 
 from .data import Dataset, DomainBundle, decode_labels
 from .errors import ParameterError, ShapeError
-from .features import HiddenMap, map_features
+from .features import HiddenMap
 from .single import (
     EdaModel,
     EdaParams,
     EdaProblem,
     _fit_views,
+    _predict_views,
+    _view_scales,
     mv_objective,
     update_alpha,
     update_beta,
@@ -47,7 +51,6 @@ from .single import (
     view_trace,
 )
 from .single import beta_gradient  # noqa: F401  (perfbench/test_harness.py reads it here)
-from .single import build_problem  # noqa: F401  (tests patch it here)
 
 __all__ = [
     "fit_mveda",
@@ -68,11 +71,7 @@ def update_beta_view(
 ) -> np.ndarray:
     """Per-view beta update: the single-view solve with loss terms scaled
     by ``alpha_v`` and the smoothness term by ``alpha_v**r``."""
-    return update_beta(
-        u, theta, prob, params,
-        loss_scale=view_weight,
-        smooth_scale=view_weight**params.view_exponent,
-    )
+    return update_beta(u, theta, prob, params, *_view_scales(view_weight, params))
 
 
 def update_theta_view(
@@ -172,11 +171,5 @@ def predict_mveda(
     ns = {ds.n for ds in datasets}
     if len(ns) != 1:
         raise ShapeError(f"views disagree on sample count: {sorted(ns)}")
-    if model.standardizers is not None:
-        datasets = [st.apply(ds) for st, ds in zip(model.standardizers, datasets)]
-    per_view = [
-        map_features(hm, ds, beta)
-        for hm, ds, beta in zip(model.hidden_maps, datasets, model.betas)
-    ]
-    fused = sum(a * s for a, s in zip(model.alpha, per_view))
+    fused, per_view = _predict_views(model, datasets)
     return decode_labels(fused), fused, per_view

@@ -49,7 +49,9 @@ it builds each view's problem and runs one loop, which scales each view's
 loss terms by ``alpha_v`` and its smoothness term by ``alpha_v**r`` and
 adds the view-weight step when there are two or more views.  :func:`fit_eda`
 is that body on one view (``alpha = [1]``), and :class:`EdaModel` records
-a fit of either kind.
+a fit of either kind.  One helper places the view weights for every
+solve and objective, and one predict body scores one or many views and
+fuses them by ``alpha``: :func:`predict_eda` runs it on one view.
 """
 
 from __future__ import annotations
@@ -551,6 +553,12 @@ def view_trace(beta: np.ndarray, prob: EdaProblem) -> float:
     return quadratic_energy(prob.graph, prob.h_target @ beta)
 
 
+def _view_scales(a, params: EdaParams) -> tuple[float, float]:
+    """The one placement of view weight ``a``: ``(loss_scale, smooth_scale)
+    = (a, a**r)``, for every solve and objective."""
+    return float(a), float(a) ** params.view_exponent
+
+
 def mv_objective(
     betas: list[np.ndarray],
     thetas: list[np.ndarray],
@@ -561,11 +569,7 @@ def mv_objective(
     """The joint objective over all views (exact row-sparse norms)."""
     total = 0.0
     for beta, theta, a, prob in zip(betas, thetas, alpha, problems, strict=True):
-        total += eda_objective(
-            beta, theta, prob, params,
-            loss_scale=float(a),
-            smooth_scale=float(a) ** params.view_exponent,
-        )
+        total += eda_objective(beta, theta, prob, params, *_view_scales(a, params))
     return total
 
 
@@ -574,8 +578,7 @@ def _joint_objective(betas, terms, alpha, params: EdaParams) -> float:
     the same operations in the same order, so the same bits."""
     total = 0.0
     for beta, view_terms, a in zip(betas, terms, alpha, strict=True):
-        total += _weighted(l21_norm(beta), view_terms, params, float(a),
-                           float(a) ** params.view_exponent)
+        total += _weighted(l21_norm(beta), view_terms, params, *_view_scales(a, params))
     return total
 
 
@@ -630,7 +633,6 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
     Returns ``(betas, thetas, alpha_history, history)``.
     """
     n_views = len(problems)
-    r = params.view_exponent
     # per-view constant blocks, assembled once; each round only rescales
     # them by the current view weight.  Sample-space views have none.
     blocks = [None if _in_sample_space(prob, params) else _beta_blocks(prob, params, g)
@@ -649,14 +651,14 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
     history: list[float] = []
     for _ in range(params.max_iter):
         betas = [
-            _solve_beta(blk, u, theta, prob, params, float(a), float(a) ** r)
+            _solve_beta(blk, u, theta, prob, params, *_view_scales(a, params))
             for blk, u, theta, prob, a in zip(blocks, us, thetas, problems, alpha)
         ]
         thetas = [update_theta(b, prob, params) for b, prob in zip(betas, problems)]
         if n_views > 1:
             terms = [_loss_terms(b, theta, prob)
                      for b, theta, prob in zip(betas, thetas, problems)]
-            alpha = update_alpha([smooth for *_, smooth in terms], r)
+            alpha = update_alpha([smooth for *_, smooth in terms], params.view_exponent)
             value = _joint_objective(betas, terms, alpha, params)
         else:
             value = mv_objective(betas, thetas, alpha, problems, params)
@@ -827,23 +829,36 @@ def _fit_views(bundles: list[DomainBundle], prelabels: list, params: EdaParams,
                     np.asarray(history), params)
 
 
+def _fuse(alpha, scores: list[np.ndarray]) -> np.ndarray:
+    """The one fusion of per-view scores, ``sum_v alpha_v s_v``."""
+    return sum(a * s for a, s in zip(alpha, scores))
+
+
+def _predict_views(model: EdaModel, datasets: list[Dataset]):
+    """``(fused, per_view)`` scores: each view's ``map_v(X_v) @ beta_v``,
+    ``X_v`` standardized first if the model has standardizers."""
+    if model.standardizers is not None:
+        datasets = [st.apply(ds) for st, ds in zip(model.standardizers, datasets)]
+    per_view = [map_features(hm, ds, beta)
+                for hm, ds, beta in zip(model.hidden_maps, datasets, model.betas)]
+    return _fuse(model.alpha, per_view), per_view
+
+
 def predict_eda(
     model: EdaModel, data: Dataset, detransform: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score new samples with a one-view model; returns ``(labels, scores)``.
 
-    Scores are ``map(X) @ beta``, ``X`` rescaled first by the model's
+    Runs :func:`~edapt.multiview.predict_mveda`'s body on ``[data]``:
+    scores are ``map(X) @ beta``, ``X`` rescaled first by the model's
     standardizer if it has one.  With ``detransform=True`` the learned
-    class drift is undone (``scores @ theta^{-1}``, falling back to the
-    pseudo-inverse with a ``UserWarning`` when theta is near singular);
-    default is off, since the drift matrix stays near the identity in
-    practice.
+    class drift is then undone (``scores @ theta^{-1}``, falling back to
+    the pseudo-inverse with a ``UserWarning`` when theta is near
+    singular); default is off, since theta stays near the identity.
     """
-    if model.standardizer is not None:
-        data = model.standardizer.apply(data)
-    scores = map_features(model.hidden_map, data, model.beta)
+    theta = model.theta  # the one-view accessor refuses more views
+    scores, _ = _predict_views(model, [data])
     if detransform:
-        theta = model.theta
         cond = np.linalg.cond(theta)
         if cond > 1e12:
             warnings.warn(

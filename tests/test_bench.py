@@ -377,7 +377,6 @@ ADAPTATION = ("eda", "eda_lap", "eda_inv", "eda_avg", "mveda")
 @pytest.mark.parametrize("methods", [*ADAPTATION, ",".join(ADAPTATION)])
 def test_adaptation_problems_are_built_once_per_seed(methods, monkeypatch):
     import edapt.bench
-    import edapt.multiview
     import edapt.single
     built = []
 
@@ -386,7 +385,7 @@ def test_adaptation_problems_are_built_once_per_seed(methods, monkeypatch):
         return build_problem(bundle, *args, **kwargs)
 
     # every module binding the library builds problems through
-    for module in (edapt.bench, edapt.single, edapt.multiview):
+    for module in (edapt.bench, edapt.single):
         monkeypatch.setattr(module, "build_problem", counting)
     cfg = _fast(methods=tuple(methods.split(",")))
     run_benchmark(cfg)

@@ -28,6 +28,7 @@ from edapt.cli import main
 from edapt.data import (generate_shift, load_bundle, load_csv, load_multiview_bundles,
                         save_csv)
 from edapt.features import fit_standardizer
+from edapt.preclassify import BUILTINS
 
 TINY_CFG = """\
 seeds = 0
@@ -143,6 +144,20 @@ def test_multiview_fit_and_predict(tmp_path, cfg_path, capsys):
                "--out-dir", str(pred)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_views_flag_counts_a_plain_manifest_as_one_view(tmp_path, cfg_path, capsys):
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys)
+    run = tmp_path / "run"
+    assert main(["fit", manifest, "--config", cfg_path, "--views", "2",
+                 "--out-dir", str(run)]) == 2
+    assert "--views 2 out of range; manifest has 1" in capsys.readouterr().err
+
+
+def test_fit_help_names_every_builtin_prelabel(capsys):
+    with pytest.raises(SystemExit):
+        main(["fit", "--help"])
+    assert f"builtin ({'|'.join(BUILTINS)})" in capsys.readouterr().out
 
 
 def test_views_flag_limits_a_multiview_manifest(tmp_path, cfg_path, capsys):

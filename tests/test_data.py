@@ -269,6 +269,21 @@ def test_multiview_manifest_round_trip(tmp_path):
     _bundles_equal(views[1], b1)
 
 
+def test_a_plain_manifest_is_one_view(tmp_path):
+    b = blob_bundle(seed=7, per_test=2)
+    plain = save_bundle(b, str(tmp_path / "plain"))
+    views = load_multiview_bundles(plain)
+    assert len(views) == 1
+    _bundles_equal(views[0], load_bundle(plain))
+    # and one view is written as the plain manifest, byte for byte
+    save_multiview_bundle([b], str(tmp_path / "one"))
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # synthetic shift generator
 # ---------------------------------------------------------------------------

@@ -355,6 +355,51 @@ def test_a_standardized_model_rescales_each_views_raw_features():
         replace(model, standardizers=sts[::-1])
 
 
+def test_predict_eda_is_the_view_list_body_on_one_view():
+    raw = blob_bundle(seed=21, per_test=2)
+    pre = random_prelabels(raw, 21)
+    st = fit_standardizer(raw.source, raw.target_labeled)
+    scaled = standardize_bundle(raw, st)
+    params = small_params()
+    models = [fit_eda(raw, pre, params), fit_mveda([raw], [pre], params),
+              replace(fit_eda(scaled, pre, params), standardizers=[st]),
+              replace(fit_mveda([scaled], [pre], params), standardizers=[st])]
+    for model in models:
+        labels, scores = predict_eda(model, raw.target_test)
+        want_labels, want_scores = predict_mveda(model, [raw.target_test])[:2]
+        assert np.array_equal(labels, want_labels)
+        # bit for bit, the sign of a zero included
+        assert scores.shape == want_scores.shape
+        assert scores.tobytes() == want_scores.tobytes()
+
+
+def test_one_helper_places_the_view_weights(monkeypatch):
+    # with the smoothness term weighted by alpha_v instead of alpha_v**r,
+    # every solve and objective must follow the helper, none its own rule
+    import edapt.multiview
+    bundles, maps, pres = _two_view_setup(seed=17)
+    params = small_params()
+    probs = [build_problem(b, p, params, m)[0] for b, p, m in zip(bundles, pres, maps)]
+    stock = fit_mveda(bundles, pres, params, maps)
+
+    def flat(a, params):
+        return float(a), float(a)
+
+    for module in (single, edapt.multiview):
+        monkeypatch.setattr(module, "_view_scales", flat)
+    model = fit_mveda(bundles, pres, params, maps)
+    # the solves follow the helper: uniform start weights of 0.5 give
+    # 0.5 against 0.25 on the smoothness term
+    assert not np.array_equal(model.betas[0], stock.betas[0])
+    by_hand = sum(single.eda_objective(b, t, prob, params, float(a), float(a))
+                  for b, t, a, prob in zip(model.betas, model.thetas, model.alpha, probs))
+    got = mv_objective(model.betas, model.thetas, model.alpha, probs, params)
+    assert model.objective_history[-1] == got == by_hand
+    u, theta = np.ones(probs[0].n_hidden), np.eye(probs[0].n_classes)
+    assert np.array_equal(update_beta_view(u, theta, probs[0], 0.3, params),
+                          update_beta(u, theta, probs[0], params, 0.3, 0.3))
+
+
 def test_predict_mveda_checks_sample_counts_before_mapping(monkeypatch):
     bundles, maps, pres = _two_view_setup(seed=13)
     model = fit_mveda(bundles, pres, small_params(), maps)
@@ -364,7 +409,7 @@ def test_predict_mveda_checks_sample_counts_before_mapping(monkeypatch):
     def no_mapping(*args, **kwargs):
         raise AssertionError("mapped a view before checking the sample counts")
 
-    monkeypatch.setattr("edapt.multiview.map_features", no_mapping)
+    monkeypatch.setattr("edapt.single.map_features", no_mapping)
     n = tests[0].n
     counts = rf"views disagree on sample count: \[{n - 1}, {n}\]"
     with pytest.raises(ShapeError, match=counts):
