@@ -23,30 +23,45 @@ They sweep only the loss weights ``c_source``/``c_target``, which
 change none of these, so each grid point only re-runs the alternating
 solver.  The normal equations' weight-free Grams (``Hs'Hs``,
 ``Hu'Hu``, ``H'LH`` and ``Hs'Ts``) are likewise built once per seed and
-view, on first use, and every method and grid point scales copies of
-them; only the labeled Gram ``Ht'Ht``, of rank at most ``m c``, is
-rebuilt per fit.  The test rows of each view and the ELM baselines'
-training rows are mapped once per seed, on first use, and shared by the
-methods that score or fit on them; the view problems, the ELM
-pre-classifier and ``sselm`` map their own rows, so some rows are
-mapped more than once.  No pre-classifier scores or baseline rows are
+primal view, before any point runs, and every method and grid point
+scales copies of them; only the labeled Gram ``Ht'Ht``, of rank at
+most ``m c``, is rebuilt per fit.  The test rows of each view and the
+ELM baselines' training rows are mapped once per seed, on first use,
+and shared by the methods that score or fit on them; the view
+problems, the ELM pre-classifier and ``sselm`` map their own rows, so
+some rows are mapped more than once.  No pre-classifier scores or baseline rows are
 made unless a method uses them.
 
 Each seed runs inside ``linalg._blas_threads_for`` at the order of its
 largest factored matrix, so below the crossover it runs on one BLAS
 thread and its reports do not depend on the inherited thread count.
+Inside that pin every method's inputs and fit are built first, in this
+process; then the seed's (method, point) runs, in report order, are
+split round-robin among ``min(CPUs, runs)`` processes: this one and
+forked children, which share the built inputs and send their results,
+fit times and warnings back pickled.  They are merged in run order, so
+the split changes no report bit, no warning's order and no error's
+type.  A seed stays in this process alone on one CPU, without
+``os.fork``, while other threads are alive, or at an order whose
+solves already use every BLAS thread (:func:`_workers`).
 Reports are plain text and CSV with deterministic content and file
 names derived from a hash of the configuration, so rerunning a config
 reproduces every report byte for byte.  The exception is the timing
-CSV: it records wall-clock fit times, which are measurements, not
-derived values, and therefore vary between runs.
+CSV: it records wall-clock fit times (summed over the processes that
+ran them), which are measurements, not derived values, and therefore
+vary between runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
+import sys
+import threading
 import time
+import traceback
+import warnings
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -68,12 +83,14 @@ from .data import (
 )
 from .errors import (ParameterError, ParseError, ShapeError, check_choice, check_int,
                      check_real)
-from .features import HiddenMap, derive_view_seed, map_features, standardize_bundle
+from .features import (HiddenMap, _cpu_count, derive_view_seed, map_features,
+                       standardize_bundle)
 from .graph import build_knn_graph, check_graph_rows
-from .linalg import _blas_threads_for
+from .linalg import _PIN_BELOW, _blas_threads_for
 from .metrics import accuracy, mean_average_precision
 from .preclassify import KERNELS, average_prelabels, builtin_prelabels
-from .single import EdaParams, EdaProblem, _alternate, _fuse, build_problem
+from .single import (EdaParams, EdaProblem, _alternate, _constant_grams, _fuse,
+                     _in_sample_space, build_problem)
 
 __all__ = [
     "BenchConfig",
@@ -493,6 +510,15 @@ class _SeedContext:
             return build_problem(bundle, phi, self.params, hidden_map)[0]
         return replace(self._once(("problem", view), make), prelabels=phi)
 
+    def grams(self, view: int, prob: EdaProblem) -> dict | None:
+        """View ``view``'s weight-free Grams (:func:`_constant_grams`), or
+        None when its fits solve in sample space.  A grid point's loss
+        weights are positive, so it solves in sample space whenever the
+        configured weights do."""
+        def make():
+            return None if _in_sample_space(prob, self.params) else _constant_grams(prob)
+        return self._once(("grams", view), make)
+
 
 @dataclass(frozen=True)
 class _GridResult:
@@ -541,7 +567,7 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
 
     The loss weights change neither the hidden activations nor the
     graph, so each grid point only re-runs the alternating loop, on the
-    seed's cached Grams of each primal view.  Test
+    seed's Grams of each primal view.  Test
     scores are ``sum_v alpha_v (H_test_v beta_v)``, fused by the helper that
     :func:`~edapt.multiview.predict_mveda` fuses with; one view has
     ``alpha = [1]``.
@@ -549,8 +575,7 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     n_views = ctx.config.views if method == "mveda" else 1
     problems = [ctx.problem(_ADAPTATION_PRELABELS[method], v) for v in range(n_views)]
     h_tests = [ctx.activations("target_test", v) for v in range(n_views)]
-    # each view's weight-free Grams, filled by the first primal fit
-    grams = [ctx._once(("grams", v), dict) for v in range(n_views)]
+    grams = [ctx.grams(v, prob) for v, prob in enumerate(problems)]
 
     def fit(cs: float, ct: float):
         betas, _, alphas, history = _alternate(
@@ -561,34 +586,153 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     return fit
 
 
-def _run_method(method: str, ctx: _SeedContext):
-    """Returns (grid results, default-point result, fit seconds, n fits)."""
+def _method_points(method: str, ctx: _SeedContext):
+    """The method's fit, its grid points in report order and its default
+    point."""
     config = ctx.config
-    p = ctx.params
     if method in _ADAPTATION_PRELABELS:
-        fit = _adaptation_fit(method, ctx, p)
-        points = [(float(cs), float(ct)) for cs in config.grid for ct in config.grid]
-        default_point = (config.params.c_source, config.params.c_target)
-    else:
-        fit = _ridge_fit(method, ctx, p)
-        points = [(float(ridge),) for ridge in config.grid]
-        default_point = (1.0,)
-    elapsed = 0.0
-    n_fits = 0
+        fit = _adaptation_fit(method, ctx, ctx.params)
+        grid = [(float(cs), float(ct)) for cs in config.grid for ct in config.grid]
+        return fit, grid, (config.params.c_source, config.params.c_target)
+    fit = _ridge_fit(method, ctx, ctx.params)
+    return fit, [(float(ridge),) for ridge in config.grid], (1.0,)
 
-    def run(point: tuple) -> _GridResult:
-        nonlocal elapsed, n_fits
-        t0 = time.perf_counter()
-        scores, history, alphas = fit(*point)
-        elapsed += time.perf_counter() - t0
-        n_fits += 1
-        return _GridResult(point, _score(config, scores, ctx.y_test), history, alphas)
 
-    results = [run(point) for point in points]
-    default = next((r for r in results if r.point == default_point), None)
-    if default is None:
-        default = run(default_point)
-    return results, default, elapsed, n_fits
+# ---------------------------------------------------------------------------
+# one seed's points, split among forked processes
+# ---------------------------------------------------------------------------
+
+
+def _workers(n_tasks: int, order: int) -> int:
+    """Processes that run a seed's ``n_tasks`` points: one per CPU of the
+    affinity mask, at most one per point.  One where the platform has no
+    fork, where other threads are alive (a forked child can deadlock on a
+    lock one of them held), or at an order whose solves already use every
+    BLAS thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1 or order >= _PIN_BELOW:
+        return 1
+    return min(_cpu_count(), n_tasks)
+
+
+def _plain(caught) -> list[tuple]:
+    # recorded warnings as picklable (message, filename, lineno)
+    return [(w.message, w.filename, w.lineno) for w in caught]
+
+
+def _reemit(warned, registry: dict) -> None:
+    for message, filename, lineno in warned:
+        warnings.warn_explicit(message, type(message), filename, lineno,
+                               registry=registry)
+
+
+def _run_share(tasks: list, share, ctx: _SeedContext) -> list[tuple]:
+    """Run the tasks numbered ``share`` in order, each under recorded
+    warnings, until one raises.  Returns ``(i, outcome, warnings)`` per
+    task run; the outcome is ``(result, fit seconds)`` or the exception."""
+    ran = []
+    for i in share:
+        _, fit, point = tasks[i]
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                t0 = time.perf_counter()
+                scores, history, alphas = fit(*point)
+                seconds = time.perf_counter() - t0
+                outcome = (_GridResult(point, _score(ctx.config, scores, ctx.y_test),
+                                       history, alphas), seconds)
+            except Exception as err:
+                outcome = err
+        ran.append((i, outcome, _plain(caught)))
+        if isinstance(outcome, Exception):
+            break
+    return ran
+
+
+def _child(tasks: list, share, ctx: _SeedContext, w: int):
+    """A forked child's whole life: run ``share``, write the outcomes to
+    pipe end ``w`` pickled, and leave without returning into the parent's
+    stack (exit status 0 once the report is written in full)."""
+    code = 1
+    try:
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(_run_share(tasks, share, ctx), pipe)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, r: int) -> tuple[list | None, int]:
+    """Read a child's pipe to its end and wait for the child: ``(its
+    outcomes, or None if it did not report in full, exit status)``."""
+    with os.fdopen(r, "rb") as pipe:
+        data = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return (pickle.loads(data) if status == 0 else None), status
+
+
+def _run_points(tasks: list, ctx: _SeedContext, order: int) -> list[tuple]:
+    """Run each ``(method, fit, point)`` task of a seed; returns ``(result,
+    fit seconds)`` per task, in task order.
+
+    With ``n = _workers(...)``, task ``i`` runs in process ``i % n``: the
+    parent is process 0, the rest are forked children that inherit the
+    seed's built inputs and send their outcomes back pickled over a pipe.
+    Each task's warnings are recorded and warned again here in task
+    order, and the first task to raise, in task order, is raised again
+    with its type and a message naming its method, seed and point, so
+    any worker count warns and raises as the serial run does.  Every
+    child is waited for before this returns or raises.
+    """
+    n = _workers(len(tasks), order)
+    children = []  # (pid, read end of its pipe)
+    # under the "default" action a warning repeated at many points shows
+    # once per seed, not once per point
+    registry = {}
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                # Python 3.12 warns when it forks a process with threads;
+                # the warning is warned again once the child is counted,
+                # so an error filter cannot lose the child
+                with warnings.catch_warnings(record=True) as forked:
+                    warnings.simplefilter("always")
+                    pid = os.fork()
+                if pid == 0:
+                    _child(tasks, range(k, len(tasks), n), ctx, w)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, r))
+            _reemit(_plain(forked), registry)
+        ran = _run_share(tasks, range(0, len(tasks), n), ctx)
+    finally:
+        reports = [_reap(pid, r) for pid, r in children]
+    seed = ctx.params.seed
+    for report, status in reports:
+        if report is None:
+            how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+            raise RuntimeError(f"seed {seed}: a bench worker process ended without "
+                               f"reporting its points ({how})")
+        ran += report
+    outcomes = {i: (outcome, warned) for i, outcome, warned in ran}
+    done = []
+    for i, (method, _, point) in enumerate(tasks):
+        outcome, warned = outcomes[i]
+        _reemit(warned, registry)
+        if isinstance(outcome, Exception):
+            where = f"{method} at seed {seed}, point {_fmt_point(point)}"
+            try:
+                named = type(outcome)(f"{where}: {outcome}")
+            except TypeError:  # a type that takes other arguments: raise it as it is
+                raise outcome from None
+            raise named from outcome
+        done.append(outcome)
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +815,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         order = max(config.params.n_hidden,
                     ctx.bundle.source.n + ctx.bundle.target_labeled.n)
         with _blas_threads_for(order):
+            # every method's inputs are built here, before any point runs,
+            # so forked children share them; each method runs its grid in
+            # report order, then its default point unless the grid holds it
+            plans, tasks = [], []
             for method in config.methods:
                 # fair comparison: every method must consume the same split
                 # and hidden map this seed produced
@@ -679,21 +827,28 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                     raise AssertionError(
                         f"fair-comparison violation for {method!r} at seed {seed}"
                     )
-                results, default, elapsed, n_fits = _run_method(method, ctx)
-                for res in results:
-                    per_seed.append((method, seed, res.point, res.value))
-                    if res.history is not None:
-                        run_id = _run_id(method, seed, res.point)
-                        for it, obj in enumerate(res.history, start=1):
-                            convergence.append((run_id, it, float(obj)))
-                    if res.alphas is not None:
-                        run_id = _run_id(method, seed, res.point)
-                        for it, row in enumerate(res.alphas, start=1):
-                            for v, w in enumerate(row):
-                                view_weights.append((run_id, it, v, float(w)))
-                defaults[method].append(default.value)
-                default_points[method] = default.point
-                timing.append((method, seed, n_fits, elapsed))
+                fit, grid, default_point = _method_points(method, ctx)
+                points = grid + ([] if default_point in grid else [default_point])
+                plans.append((method, len(grid), default_point, len(points)))
+                tasks += [(method, fit, point) for point in points]
+            outcomes = iter(_run_points(tasks, ctx, order))
+        for method, n_grid, default_point, n_points in plans:
+            ran = [next(outcomes) for _ in range(n_points)]
+            for res, _ in ran[:n_grid]:
+                per_seed.append((method, seed, res.point, res.value))
+                if res.history is not None:
+                    run_id = _run_id(method, seed, res.point)
+                    for it, obj in enumerate(res.history, start=1):
+                        convergence.append((run_id, it, float(obj)))
+                if res.alphas is not None:
+                    run_id = _run_id(method, seed, res.point)
+                    for it, row in enumerate(res.alphas, start=1):
+                        for v, w in enumerate(row):
+                            view_weights.append((run_id, it, v, float(w)))
+            default = next(res for res, _ in ran if res.point == default_point)
+            defaults[method].append(default.value)
+            default_points[method] = default.point
+            timing.append((method, seed, n_points, sum(sec for _, sec in ran)))
 
     summaries = []
     for method in config.methods:

@@ -32,10 +32,10 @@ the loss Grams into one L x L array and takes ``H'LH`` from
 :func:`~edapt.graph.laplacian_gram`, which computes its lower triangle
 one panel at a time and never forms an n x L product, so it holds at
 most three L x L arrays beyond the activations.
-A caller that fits one view at many loss weights can instead hand
-every fit the same dict; the first primal fit stores the view's
-weight-free terms there (``_CONSTANT_GRAMS``: ``Hs'Hs``, ``Hu'Hu``,
-``H'LH`` and ``Hs'Ts``) and each fit scales copies of them, with the
+A caller that fits one view at many loss weights can instead build
+the view's weight-free terms once with :func:`_constant_grams`
+(``_CONSTANT_GRAMS``: ``Hs'Hs``, ``Hu'Hu``, ``H'LH`` and ``Hs'Ts``)
+and hand them to every fit, which scales copies of them, with the
 same bits.  Only the benchmark does: a single fit would pay for three
 more L x L arrays.
 A one-view fit adds the smoothness Gram into the loss Gram once; each
@@ -330,15 +330,20 @@ _CONSTANT_GRAMS = {
 }
 
 
+def _constant_grams(prob: EdaProblem) -> dict:
+    """Each ``_CONSTANT_GRAMS`` term of ``prob``'s view, unscaled and
+    read-only, by name."""
+    return {name: _lock(make(prob)) for name, make in _CONSTANT_GRAMS.items()}
+
+
 def _beta_blocks(prob: EdaProblem, params: EdaParams, grams=None):
     """Constant parts of the beta normal equations at unit view weight.
 
     Returns the loss Gram ``cs Hs'Hs + ct Ht'Ht + tau Hu'Hu``, the
     smoothness Gram ``lam H'LH`` and the loss right-hand side
     ``cs Hs'Ts + tau Hu'phi``; a solve only rescales and adds them.
-    ``grams``, if given, is a dict kept for ``prob``'s view across fits:
-    each ``_CONSTANT_GRAMS`` term is stored there, unscaled and
-    read-only, on first use, and scaled into a new array on every call.
+    ``grams``, if given, is :func:`_constant_grams` of ``prob``'s view,
+    and each term is scaled from it into a new array.
     Otherwise each term is built and scaled in place: beyond the
     activations it holds at most three L x L arrays, or the smoothness
     Gram and one panel of :func:`~edapt.graph.laplacian_gram`, never an
@@ -347,8 +352,6 @@ def _beta_blocks(prob: EdaProblem, params: EdaParams, grams=None):
     """
     def term(name: str, weight: float) -> np.ndarray:
         if grams is not None:
-            if name not in grams:
-                grams[name] = _lock(_CONSTANT_GRAMS[name](prob))
             return weight * grams[name]
         gram = _CONSTANT_GRAMS[name](prob)
         gram *= weight
@@ -623,9 +626,9 @@ def _alternate(problems: list[EdaProblem], params: EdaParams, grams=None):
     cycles beta -> theta -> alpha -> u, recording the joint objective
     after each round.  One view keeps ``alpha = [1]`` and skips the
     weight step, so its loop is the single-view solver exactly.
-    ``grams``, if given, holds one dict per view that
-    :func:`_beta_blocks` keeps that view's weight-free Grams in across
-    fits; a sample-space view's stays empty.
+    ``grams``, if given, holds each primal view's
+    :func:`_constant_grams`, built once for fits at many loss weights;
+    a sample-space view's entry is unused.
     Each round evaluates each view's loss terms once: with several views
     their smoothness is the view's :func:`view_trace` for the weight
     step, and the recorded objective, :func:`mv_objective`, is summed

@@ -1,6 +1,10 @@
 """Benchmark harness: config parsing, resplits, fairness token, reports."""
 
+import os
 import re
+import signal
+import threading
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -491,6 +495,172 @@ def test_adaptation_grid_matches_the_public_fit_and_predict(metric):
                 n_runs += 1
     assert n_runs == len(report.per_seed)
     assert histories == {} and weights == {}
+
+
+# ---------------------------------------------------------------------------
+# one seed's points split among forked processes
+# ---------------------------------------------------------------------------
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _pid_log(path, fn):
+    # fn, appending the calling process's pid to path on every call
+    def logged(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args, **kwargs)
+    return logged
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "map"])
+def test_split_points_give_the_serial_reports(metric, tmp_path, monkeypatch):
+    cfg = _fast(methods=tuple(METHOD_LABELS), views=3, metric=metric)
+    reports, pids = [], []
+    for cpus in (1, 3):
+        log = tmp_path / f"alternate{cpus}"
+        monkeypatch.setattr(bench, "_cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(bench, "_alternate", _pid_log(log, _alternate))
+        reports.append(run_benchmark(cfg))
+        pids.append(log.read_text().split())
+    _no_children_left()
+    serial, split = reports
+    for name in ("per_seed", "convergence", "view_weights", "summaries"):
+        assert getattr(split, name) == getattr(serial, name)
+    assert [row[:3] for row in split.timing] == [row[:3] for row in serial.timing]
+    # 25 adaptation fits per seed: a 2 x 2 grid plus the default point
+    assert len(pids[0]) == len(pids[1]) == 2 * 5 * len(ADAPTATION)
+    assert set(pids[0]) == {str(os.getpid())}
+    assert str(os.getpid()) in pids[1] and 1 + 2 * 2 == len(set(pids[1]))
+
+
+def test_every_shared_input_is_built_in_the_parent(tmp_path, monkeypatch):
+    import edapt.preclassify
+    import edapt.single
+    log = tmp_path / "pids"
+    monkeypatch.setattr(bench, "_cpu_count", lambda: 3)
+    for module, name in ((bench, "build_problem"), (edapt.single, "build_problem"),
+                         (edapt.preclassify, "preclassify_elm"),
+                         (edapt.preclassify, "preclassify_kernel"),
+                         (edapt.single, "laplacian_gram"),
+                         (bench, "build_knn_graph"), (edapt.single, "build_knn_graph")):
+        monkeypatch.setattr(module, name, _pid_log(log, getattr(module, name)))
+    run_benchmark(_fast(methods=tuple(METHOD_LABELS)))
+    pids = log.read_text().split()
+    assert pids and set(pids) == {str(os.getpid())}
+
+
+@pytest.mark.parametrize("serial_because", ["one cpu", "no fork", "threads", "order"])
+def test_a_serial_seed_forks_nothing(serial_because, monkeypatch):
+    monkeypatch.setattr(bench, "_cpu_count", lambda: 1 if serial_because == "one cpu" else 3)
+    if serial_because == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    if serial_because == "order":  # at L = 20 the seed's order is 20
+        monkeypatch.setattr(bench, "_PIN_BELOW", 20)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait, args=(60,))
+    if serial_because == "threads":
+        waiter.start()
+    try:
+        report = run_benchmark(_fast(methods=("eda", "elm_s")))
+    finally:
+        done.set()
+        if serial_because == "threads":
+            waiter.join(60)
+    assert not waiter.is_alive()
+    assert len(report.per_seed) == 2 * (4 + 2)
+
+
+def test_the_worker_count_is_capped_by_cpus_and_points(monkeypatch):
+    monkeypatch.setattr(bench, "_cpu_count", lambda: 4)
+    assert [bench._workers(n, 200) for n in (1, 3, 4, 9)] == [1, 3, 4, 4]
+    assert bench._workers(9, bench._PIN_BELOW) == 1
+
+
+def _failing_at(points, fail):
+    # _alternate, failing by ``fail`` at the (c_source, c_target) points
+    def alternate(problems, params, grams=None):
+        if (params.c_source, params.c_target) in points:
+            fail()
+        return _alternate(problems, params, grams)
+    return alternate
+
+
+def _boom():
+    raise ParameterError("boom")
+
+
+# tasks 0-4 of eda at seed 0 run in processes 0, 1, 0, 1, 0 of two: the
+# first failing task in task order is raised, wherever it ran
+@pytest.mark.parametrize("points, named", [
+    ([(1.0, 10.0)], "1/10"),
+    ([(10.0, 1.0)], "10/1"),
+    ([(10.0, 1.0), (10.0, 10.0)], "10/1"),
+    ([(1.0, 10.0), (10.0, 1.0)], "1/10"),
+])
+def test_a_failing_point_is_raised_with_its_type_and_name(points, named, monkeypatch):
+    monkeypatch.setattr(bench, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(bench, "_alternate", _failing_at(points, _boom))
+    with pytest.raises(ParameterError, match=f"^eda at seed 0, point {named}: boom$"):
+        run_benchmark(_fast(methods=("eda",), seeds=(0,)))
+    _no_children_left()
+
+
+def test_a_warning_raised_as_an_error_in_a_child_fails_as_in_a_serial_run(monkeypatch):
+    # pyproject's filters turn RuntimeWarning into an error; the child
+    # inherits them, so its fit fails where the serial run's would
+    def drift():
+        warnings.warn("drift", RuntimeWarning)
+
+    monkeypatch.setattr(bench, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(bench, "_alternate", _failing_at([(1.0, 10.0)], drift))
+    with pytest.raises(RuntimeWarning, match="^eda at seed 0, point 1/10: drift$"):
+        run_benchmark(_fast(methods=("eda",), seeds=(0,)))
+    _no_children_left()
+
+
+@pytest.mark.parametrize("end, how", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+])
+def test_a_child_that_ends_without_reporting_names_its_seed(end, how, monkeypatch):
+    parent = os.getpid()
+
+    def end_child():
+        if os.getpid() == parent:
+            pytest.fail("the point ran in the test's own process")
+        end()
+
+    monkeypatch.setattr(bench, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(bench, "_alternate", _failing_at([(1.0, 10.0)], end_child))
+    with pytest.raises(RuntimeError, match=f"^seed 1: .* without reporting .*{how}"):
+        run_benchmark(_fast(methods=("eda",), seeds=(1,)))
+    _no_children_left()
+
+
+def test_each_points_warning_is_warned_once_in_task_order(monkeypatch):
+    def warning(problems, params, grams=None):
+        if (params.c_source, params.c_target) == (10.0, 10.0):
+            phi = float(problems[0].prelabels.sum())
+            warnings.warn(f"{len(problems)} views, phi {phi!r}", UserWarning)
+        return _alternate(problems, params, grams)
+
+    monkeypatch.setattr(bench, "_alternate", warning)
+    cfg = _fast(methods=ADAPTATION)
+    seen = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(bench, "_cpu_count", lambda cpus=cpus: cpus)
+        with pytest.warns(UserWarning) as record:
+            run_benchmark(cfg)
+        seen.append([str(w.message) for w in record])
+    serial, split = seen
+    assert split == serial
+    assert len(set(split)) == len(split) == len(ADAPTATION) * len(cfg.seeds)
 
 
 def test_manifest_data_is_resplit_per_seed(tmp_path):
