@@ -12,10 +12,16 @@ with tunable weights are run over a small grid and reported two ways:
 seeds - an optimistic, tuned-on-test selection) and ``fixed-default``
 (the configured parameters as they are).
 
-Each method builds its inputs once per seed.  View v is
-:meth:`BenchConfig.view_bundle` of the seed's standardized bundle (so
-its noise meets standardized features; ``edapt synth`` adds it to raw
-ones), mapped by ``params.view_map``.  The adaptation methods differ
+Each method is one row of ``_METHODS``: its label, a ridge method's
+training rows, its graph's rows, an adaptation method's builtin
+pre-classifier and whether it runs on ``config.views`` views.  Every
+method-specific decision reads that row.
+
+Each method builds its inputs once per seed.  Every view v, view 0
+included, is :meth:`BenchConfig.view_bundle` of the seed's standardized
+bundle (so its noise meets standardized features; ``edapt synth`` adds
+it to raw ones), mapped by ``params.view_map``, both drawn on first use
+in this process.  The adaptation methods differ
 only in their pre-classifier scores, so they share each seed's view
 problems: view v's bundle, hidden map, activations and target graph are
 built once, on first use, and each method swaps in its own scores.
@@ -109,23 +115,39 @@ __all__ = [
     "synth_spec",
 ]
 
-METHOD_LABELS = {
-    "elm_s": "ELM (source only)",
-    "elm_t": "ELM (target labels only)",
-    "elm_st": "ELM (source + target labels)",
-    "sselm": "SS-ELM (simplified)",
-    "eda": "EDA",
-    "eda_lap": "EDA (laplacian-kernel pre)",
-    "eda_inv": "EDA (inverse-distance pre)",
-    "eda_avg": "EDA (averaged kernel pre)",
-    "mveda": "MvEDA",
+
+@dataclass(frozen=True)
+class _Method:
+    """One bench method: its report label and every decision that differs
+    between methods.  A ridge method fits ``rows``' targets; ``graph`` is
+    the k-NN graph's rows (None, ``"target"`` rows or ``"all"`` training
+    rows); an adaptation method anchors to builtin pre-classifier
+    ``prelabels`` on one view, or on ``config.views`` views if
+    ``multiview``."""
+
+    label: str
+    rows: tuple = ()
+    graph: str | None = None
+    prelabels: str | None = None
+    multiview: bool = False
+
+
+_METHODS = {
+    "elm_s": _Method("ELM (source only)", rows=("source",)),
+    "elm_t": _Method("ELM (target labels only)", rows=("target_labeled",)),
+    "elm_st": _Method("ELM (source + target labels)", rows=("source", "target_labeled")),
+    "sselm": _Method("SS-ELM (simplified)", rows=("source", "target_labeled"),
+                     graph="all"),
+    "eda": _Method("EDA", graph="target", prelabels="elm"),
+    "eda_lap": _Method("EDA (laplacian-kernel pre)", graph="target", prelabels="laplacian"),
+    "eda_inv": _Method("EDA (inverse-distance pre)", graph="target", prelabels="inverse"),
+    "eda_avg": _Method("EDA (averaged kernel pre)", graph="target", prelabels="average"),
+    "mveda": _Method("MvEDA", graph="target", prelabels="elm", multiview=True),
 }
 
-METRICS = ("accuracy", "map")
+METHOD_LABELS = {name: method.label for name, method in _METHODS.items()}
 
-# the methods that build no k-NN graph; ``sselm`` builds its graph on
-# every training row, the adaptation methods on the target rows
-_NO_GRAPH = ("elm_s", "elm_t", "elm_st")
+METRICS = ("accuracy", "map")
 
 _RESPLIT_STREAM = 7877  # seed stream label for manifest resplits
 
@@ -209,11 +231,11 @@ def check_synthetic_graph(config: BenchConfig) -> None:
 def _check_graph(config: BenchConfig, target_rows: int, source_rows: int,
                  holder: str) -> None:
     """Refuse an ``n_neighbors`` that the smallest k-NN graph of a seed
-    cannot hold: over the target rows, plus the source rows when ``sselm``
-    is the one method with a graph."""
-    graph = {m for m in config.methods if m not in _NO_GRAPH}
-    if graph:
-        rows = target_rows + (source_rows if graph == {"sselm"} else 0)
+    cannot hold: over the target rows, plus the source rows for a graph on
+    every training row."""
+    graphs = {_METHODS[m].graph for m in config.methods} - {None}
+    if graphs:
+        rows = min(target_rows + (source_rows if g == "all" else 0) for g in graphs)
         check_graph_rows(config.params.n_neighbors, rows, holder, "key 'n_neighbors'")
 
 
@@ -439,17 +461,6 @@ def split_map_hash(bundle: DomainBundle, hidden_map: HiddenMap) -> str:
 # ---------------------------------------------------------------------------
 
 
-# adaptation methods and the builtin pre-classifier each one anchors its
-# unlabeled fidelity term to
-_ADAPTATION_PRELABELS = {
-    "eda": "elm",
-    "eda_lap": "laplacian",
-    "eda_inv": "inverse",
-    "eda_avg": "average",
-    "mveda": "elm",
-}
-
-
 @dataclass(frozen=True)
 class _SeedContext:
     """Shared per-seed state every method consumes."""
@@ -457,11 +468,6 @@ class _SeedContext:
     config: BenchConfig
     params: EdaParams  # the configured parameters with this seed
     bundle: DomainBundle
-    hidden_map: HiddenMap
-    t_source: np.ndarray
-    t_labeled: np.ndarray
-    y_test: np.ndarray
-    token: str
     # view inputs, problems and Grams, pre-classifier scores and split
     # activations: each built on first use, shared by the seed's methods
     cache: dict = field(default_factory=dict)
@@ -473,18 +479,15 @@ class _SeedContext:
 
     def activations(self, part: str, view: int = 0) -> np.ndarray:
         """View ``view``'s map of its bundle's split ``part``: the test
-        rows every method scores, and the ELM baselines' training rows."""
+        rows every method scores, and the ridge baselines' training rows."""
         def make():
             bundle, hidden_map = self.inputs(view)
             return map_features(hidden_map, getattr(bundle, part))
         return self._once(("activations", part, view), make)
 
     def inputs(self, view: int) -> tuple[DomainBundle, HiddenMap]:
-        """View ``view``'s bundle and map: this seed's own for view 0, after
-        that ``config.view_bundle`` of it with ``params.view_map``."""
-        if view == 0:
-            return self.bundle, self.hidden_map
-
+        """View ``view``'s bundle and map: ``config.view_bundle`` of this
+        seed's bundle, with ``params.view_map``."""
         def make():
             bundle = self.config.view_bundle(self.bundle, self.params.seed, view)
             return bundle, self.params.view_map(bundle.target_dim, view)
@@ -525,7 +528,7 @@ class _GridResult:
     point: tuple
     value: float
     history: list | None = None
-    alphas: np.ndarray | None = None  # per-iteration view weights (mveda)
+    alphas: np.ndarray | None = None  # per-iteration view weights (multi-view methods)
 
 
 def _score(config: BenchConfig, scores: np.ndarray, y_test: np.ndarray) -> float:
@@ -534,33 +537,25 @@ def _score(config: BenchConfig, scores: np.ndarray, y_test: np.ndarray) -> float
     return mean_average_precision(scores, y_test)
 
 
-def _elm_rows(method: str, ctx: _SeedContext):
-    if method == "elm_s":
-        return ctx.activations("source"), ctx.t_source
-    if method == "elm_t":
-        return ctx.activations("target_labeled"), ctx.t_labeled
-    h = np.vstack([ctx.activations("source"), ctx.activations("target_labeled")])
-    t = np.vstack([ctx.t_source, ctx.t_labeled])
-    return h, t
-
-
-def _ridge_fit(method: str, ctx: _SeedContext, p: EdaParams):
-    """The ELM-like method's fit: ``ridge -> (test scores, None, None)``."""
+def _ridge_fit(method: str, ctx: _SeedContext):
+    """The ridge method's fit: ``ridge -> (test scores, None, None)``."""
+    row, b, p = _METHODS[method], ctx.bundle, ctx.params
     h_test = ctx.activations("target_test")
-    if method != "sselm":
-        h, t = _elm_rows(method, ctx)
+    t = encode_labels(np.concatenate([getattr(b, part).labels for part in row.rows]),
+                      b.n_classes)
+    if row.graph is None:
+        hs = [ctx.activations(part) for part in row.rows]
+        h = hs[0] if len(hs) == 1 else np.vstack(hs)  # one split: no copy
         return lambda ridge: (h_test @ fit_elm(h, t, ridge), None, None)
-    b = ctx.bundle
     x_all = Dataset(concat_features(*(d for d in (
         b.source, b.target_labeled, b.target_unlabeled) if d is not None)))
-    h_all = map_features(ctx.hidden_map, x_all)
-    t_lab = np.vstack([ctx.t_source, ctx.t_labeled])
+    h_all = map_features(ctx.inputs(0)[1], x_all)
     graph = build_knn_graph(x_all, p.n_neighbors)
     return lambda ridge: (
-        h_test @ fit_sselm(h_all, t_lab, ridge, p.manifold_weight, graph), None, None)
+        h_test @ fit_sselm(h_all, t, ridge, p.manifold_weight, graph), None, None)
 
 
-def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
+def _adaptation_fit(method: str, ctx: _SeedContext):
     """The method's fit on its seed's shared view problems:
     ``(c_source, c_target) -> (test scores, objective history, view
     weights per round or None)``.
@@ -572,16 +567,17 @@ def _adaptation_fit(method: str, ctx: _SeedContext, p: EdaParams):
     :func:`~edapt.multiview.predict_mveda` fuses with; one view has
     ``alpha = [1]``.
     """
-    n_views = ctx.config.views if method == "mveda" else 1
-    problems = [ctx.problem(_ADAPTATION_PRELABELS[method], v) for v in range(n_views)]
+    row = _METHODS[method]
+    n_views = ctx.config.views if row.multiview else 1
+    problems = [ctx.problem(row.prelabels, v) for v in range(n_views)]
     h_tests = [ctx.activations("target_test", v) for v in range(n_views)]
     grams = [ctx.grams(v, prob) for v, prob in enumerate(problems)]
 
     def fit(cs: float, ct: float):
         betas, _, alphas, history = _alternate(
-            problems, replace(p, c_source=cs, c_target=ct), grams)
+            problems, replace(ctx.params, c_source=cs, c_target=ct), grams)
         scores = _fuse(alphas[-1], [h @ beta for h, beta in zip(h_tests, betas)])
-        return scores, history, np.asarray(alphas) if method == "mveda" else None
+        return scores, history, np.asarray(alphas) if row.multiview else None
 
     return fit
 
@@ -590,12 +586,11 @@ def _method_points(method: str, ctx: _SeedContext):
     """The method's fit, its grid points in report order and its default
     point."""
     config = ctx.config
-    if method in _ADAPTATION_PRELABELS:
-        fit = _adaptation_fit(method, ctx, ctx.params)
+    if _METHODS[method].prelabels:
         grid = [(float(cs), float(ct)) for cs in config.grid for ct in config.grid]
-        return fit, grid, (config.params.c_source, config.params.c_target)
-    fit = _ridge_fit(method, ctx, ctx.params)
-    return fit, [(float(ridge),) for ridge in config.grid], (1.0,)
+        return (_adaptation_fit(method, ctx), grid,
+                (config.params.c_source, config.params.c_target))
+    return _ridge_fit(method, ctx), [(float(ridge),) for ridge in config.grid], (1.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +632,8 @@ def _run_share(tasks: list, share, ctx: _SeedContext) -> list[tuple]:
                 t0 = time.perf_counter()
                 scores, history, alphas = fit(*point)
                 seconds = time.perf_counter() - t0
-                outcome = (_GridResult(point, _score(ctx.config, scores, ctx.y_test),
-                                       history, alphas), seconds)
+                value = _score(ctx.config, scores, ctx.bundle.target_test.labels)
+                outcome = (_GridResult(point, value, history, alphas), seconds)
             except Exception as err:
                 outcome = err
         ran.append((i, outcome, _plain(caught)))
@@ -759,25 +754,14 @@ class BenchReport:
     summaries: list
     per_seed: list      # (method, seed, point, value)
     convergence: list   # (run_id, iteration, objective)
-    view_weights: list  # (run_id, iteration, view, weight), mveda runs only
+    view_weights: list  # (run_id, iteration, view, weight), multi-view runs only
     timing: list        # (method, seed, n_fits, seconds)
     split_hashes: list  # (seed, token)
 
 
 def _context(config: BenchConfig, seed: int, base: DomainBundle | None) -> _SeedContext:
-    bundle = _seed_bundle(config, seed, base)
-    params = replace(config.params, seed=seed)
-    hidden_map = params.view_map(bundle.target_dim)
-    return _SeedContext(
-        config=config,
-        params=params,
-        bundle=bundle,
-        hidden_map=hidden_map,
-        t_source=encode_labels(bundle.source.labels, bundle.n_classes),
-        t_labeled=encode_labels(bundle.target_labeled.labels, bundle.n_classes),
-        y_test=bundle.target_test.labels,
-        token=split_map_hash(bundle, hidden_map),
-    )
+    return _SeedContext(config, replace(config.params, seed=seed),
+                        _seed_bundle(config, seed, base))
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
@@ -791,9 +775,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         if base.target_test is None or base.target_test.labels is None:
             raise ParameterError(f"key 'data': {config.data} has no labeled "
                                  "target_test split, which the bench resplits and scores")
-        if "mveda" in config.methods:
+        multiview = [m for m in config.methods if _METHODS[m].multiview]
+        if multiview:
             raise ParameterError(
-                "mveda benchmarking on manifest data is not supported; "
+                f"{multiview[0]} benchmarking on manifest data is not supported; "
                 "use synthetic data or fit_mveda directly"
             )
         try:  # the pool holds the same rows of each class whatever the seed
@@ -809,7 +794,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     per_seed, convergence, view_weights, timing, split_hashes = [], [], [], [], []
     for seed in config.seeds:
         ctx = _context(config, seed, base)
-        split_hashes.append((seed, ctx.token))
+        token = split_map_hash(*ctx.inputs(0))
+        split_hashes.append((seed, token))
         # the seed's largest factored matrix: an L x L normal matrix or
         # the kernel pre-classifier's training block
         order = max(config.params.n_hidden,
@@ -822,8 +808,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             for method in config.methods:
                 # fair comparison: every method must consume the same split
                 # and hidden map this seed produced
-                token = split_map_hash(ctx.bundle, ctx.hidden_map)
-                if token != ctx.token:
+                if split_map_hash(*ctx.inputs(0)) != token:
                     raise AssertionError(
                         f"fair-comparison violation for {method!r} at seed {seed}"
                     )

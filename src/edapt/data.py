@@ -410,11 +410,14 @@ def load_bundle(manifest_path: str) -> DomainBundle:
 
     The manifest is a ``key = value`` file naming the feature/label CSVs
     (paths relative to the manifest) plus ``classes``.  An absent or empty
-    unlabeled file yields an empty unlabeled split.
+    unlabeled file yields an empty unlabeled split.  A manifest of
+    several views (:func:`load_multiview_bundles`) is refused.
     """
-    keys = read_keyvalues(manifest_path)
-    _check_manifest_keys(keys, manifest_path, [""])
-    return _bundle_from_keys(keys, manifest_path)
+    bundles = load_multiview_bundles(manifest_path)
+    if len(bundles) != 1:
+        raise ParseError(f"{manifest_path}: holds {len(bundles)} views; "
+                         "expected a one-view manifest")
+    return bundles[0]
 
 
 def load_multiview_bundles(manifest_path: str) -> list[DomainBundle]:

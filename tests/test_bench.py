@@ -546,7 +546,11 @@ def test_every_shared_input_is_built_in_the_parent(tmp_path, monkeypatch):
                          (edapt.preclassify, "preclassify_elm"),
                          (edapt.preclassify, "preclassify_kernel"),
                          (edapt.single, "laplacian_gram"),
-                         (bench, "build_knn_graph"), (edapt.single, "build_knn_graph")):
+                         (bench, "build_knn_graph"), (edapt.single, "build_knn_graph"),
+                         # every view's map is drawn, and every row mapped, on
+                         # first use: in the parent, before any point runs
+                         (edapt.single, "new_hidden_map"),
+                         (bench, "map_features"), (edapt.single, "map_features")):
         monkeypatch.setattr(module, name, _pid_log(log, getattr(module, name)))
     run_benchmark(_fast(methods=tuple(METHOD_LABELS)))
     pids = log.read_text().split()

@@ -642,6 +642,21 @@ def test_a_manifest_bench_without_test_rows_is_refused_naming_the_key_and_manife
     assert not (tmp_path / "reports").exists()
 
 
+def test_a_bench_on_a_multiview_manifest_is_refused_naming_its_view_count(
+        tmp_path, cfg_path, capsys):
+    # the manifest `edapt synth --views 2` writes, which `edapt fit` reads;
+    # the bench draws its own views, so it takes one-view data only
+    _, (manifest, _) = _synth(tmp_path, cfg_path, capsys, "--views", "2")
+    bench_cfg = tmp_path / "mv.cfg"
+    bench_cfg.write_text(f"{TINY_CFG}data = {manifest}\n")
+    for cmd in ("bench", "sweep"):
+        assert main([cmd, "--config", str(bench_cfg),
+                     "--out-dir", str(tmp_path / "reports")]) == 2
+        assert (f"error: {bench_cfg}: key 'data': {manifest}: holds 2 views; "
+                "expected a one-view manifest" in capsys.readouterr().err)
+    assert not (tmp_path / "reports").exists()
+
+
 @pytest.mark.parametrize("line, want", [
     ("grid = 1,nan", "grid values must be positive and finite, got (1.0, nan)"),
     ("pre_ridge = 0", "pre_ridge must be positive and finite, got 0.0"),

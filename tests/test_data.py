@@ -1,5 +1,7 @@
 """Datasets, label codes, CSV/manifest round trips, and the shift generator."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +269,17 @@ def test_multiview_manifest_round_trip(tmp_path):
     assert len(views) == 2
     _bundles_equal(views[0], b0)
     _bundles_equal(views[1], b1)
+
+
+def test_load_bundle_refuses_a_multiview_manifest(tmp_path):
+    # a manifest `load_multiview_bundles` reads is refused by its view
+    # count, not by its first prefixed key
+    b0 = blob_bundle(seed=7, per_test=2)
+    manifest = save_multiview_bundle([b0, augment_noise_view(b0, 2, seed=99)],
+                                     str(tmp_path))
+    with pytest.raises(ParseError, match=re.escape(
+            f"{manifest}: holds 2 views; expected a one-view manifest")):
+        load_bundle(manifest)
 
 
 def test_a_plain_manifest_is_one_view(tmp_path):
